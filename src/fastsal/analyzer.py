@@ -1,4 +1,5 @@
-"""Parameter and FLOP accounting over a NetworkGraph.
+"""Parameter and FLOP accounting over a NetworkGraph. Each layer's FLOP rule
+and weight slots come from its record in network.OPS.
 
 Counting convention (tagged on every report):
   - one multiply-accumulate = 2 FLOPs
@@ -13,9 +14,11 @@ Counting convention (tagged on every report):
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 from .errors import ContractError
+from .network import RUNNING_STATS, op_for
 
 CONVENTION = ("MAC=2FLOPs; conv=2*Cout*(Cin/g)*Kh*Kw*Hout*Wout; "
               "bn/act/resize/pool/add=2 FLOPs per output element; "
@@ -65,32 +68,13 @@ class ComplexityReport:
 
 
 def layer_params(layer, in_shapes):
-    if layer.kind == "conv":
-        p = layer.params
-        cin_g = p["in_ch"] // p.get("groups", 1)
-        kh, kw = p["kernel"]
-        n = p["out_ch"] * cin_g * kh * kw
-        if p.get("bias", False):
-            n += p["out_ch"]
-        return n
-    if layer.kind == "bn":
-        return 2 * in_shapes[0][1]
-    return 0
+    slots = op_for(layer.kind).slots(layer.params, in_shapes)
+    return sum(math.prod(shape) for suffix, (shape, _) in slots.items()
+               if suffix not in RUNNING_STATS)
 
 
 def layer_flops(layer, in_shapes, out_shape):
-    n, c, h, w = out_shape
-    if layer.kind == "conv":
-        p = layer.params
-        cin_g = p["in_ch"] // p.get("groups", 1)
-        kh, kw = p["kernel"]
-        return 2 * p["out_ch"] * cin_g * kh * kw * h * w * n
-    if layer.kind in ("bn", "relu6", "sigmoid", "softmax-spatial", "resize",
-                      "avg-pool", "add"):
-        return 2 * n * c * h * w
-    if layer.kind in ("concat", "pixel-shuffle"):
-        return 0
-    raise ContractError(f"no flop rule for kind '{layer.kind}'")
+    return op_for(layer.kind).flops(layer.params, in_shapes, out_shape)
 
 
 def analyze(graph, input_shape=None):

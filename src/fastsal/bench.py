@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ContractError
-from .network import NetworkGraph, LayerSpec, fold_batch_norm, init_weights
+from .network import NetworkGraph, LayerSpec, fold_batch_norm
 from .tensor import Tensor
 
 
@@ -123,7 +123,3 @@ def build_vgg16_reference(input_shape):
             prev = name
     return NetworkGraph(layers, variant="vgg16-reference",
                         input_shape=tuple(input_shape))
-
-
-def init_reference_weights(graph, seed=0):
-    return init_weights(graph, seed=seed)

@@ -257,6 +257,9 @@ def main(argv=None):
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,22 +4,29 @@ addition variants), plus batch-norm folding and weight serialization.
 
 A NetworkGraph is an ordered list of LayerSpec records executed top to bottom;
 every layer names its inputs, so shape inference and complexity accounting can
-run without weights.
+run without weights. OPS is the one place a layer kind is described: its
+output shape, how it runs, its FLOPs and its weight slots. Shape inference,
+execution, weight init and checking, and the analyzer all read that table.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from . import kernels
-from .errors import ConfigError, ContractError, ParseError, ShapeError, WeightStoreError
+from . import kernels, tensor
+from .errors import ConfigError, ParseError, ShapeError, WeightStoreError
 from .tensor import Tensor
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+
+# BN running statistics: weight slots that are state, not parameters
+RUNNING_STATS = (".rmean", ".rvar")
 
 # MobileNetV2 inverted-residual schedule: (expansion, channels, repeats, stride)
 _MOBILENETV2_CFG = [
@@ -47,23 +54,13 @@ def _make_divisible(v, divisor=8):
 
 @dataclass
 class LayerSpec:
-    """One graph node. kind is one of: conv, bn, relu6, sigmoid,
-    softmax-spatial, resize, pixel-shuffle, avg-pool, concat, add."""
+    """One graph node. kind is a key of OPS, which describes what the layer
+    computes; params holds the kind's settings."""
     name: str
     kind: str
     inputs: list
     params: dict = field(default_factory=dict)
     tap: bool = False
-
-    def weight_slots(self):
-        if self.kind == "conv":
-            slots = [self.name + ".w"]
-            if self.params.get("bias", False):
-                slots.append(self.name + ".b")
-            return slots
-        if self.kind == "bn":
-            return [self.name + s for s in (".gamma", ".beta", ".rmean", ".rvar")]
-        return []
 
 
 @dataclass
@@ -73,27 +70,15 @@ class NetworkGraph:
     variant: str = ""
     input_shape: tuple = ()
 
-    def layer(self, name):
-        for l in self.layers:
-            if l.name == name:
-                return l
-        raise KeyError(name)
-
-    def weight_slots(self):
-        slots = []
-        for l in self.layers:
-            slots.extend(l.weight_slots())
-        return slots
-
-    def output_name(self):
-        return self.layers[-1].name
-
     def infer_shapes(self, input_shape=None):
         """Shape of every layer output as a pure function of the input shape."""
         shapes = {"input": tuple(input_shape or self.input_shape)}
         for l in self.layers:
             ins = [shapes[i] for i in l.inputs]
-            shapes[l.name] = _out_shape(l, ins)
+            try:
+                shapes[l.name] = op_for(l.kind).shape(l.params, ins)
+            except (ShapeError, ConfigError) as e:
+                raise type(e)(f"layer '{l.name}': {e}") from e
         return shapes
 
     def run(self, store, x, training=False, want=None):
@@ -106,9 +91,12 @@ class NetworkGraph:
         results = {}
         tap_values = []
         for l in self.layers:
-            ins = [acts[i] for i in l.inputs]
+            xs = [acts[i] for i in l.inputs]
             try:
-                y = _execute(l, ins, store, training)
+                op = op_for(l.kind)
+                w = {s: store.get(l.name + s)
+                     for s in op.slots(l.params, [t.shape for t in xs])}
+                y = op.run(l.params, xs, w, training)
             except (ShapeError, ConfigError) as e:
                 raise type(e)(f"layer '{l.name}': {e}") from e
             acts[l.name] = y
@@ -122,69 +110,182 @@ class NetworkGraph:
         return results
 
 
-def _out_shape(l, ins):
-    kind = l.kind
+# ---------------------------------------------------------------------------
+# layer kinds
+# ---------------------------------------------------------------------------
+
+def _fan_in_uniform(rng, shape, dtype):
+    bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
+def _zeros(rng, shape, dtype):
+    return np.zeros(shape, dtype=dtype)
+
+
+def _ones(rng, shape, dtype):
+    return np.ones(shape, dtype=dtype)
+
+
+def _no_slots(p, ins):
+    return {}
+
+
+def _two_per_element(p, ins, out):
+    return 2 * math.prod(out)
+
+
+def _no_flops(p, ins, out):
+    return 0
+
+
+def _same_shape(p, ins):
+    return ins[0]
+
+
+@dataclass(frozen=True)
+class Op:
+    """The rules for one layer kind. p is the layer's params, ins its input
+    shapes, xs its input tensors and w its weight slots by suffix.
+
+    shape(p, ins) -> output shape
+    run(p, xs, w, training) -> output Tensor; calls kernels.<fn>/tensor.<fn>
+        through the module, so a wrapper installed there sees every layer
+    flops(p, ins, out) -> FLOPs under analyzer.CONVENTION
+    slots(p, ins) -> {suffix: (shape, init)}, init(rng, shape, dtype) -> array;
+        parameters are the slots other than RUNNING_STATS"""
+    shape: Callable
+    run: Callable
+    flops: Callable = _two_per_element
+    slots: Callable = _no_slots
+
+
+def _conv_weight_shape(p):
+    kh, kw = p["kernel"]
+    return (p["out_ch"], p["in_ch"] // p.get("groups", 1), kh, kw)
+
+
+def _conv_shape(p, ins):
+    n, _, h, w = ins[0]
+    (kh, kw), (sh, sw), (ph, pw) = p["kernel"], p["stride"], p["padding"]
+    return (n, p["out_ch"], (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1)
+
+
+def _conv_run(p, xs, w, training):
+    return kernels.conv2d(xs[0], w[".w"], w.get(".b"), stride=p["stride"],
+                          padding=p["padding"], groups=p.get("groups", 1))
+
+
+def _conv_flops(p, ins, out):
+    n, _, h, w = out
+    return 2 * math.prod(_conv_weight_shape(p)) * n * h * w
+
+
+def _conv_slots(p, ins):
+    slots = {".w": (_conv_weight_shape(p), _fan_in_uniform)}
+    if p.get("bias", False):
+        slots[".b"] = ((p["out_ch"],), _zeros)
+    return slots
+
+
+_BN_INIT = {".gamma": _ones, ".beta": _zeros, ".rmean": _zeros, ".rvar": _ones}
+
+
+def _bn_run(p, xs, w, training):
+    return kernels.batch_norm(xs[0], w[".gamma"], w[".beta"], w[".rmean"], w[".rvar"],
+                              eps=p.get("eps", BN_EPS),
+                              momentum=p.get("momentum", BN_MOMENTUM), training=training)
+
+
+def _bn_slots(p, ins):
+    return {s: ((ins[0][1],), init) for s, init in _BN_INIT.items()}
+
+
+def _relu6_run(p, xs, w, training):
+    return tensor.relu6(xs[0])
+
+
+def _sigmoid_run(p, xs, w, training):
+    return tensor.sigmoid(xs[0])
+
+
+def _softmax_run(p, xs, w, training):
+    return kernels.softmax_spatial(xs[0])
+
+
+def _resize_shape(p, ins):
+    n, c, _, _ = ins[0]
+    return (n, c, p["out_h"], p["out_w"])
+
+
+def _resize_run(p, xs, w, training):
+    return kernels.bilinear_resize(xs[0], p["out_h"], p["out_w"])
+
+
+def _shuffle_shape(p, ins):
     n, c, h, w = ins[0]
-    if kind == "conv":
-        kh, kw = l.params["kernel"]
-        sh, sw = l.params["stride"]
-        ph, pw = l.params["padding"]
-        ho = (h + 2 * ph - kh) // sh + 1
-        wo = (w + 2 * pw - kw) // sw + 1
-        return (n, l.params["out_ch"], ho, wo)
-    if kind in ("bn", "relu6", "sigmoid", "softmax-spatial"):
-        return ins[0]
-    if kind == "resize":
-        return (n, c, l.params["out_h"], l.params["out_w"])
-    if kind == "pixel-shuffle":
-        r = l.params["r"]
-        return (n, c // (r * r), h * r, w * r)
-    if kind == "avg-pool":
-        k = l.params["k"]
-        return (n, c, h // k, w // k)
-    if kind == "concat":
-        return (n, sum(s[1] for s in ins), h, w)
-    if kind == "add":
-        return ins[0]
-    raise ConfigError(f"unknown layer kind '{kind}'")
+    r = p["r"]
+    return (n, c // (r * r), h * r, w * r)
 
 
-def _execute(l, ins, store, training):
-    kind = l.kind
-    if kind == "conv":
-        w = store.get(l.name + ".w")
-        b = store.get(l.name + ".b") if l.params.get("bias", False) else None
-        return kernels.conv2d(ins[0], w, b, stride=l.params["stride"],
-                              padding=l.params["padding"],
-                              groups=l.params.get("groups", 1))
-    if kind == "bn":
-        return kernels.batch_norm(
-            ins[0], store.get(l.name + ".gamma"), store.get(l.name + ".beta"),
-            store.get(l.name + ".rmean"), store.get(l.name + ".rvar"),
-            eps=l.params.get("eps", BN_EPS),
-            momentum=l.params.get("momentum", BN_MOMENTUM), training=training)
-    if kind == "relu6":
-        from .tensor import relu6
-        return relu6(ins[0])
-    if kind == "sigmoid":
-        from .tensor import sigmoid
-        return sigmoid(ins[0])
-    if kind == "softmax-spatial":
-        return kernels.softmax_spatial(ins[0])
-    if kind == "resize":
-        return kernels.bilinear_resize(ins[0], l.params["out_h"], l.params["out_w"])
-    if kind == "pixel-shuffle":
-        return kernels.pixel_shuffle(ins[0], l.params["r"])
-    if kind == "avg-pool":
-        return kernels.avg_pool2d(ins[0], l.params["k"])
-    if kind == "concat":
-        return kernels.concat_channels(ins)
-    if kind == "add":
-        out = ins[0]
-        for t in ins[1:]:
-            out = out + t
-        return out
-    raise ConfigError(f"unknown layer kind '{kind}'")
+def _shuffle_run(p, xs, w, training):
+    return kernels.pixel_shuffle(xs[0], p["r"])
+
+
+def _pool_shape(p, ins):
+    n, c, h, w = ins[0]
+    k = p["k"]
+    return (n, c, h // k, w // k)
+
+
+def _pool_run(p, xs, w, training):
+    return kernels.avg_pool2d(xs[0], p["k"])
+
+
+def _concat_shape(p, ins):
+    n, _, h, w = ins[0]
+    return (n, sum(s[1] for s in ins), h, w)
+
+
+def _concat_run(p, xs, w, training):
+    return kernels.concat_channels(xs)
+
+
+def _add_shape(p, ins):
+    for s in ins[1:]:
+        if s != ins[0]:
+            raise ShapeError(f"add inputs differ in shape: {ins[0]} and {s}")
+    return ins[0]
+
+
+def _add_run(p, xs, w, training):
+    _add_shape(p, [t.shape for t in xs])
+    out = xs[0]
+    for t in xs[1:]:
+        out = tensor.add(out, t)
+    return out
+
+
+OPS = {
+    "conv": Op(_conv_shape, _conv_run, _conv_flops, _conv_slots),
+    "bn": Op(_same_shape, _bn_run, slots=_bn_slots),
+    "relu6": Op(_same_shape, _relu6_run),
+    "sigmoid": Op(_same_shape, _sigmoid_run),
+    "softmax-spatial": Op(_same_shape, _softmax_run),
+    "resize": Op(_resize_shape, _resize_run),
+    "pixel-shuffle": Op(_shuffle_shape, _shuffle_run, _no_flops),
+    "avg-pool": Op(_pool_shape, _pool_run),
+    "concat": Op(_concat_shape, _concat_run, _no_flops),
+    "add": Op(_add_shape, _add_run),
+}
+
+
+def op_for(kind):
+    """The OPS record of a layer kind; ConfigError for an unknown kind."""
+    try:
+        return OPS[kind]
+    except KeyError:
+        raise ConfigError(f"unknown layer kind '{kind}'") from None
 
 
 # ---------------------------------------------------------------------------
@@ -281,31 +382,6 @@ def _grouping_layers(b, taps, tap_ch):
     return [b1, b2, b3, b4], ch
 
 
-@dataclass
-class FeatureBlocks:
-    """The four grouped multi-scale feature maps, finest (H/4) to coarsest (H/32)."""
-    b1: Tensor
-    b2: Tensor
-    b3: Tensor
-    b4: Tensor
-
-    def as_list(self):
-        return [self.b1, self.b2, self.b3, self.b4]
-
-
-def group_feature_blocks(taps):
-    """Group the 18 backbone taps into 4 blocks by spatial scale."""
-    if len(taps) != 18:
-        raise ContractError(f"expected 18 backbone taps, got {len(taps)}")
-    p0 = kernels.avg_pool2d(taps[0], 2)
-    p1 = kernels.avg_pool2d(taps[1], 2)
-    b1 = kernels.concat_channels([p0, p1, taps[2], taps[3]])
-    b2 = kernels.concat_channels(taps[4:7])
-    b3 = kernels.concat_channels(taps[7:14])
-    b4 = kernels.concat_channels(taps[14:18])
-    return FeatureBlocks(b1, b2, b3, b4)
-
-
 def _decoder_concat_layers(b, blocks, block_ch, h, w, width):
     adapt_ch = [_make_divisible(a * width) for a in CONCAT_ADAPT]
     ups = []
@@ -376,23 +452,6 @@ def build_fastsal(variant, input_shape, width=1.0):
                         input_shape=tuple(input_shape))
 
 
-def modified_inverted_residual(x, prev_resized, weights, prefix="mir"):
-    """Fuse a level's adapted features with the resized previous-level output,
-    then apply an expansion-2 inverted residual. Weight slots follow the graph
-    naming: {prefix}.expand/dw/project."""
-    if prev_resized is not None:
-        if prev_resized.shape != x.shape:
-            raise ShapeError(
-                f"level features {x.shape} and resized previous {prev_resized.shape} differ")
-        x = x + prev_resized
-    din = x.shape[1]
-    dout = weights.get(prefix + ".project.conv.w").shape[0]
-    b = _Builder()
-    _mir_layers(b, prefix, "input", din, dout)
-    g = NetworkGraph(b.layers, input_shape=x.shape)
-    return g.run(weights, x)["out"]
-
-
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
@@ -428,7 +487,7 @@ class WeightStore:
     def scalar_count(self, exclude_running_stats=True):
         total = 0
         for k, v in self.tensors.items():
-            if exclude_running_stats and k.endswith((".rmean", ".rvar")):
+            if exclude_running_stats and k.endswith(RUNNING_STATS):
                 continue
             total += v.size
         return total
@@ -436,31 +495,24 @@ class WeightStore:
 
 def trainable_slots(store):
     """Slots updated by the optimizer: everything except BN running stats."""
-    return [k for k in store.names() if not k.endswith((".rmean", ".rvar"))]
+    return [k for k in store.names() if not k.endswith(RUNNING_STATS)]
+
+
+def _graph_slots(graph):
+    """(slot name, shape, init) of every weight slot, in layer order."""
+    shapes = graph.infer_shapes()
+    for l in graph.layers:
+        ins = [shapes[i] for i in l.inputs]
+        for suffix, (shape, init) in OPS[l.kind].slots(l.params, ins).items():
+            yield l.name + suffix, shape, init
 
 
 def init_weights(graph, seed=0, dtype=np.float32):
     """Fan-in scaled uniform init for convs; identity init for batch norm."""
     rng = np.random.default_rng(seed)
     store = WeightStore()
-    shapes = graph.infer_shapes()
-    for l in graph.layers:
-        if l.kind == "conv":
-            cin_g = l.params["in_ch"] // l.params.get("groups", 1)
-            kh, kw = l.params["kernel"]
-            fan_in = cin_g * kh * kw
-            bound = 1.0 / np.sqrt(fan_in)
-            w = rng.uniform(-bound, bound,
-                            size=(l.params["out_ch"], cin_g, kh, kw)).astype(dtype)
-            store.put(l.name + ".w", Tensor(w))
-            if l.params.get("bias", False):
-                store.put(l.name + ".b", Tensor(np.zeros(l.params["out_ch"], dtype=dtype)))
-        elif l.kind == "bn":
-            c = shapes[l.inputs[0]][1]
-            store.put(l.name + ".gamma", Tensor(np.ones(c, dtype=dtype)))
-            store.put(l.name + ".beta", Tensor(np.zeros(c, dtype=dtype)))
-            store.put(l.name + ".rmean", Tensor(np.zeros(c, dtype=dtype)))
-            store.put(l.name + ".rvar", Tensor(np.ones(c, dtype=dtype)))
+    for name, shape, init in _graph_slots(graph):
+        store.put(name, Tensor(init(rng, shape, dtype)))
     return store
 
 
@@ -522,26 +574,10 @@ def load_weights(path):
 
 def check_weights(graph, store):
     """Verify every graph slot resolves with the declared shape."""
-    shapes = graph.infer_shapes()
-    for l in graph.layers:
-        for slot in l.weight_slots():
-            t = store.get(slot)
-            if l.kind == "conv" and slot.endswith(".w"):
-                cin_g = l.params["in_ch"] // l.params.get("groups", 1)
-                expect = (l.params["out_ch"], cin_g, *l.params["kernel"])
-                if t.shape != expect:
-                    raise WeightStoreError(
-                        f"slot '{slot}' has shape {t.shape}, expected {expect}")
-            elif l.kind == "conv" and slot.endswith(".b"):
-                if t.shape != (l.params["out_ch"],):
-                    raise WeightStoreError(
-                        f"slot '{slot}' has shape {t.shape}, "
-                        f"expected ({l.params['out_ch']},)")
-            elif l.kind == "bn":
-                c = shapes[l.inputs[0]][1]
-                if t.shape != (c,):
-                    raise WeightStoreError(
-                        f"slot '{slot}' has shape {t.shape}, expected ({c},)")
+    for name, shape, _ in _graph_slots(graph):
+        t = store.get(name)
+        if t.shape != shape:
+            raise WeightStoreError(f"slot '{name}' has shape {t.shape}, expected {shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -550,52 +586,39 @@ def check_weights(graph, store):
 
 def fold_batch_norm(graph, store):
     """Fuse conv+bn pairs for inference. Returns a new (graph, store); the
-    originals are untouched. BN layers without a directly preceding conv are
-    left unfused."""
-    import warnings
-
+    originals are untouched. A bn is fused only into a conv that it alone
+    reads and that is not a tap; any other bn is left unfused."""
     consumers = {}
     for l in graph.layers:
         for i in l.inputs:
             consumers.setdefault(i, []).append(l.name)
 
-    by_name = {l.name: l for l in graph.layers}
     folded = {}   # bn name -> conv name
-    new_layers = []
+    new_layers = {}
     new_store = store.copy()
     for l in graph.layers:
-        if l.kind == "bn":
-            src = by_name.get(l.inputs[0])
-            if (src is not None and src.kind == "conv"
-                    and consumers.get(src.name) == [l.name] and not src.tap):
-                conv = src
-                g = new_store.get(l.name + ".gamma").data
-                bt = new_store.get(l.name + ".beta").data
-                rm = new_store.get(l.name + ".rmean").data
-                rv = new_store.get(l.name + ".rvar").data
-                scale = g / np.sqrt(rv + l.params.get("eps", BN_EPS))
-                w = new_store.get(conv.name + ".w").data
-                new_store.put(conv.name + ".w",
-                              Tensor(w * scale.reshape(-1, 1, 1, 1)))
-                b0 = (new_store.get(conv.name + ".b").data
-                      if conv.params.get("bias", False)
-                      else np.zeros(conv.params["out_ch"], dtype=w.dtype))
-                new_store.put(conv.name + ".b", Tensor(bt + (b0 - rm) * scale))
-                for slot in l.weight_slots():
-                    new_store.tensors.pop(slot, None)
-                # rewire: consumers of the bn now read the conv
-                folded[l.name] = conv.name
-                # the conv now carries the bn's tap flag and bias
-                for nl in new_layers:
-                    if nl.name == conv.name:
-                        nl.params = dict(nl.params, bias=True)
-                        nl.tap = nl.tap or l.tap
-                continue
-            warnings.warn(f"bn layer '{l.name}' has no foldable preceding conv; left unfused")
-        nl = LayerSpec(l.name, l.kind,
-                       [folded.get(i, i) for i in l.inputs], dict(l.params), l.tap)
-        new_layers.append(nl)
+        conv = new_layers.get(l.inputs[0]) if l.kind == "bn" else None
+        if (conv is not None and conv.kind == "conv"
+                and consumers[conv.name] == [l.name] and not conv.tap):
+            g, bt, rm, rv = (new_store.get(l.name + s).data for s in _BN_INIT)
+            scale = g / np.sqrt(rv + l.params.get("eps", BN_EPS))
+            w = new_store.get(conv.name + ".w").data
+            new_store.put(conv.name + ".w", Tensor(w * scale.reshape(-1, 1, 1, 1)))
+            b0 = (new_store.get(conv.name + ".b").data
+                  if conv.params.get("bias", False)
+                  else np.zeros(conv.params["out_ch"], dtype=w.dtype))
+            new_store.put(conv.name + ".b", Tensor(bt + (b0 - rm) * scale))
+            for s in _BN_INIT:
+                del new_store.tensors[l.name + s]
+            # consumers of the bn now read the conv, which gains a bias and
+            # takes over the bn's tap flag
+            folded[l.name] = conv.name
+            conv.params = dict(conv.params, bias=True)
+            conv.tap = l.tap
+            continue
+        new_layers[l.name] = LayerSpec(l.name, l.kind, [folded.get(i, i) for i in l.inputs],
+                                       dict(l.params), l.tap)
 
     taps = [folded.get(t, t) for t in graph.taps]
-    return (NetworkGraph(new_layers, taps=taps, variant=graph.variant,
+    return (NetworkGraph(list(new_layers.values()), taps=taps, variant=graph.variant,
                          input_shape=graph.input_shape), new_store)

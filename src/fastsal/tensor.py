@@ -367,12 +367,6 @@ def reshape(a, shape):
     return apply_op("reshape", (a,), out, bwd)
 
 
-def check_finite(t, what="tensor"):
-    if not np.all(np.isfinite(t.data)):
-        raise NumericDomainError(f"non-finite values in {what}")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # gradient verification
 # ---------------------------------------------------------------------------

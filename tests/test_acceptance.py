@@ -244,7 +244,7 @@ def test_criterion_08_benchmark_protocol(capsys):
     ok = (rep.iterations == 100 and rep.mean_ms > 0
           and abs(rep.fps - 1000.0 / rep.mean_ms) < 1e-9)
     ref_graph = bench.build_vgg16_reference((1, 3, 192, 256))
-    ref_store = bench.init_reference_weights(ref_graph)
+    ref_store = init_weights(ref_graph)
     ref = bench.benchmark(ref_graph, ref_store, iterations=5, warmup=1,
                           fold=False)
     ok = ok and rep.fps > ref.fps

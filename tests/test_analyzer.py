@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fastsal import analyzer
+from fastsal.bench import build_vgg16_reference
 from fastsal.errors import ContractError
 from fastsal.network import (LayerSpec, NetworkGraph, build_backbone,
                              build_fastsal, init_weights)
@@ -71,9 +72,15 @@ class TestModelTotals:
         assert 2_920_000 <= report.total_params <= 4_380_000
         assert 0.924e9 <= report.total_flops <= 1.716e9
 
-    @pytest.mark.parametrize("variant", ["C", "A"])
+    @pytest.mark.parametrize("variant", ["C", "A", "backbone", "vgg16"])
     def test_params_match_weight_store(self, variant):
-        graph = build_fastsal(variant, (1, 3, 48, 64), width=0.25)
+        shape = (1, 3, 48, 64)
+        if variant == "backbone":
+            graph = build_backbone(shape, width=0.25)
+        elif variant == "vgg16":
+            graph = build_vgg16_reference(shape)
+        else:
+            graph = build_fastsal(variant, shape, width=0.25)
         report = analyzer.analyze(graph)
         store = init_weights(graph)
         assert report.total_params == store.scalar_count()

@@ -95,6 +95,6 @@ class TestVggReference:
 
     def test_runs_forward(self):
         graph = bench.build_vgg16_reference((1, 3, 16, 16))
-        store = bench.init_reference_weights(graph)
+        store = init_weights(graph)
         rep = bench.benchmark(graph, store, iterations=1, warmup=0, fold=False)
         assert rep.mean_ms > 0

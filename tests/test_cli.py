@@ -53,6 +53,16 @@ class TestArgHandling:
         assert rc == 1
         assert "divisible" in capsys.readouterr().err
 
+    def test_program_fault_is_runtime_failure(self, capsys, monkeypatch):
+        def fault(args):
+            raise AttributeError("module 'numpy' has no attribute 'trapz'")
+
+        monkeypatch.setattr(cli, "_cmd_analyze", fault)
+        assert cli.main(["analyze"] + SMALL) == 2
+        err = capsys.readouterr().err
+        assert err == ("internal error: AttributeError: "
+                       "module 'numpy' has no attribute 'trapz'\n")
+
 
 class TestPredict:
     def test_writes_p5_map(self, capsys, weights_file, image_file, tmp_path):

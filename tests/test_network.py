@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from fastsal import network as net
-from fastsal.errors import ConfigError, ContractError, ParseError, WeightStoreError
-from fastsal.network import (WeightStore, build_backbone, build_fastsal,
-                             check_weights, fold_batch_norm,
-                             group_feature_blocks, init_weights, load_weights,
+from fastsal import analyzer
+from fastsal.errors import ConfigError, ParseError, ShapeError, WeightStoreError
+from fastsal.network import (LayerSpec, NetworkGraph, WeightStore,
+                             build_backbone, build_fastsal, check_weights,
+                             fold_batch_norm, init_weights, load_weights,
                              save_weights, trainable_slots)
 from fastsal.tensor import Tensor
 
@@ -61,14 +62,17 @@ class TestBackboneStructure:
         assert len(res["taps"]) == 18
         assert all(np.all(np.isfinite(t.data)) for t in res["taps"])
 
-    def test_run_shapes_match_inference(self, backbone_small):
-        graph, store = backbone_small
+    def test_run_shapes_match_inference(self):
         x = Tensor(np.zeros((1, 3, 48, 64), dtype=np.float32))
-        res = graph.run(store, x, want=[l.name for l in graph.layers[:5]])
-        shapes = graph.infer_shapes()
-        for name, t in res.items():
-            if name != "out":
-                assert t.shape == shapes[name]
+        for variant in ("C", "A"):
+            graph = build_fastsal(variant, (1, 3, 48, 64), width=0.25)
+            res = graph.run(init_weights(graph), x,
+                            want=[l.name for l in graph.layers])
+            shapes = graph.infer_shapes()
+            assert len(res) == len(graph.layers) + 1
+            for name, t in res.items():
+                if name != "out":
+                    assert t.shape == shapes[name]
 
 
 class TestFeatureBlocks:
@@ -85,21 +89,17 @@ class TestFeatureBlocks:
         hw = [shapes[f"blocks.b{i}"][2:] for i in range(1, 5)]
         assert hw == [(48, 64), (24, 32), (12, 16), (6, 8)]
 
-    def test_functional_grouping_matches_graph(self, backbone_small):
-        graph, store = backbone_small
+    def test_run_returns_grouped_blocks(self, fastsal_small):
+        graph, store = fastsal_small
         x = Tensor(np.random.default_rng(1).normal(size=(1, 3, 48, 64))
                    .astype(np.float32))
-        taps = graph.run(store, x, want=["taps"])["taps"]
-        blocks = group_feature_blocks(taps)
-        lst = blocks.as_list()
+        names = [f"blocks.b{i}" for i in range(1, 5)]
+        res = graph.run(store, x, want=names)
+        lst = [res[n] for n in names]
         assert len(lst) == 4
         # finest block is H/4 of the 48x64 input
         assert lst[0].shape[2:] == (12, 16)
         assert lst[-1].shape[2:] == (2, 2)
-
-    def test_grouping_needs_eighteen(self):
-        with pytest.raises(ContractError):
-            group_feature_blocks([Tensor(np.zeros((1, 1, 2, 2)))] * 17)
 
 
 class TestFullModel:
@@ -135,68 +135,100 @@ class TestFullModel:
         assert not np.array_equal(s0.get(name).data, s1.get(name).data)
 
 
+def mir_graph(din, dout, input_shape, fuse=None):
+    """The decoder's modified inverted residual as a graph. With fuse, the
+    block reads the layer that fuse(builder) emits instead of the input."""
+    b = net._Builder()
+    inp = "input"
+    if fuse is not None:
+        inp = fuse(b)
+    net._mir_layers(b, "mir", inp, din, dout)
+    return NetworkGraph(b.layers, input_shape=input_shape)
+
+
+def fuse_relu6_sigmoid(b):
+    """Two stand-ins for a level's features and the resized previous level,
+    summed by an add layer as in the A decoder."""
+    level = b.emit("level", "relu6", ["input"])
+    prev = b.emit("prev", "sigmoid", ["input"])
+    return b.emit("fuse", "add", [level, prev])
+
+
 class TestModifiedInvertedResidual:
-    def _weights(self, din, dout, seed=0):
-        rng = np.random.default_rng(seed)
-        hidden = 2 * din
-        store = WeightStore()
-
-        def conv(prefix, ci, co, k, groups=1):
-            store.put(prefix + ".w", Tensor(
-                rng.normal(0, 0.1, (co, ci // groups, k, k)).astype(np.float32)))
-            store.put(prefix + ".b", Tensor(np.zeros(co, dtype=np.float32)))
-
-        conv("mir.expand.conv", din, hidden, 1)
-        conv("mir.dw.conv", hidden, hidden, 3, groups=hidden)
-        conv("mir.project.conv", hidden, dout, 1)
-        for bn, c in (("expand", hidden), ("dw", hidden), ("project", dout)):
-            store.put(f"mir.{bn}.bn.gamma", Tensor(np.ones(c, dtype=np.float32)))
-            store.put(f"mir.{bn}.bn.beta", Tensor(np.zeros(c, dtype=np.float32)))
-            store.put(f"mir.{bn}.bn.rmean", Tensor(np.zeros(c, dtype=np.float32)))
-            store.put(f"mir.{bn}.bn.rvar", Tensor(np.ones(c, dtype=np.float32)))
-        return store
+    def _rand(self, shape, seed):
+        return Tensor(np.random.default_rng(seed).normal(size=shape)
+                      .astype(np.float32))
 
     def test_preserves_spatial_size(self):
-        store = self._weights(8, 4)
-        x = Tensor(np.random.default_rng(1).normal(size=(1, 8, 6, 6))
-                   .astype(np.float32))
-        out = net.modified_inverted_residual(x, None, store)
+        graph = mir_graph(8, 4, (1, 8, 6, 6))
+        out = graph.run(init_weights(graph), self._rand((1, 8, 6, 6), 1))["out"]
         assert out.shape == (1, 4, 6, 6)
 
     def test_skip_when_channels_match(self):
-        store = self._weights(4, 4, seed=2)
+        graph = mir_graph(4, 4, (1, 4, 5, 5))
+        store = init_weights(graph, seed=2)
         # zero all conv weights: with the skip the block becomes identity
         for name in list(store.names()):
             if name.endswith(".w"):
                 store.put(name, Tensor(np.zeros_like(store.get(name).data)))
-        x = Tensor(np.random.default_rng(3).normal(size=(1, 4, 5, 5))
-                   .astype(np.float32))
-        out = net.modified_inverted_residual(x, None, store)
+        x = self._rand((1, 4, 5, 5), 3)
+        out = graph.run(store, x)["out"]
         np.testing.assert_allclose(out.data, x.data, atol=1e-6)
 
     def test_previous_level_is_added(self):
-        store = self._weights(4, 4, seed=4)
-        x = Tensor(np.random.default_rng(5).normal(size=(1, 4, 5, 5))
-                   .astype(np.float32))
-        prev = Tensor(np.random.default_rng(6).normal(size=(1, 4, 5, 5))
-                      .astype(np.float32))
-        fused = net.modified_inverted_residual(x, prev, store)
-        manual = net.modified_inverted_residual(
-            Tensor(x.data + prev.data), None, store)
+        fused_graph = mir_graph(4, 4, (1, 4, 5, 5), fuse=fuse_relu6_sigmoid)
+        plain_graph = mir_graph(4, 4, (1, 4, 5, 5))
+        store = init_weights(plain_graph, seed=4)
+        x = self._rand((1, 4, 5, 5), 5)
+        fused = fused_graph.run(store, x)["out"]
+        s = np.clip(x.data, 0, 6) + 1 / (1 + np.exp(-x.data))
+        manual = plain_graph.run(store, Tensor(s.astype(np.float32)))["out"]
         np.testing.assert_allclose(fused.data, manual.data, rtol=1e-6)
 
     def test_shape_mismatch(self):
-        store = self._weights(4, 4)
-        x = Tensor(np.zeros((1, 4, 5, 5), dtype=np.float32))
-        prev = Tensor(np.zeros((1, 4, 3, 3), dtype=np.float32))
-        with pytest.raises(Exception):
-            net.modified_inverted_residual(x, prev, store)
+        def fuse_pooled(b):
+            prev = b.emit("prev", "avg-pool", ["input"], k=2)
+            return b.emit("fuse", "add", ["input", prev])
+
+        graph = mir_graph(4, 4, (1, 4, 6, 6), fuse=fuse_pooled)
+        with pytest.raises(ShapeError, match="fuse"):
+            graph.infer_shapes()
+        store = init_weights(mir_graph(4, 4, (1, 4, 6, 6)))
+        with pytest.raises(ShapeError, match="fuse"):
+            graph.run(store, Tensor(np.zeros((1, 4, 6, 6), dtype=np.float32)))
 
     def test_param_count_at_width_64(self):
         # expansion 2 with biased convs and affine bn:
         # expand 64*128+128, dw 9*128+128, project 128*64+64, bn 2*(128+128+64)
-        store = self._weights(64, 64)
-        assert store.scalar_count() == 18_496
+        graph = mir_graph(64, 64, (1, 64, 6, 6))
+        assert analyzer.analyze(graph).total_params == 18_496
+        assert init_weights(graph).scalar_count() == 18_496
+
+
+class TestLayerKinds:
+    @pytest.mark.parametrize("other", [(1, 4, 3, 3), (1, 4, 1, 1)])
+    def test_add_rejects_mismatched_shapes(self, other):
+        # (1,4,1,1) would broadcast silently without the check
+        k = 6 // other[2]
+        graph = NetworkGraph([LayerSpec("pool", "avg-pool", ["input"], {"k": k}),
+                              LayerSpec("sum", "add", ["input", "pool"])],
+                             input_shape=(1, 4, 6, 6))
+        with pytest.raises(ShapeError, match="layer 'sum'"):
+            graph.infer_shapes()
+        x = Tensor(np.ones((1, 4, 6, 6), dtype=np.float32))
+        with pytest.raises(ShapeError, match="layer 'sum'"):
+            graph.run(WeightStore(), x)
+
+    def test_unknown_kind_names_kind_and_layer(self):
+        graph = NetworkGraph([LayerSpec("r", "relu6", ["input"]),
+                              LayerSpec("odd", "frobnicate", ["r"])],
+                             input_shape=(1, 2, 4, 4))
+        x = Tensor(np.ones((1, 2, 4, 4), dtype=np.float32))
+        for call in (graph.infer_shapes, lambda: graph.run(WeightStore(), x),
+                     lambda: analyzer.analyze(graph),
+                     lambda: init_weights(graph)):
+            with pytest.raises(ConfigError, match="layer 'odd'.*'frobnicate'"):
+                call()
 
 
 class TestWeightIO:
@@ -264,8 +296,19 @@ class TestWeightIO:
 
 
 class TestBatchNormFolding:
-    def test_inference_equivalence(self, fastsal_small):
-        graph, store = fastsal_small
+    @pytest.mark.parametrize("variant", ["C", "A"])
+    def test_inference_equivalence(self, variant):
+        # random BN statistics and non-zero conv biases; A has biased
+        # conv->bn pairs, so the folded bias takes the b0 - rmean branch
+        graph = build_fastsal(variant, (1, 3, 48, 64), width=0.25)
+        store = init_weights(graph, seed=0)
+        rng = np.random.default_rng(11)
+        for name in store.names():
+            t = store.get(name).data
+            if name.endswith((".b", ".beta", ".rmean")):
+                t[:] = rng.uniform(-0.5, 0.5, t.shape)
+            elif name.endswith((".gamma", ".rvar")):
+                t[:] = rng.uniform(0.5, 1.5, t.shape)
         x = Tensor(np.random.default_rng(7).normal(size=(1, 3, 48, 64))
                    .astype(np.float32))
         ref = graph.run(store, x)["out"].data

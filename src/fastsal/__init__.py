@@ -10,12 +10,13 @@ suite, a parameter/FLOP analyzer, and a latency benchmark.
 from .tensor import Tensor, Tape, backward, grad_check
 from .network import (NetworkGraph, WeightStore, build_backbone, build_fastsal,
                       fold_batch_norm, init_weights, load_weights,
-                      save_weights)
+                      prepare_inference, save_weights)
 
 __all__ = [
     "Tensor", "Tape", "backward", "grad_check",
     "NetworkGraph", "WeightStore", "build_backbone", "build_fastsal",
-    "fold_batch_norm", "init_weights", "load_weights", "save_weights",
+    "fold_batch_norm", "init_weights", "load_weights", "prepare_inference",
+    "save_weights",
 ]
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Wall-clock inference benchmarking: fixed-size random input, warmup plus
 timed single-image iterations on a monotonic clock, FPS from mean latency.
-Batch norm is folded before timing; the timed region excludes I/O and weight
-loading."""
+`prepare_inference` runs before timing; the timed region excludes I/O and
+weight loading."""
 
 from __future__ import annotations
 
@@ -13,8 +13,21 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ContractError
-from .network import NetworkGraph, LayerSpec, fold_batch_norm
+from .network import NetworkGraph, LayerSpec, prepare_inference
 from .tensor import Tensor
+
+
+def _host():
+    """CPU model from /proc/cpuinfo; the machine type where that is missing
+    (platform.processor() is '' on many Linux hosts)."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.machine()
 
 
 @dataclass
@@ -27,7 +40,7 @@ class BenchReport:
     fps: float
     threads: int
     deterministic: bool
-    host: str = field(default_factory=platform.processor)
+    host: str = field(default_factory=_host)
     variant: str = ""
 
     def to_csv_row(self):
@@ -77,14 +90,15 @@ def report_from_latencies(latencies_ms, warmup=0, threads=1, deterministic=True,
 def benchmark(graph, store, input_shape=None, iterations=100, warmup=10,
               threads=1, seed=0, deterministic=True, fold=True):
     """Time single-image inference. Input data is fixed by the seed; warmup
-    iterations are untimed."""
+    iterations are untimed. With fold, the graph and store are first
+    rewritten by prepare_inference."""
     if warmup < 0:
         raise ContractError("warmup must be >= 0")
     if iterations < 1:
         raise ContractError("iterations must be >= 1")
     shape = tuple(input_shape or graph.input_shape)
     if fold:
-        graph, store = fold_batch_norm(graph, store)
+        graph, store = prepare_inference(graph, store)
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal(shape).astype(np.float32))
     for _ in range(warmup):

@@ -14,7 +14,7 @@ import numpy as np
 from . import analyzer, bench, data_io, metrics as metrics_mod, trainer
 from .errors import ConfigError, ContractError, FastSalError, ParseError
 from .network import (build_fastsal, check_weights, init_weights, load_weights,
-                      save_weights)
+                      prepare_inference, save_weights)
 from .tensor import Tensor, sigmoid
 
 
@@ -52,7 +52,7 @@ def _store(args, graph):
 
 def _cmd_predict(args):
     graph = _graph(args)
-    store = _store(args, graph)
+    graph, store = prepare_inference(graph, _store(args, graph))
     h, w = graph.input_shape[2:]
     x = data_io.load_image(args.image, size=(h, w))
     logits = graph.run(store, x)["out"]
@@ -91,7 +91,7 @@ def _cmd_bench(args):
 
 def _cmd_eval(args):
     graph = _graph(args)
-    store = _store(args, graph)
+    graph, store = prepare_inference(graph, _store(args, graph))
     h, w = graph.input_shape[2:]
     manifest = data_io.load_manifest(args.manifest)
     rows = []

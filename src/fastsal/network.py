@@ -1,6 +1,7 @@
 """Declarative network graphs: the MobileNetV2 feature backbone with 18 taps,
 the 4-block feature grouping, and the two FastSal decoders (concatenation and
-addition variants), plus batch-norm folding and weight serialization.
+addition variants), weight serialization, and the inference passes: batch-norm
+folding and the collapse of the linear layers in front of the final conv.
 
 A NetworkGraph is an ordered list of LayerSpec records executed top to bottom;
 every layer names its inputs, so shape inference and complexity accounting can
@@ -622,3 +623,107 @@ def fold_batch_norm(graph, store):
     taps = [folded.get(t, t) for t in graph.taps]
     return (NetworkGraph(list(new_layers.values()), taps=taps, variant=graph.variant,
                          input_shape=graph.input_shape), new_store)
+
+
+# ---------------------------------------------------------------------------
+# linear-tail collapse
+# ---------------------------------------------------------------------------
+
+def _is_pointwise(l):
+    p = l.params
+    return (l.kind == "conv" and tuple(p["kernel"]) == (1, 1)
+            and tuple(p["stride"]) == (1, 1) and tuple(p["padding"]) == (0, 0)
+            and p.get("groups", 1) == 1)
+
+
+def collapse_linear_tail(graph, store):
+    """Sink the graph's final 1x1 conv up through the linear layers in front
+    of it, so that it runs where they are narrow. Returns a new (graph,
+    store), or the inputs themselves when there is nothing to rewrite; the
+    originals are untouched, and slots the pass does not rewrite share their
+    Tensor with the input store.
+
+    The pending map is a 1x1 conv (w, b) on some layer's output. Through
+    pixel-shuffle(r) it becomes a conv to out*r^2 channels in front of the
+    shuffle; through concat, one conv per input summed by an add layer, with
+    b on the first branch only; through resize it is unchanged, since channel
+    mixing commutes with resampling and resize rows sum to 1. Into a
+    preceding groups=1 conv it is composed with that conv's weights, which
+    ends the walk. It is not moved past a tap, a layer with a second
+    consumer, the graph input or any other kind of layer: there it stays a
+    1x1 conv named '<layer it feeds>.in<input index>'. Rewritten layers keep
+    their names and go to the end of the layer list."""
+    last = graph.layers[-1]
+    layers = {l.name: l for l in graph.layers}
+    consumers = {}
+    for l in graph.layers:
+        for i in l.inputs:
+            consumers[i] = consumers.get(i, 0) + 1
+
+    def passable(name):
+        l = layers.get(name)
+        return (l is not None and not l.tap and consumers[name] == 1
+                and (l.kind in ("resize", "pixel-shuffle", "concat")
+                     or l.kind == "conv" and l.params.get("groups", 1) == 1))
+
+    if last.tap or not _is_pointwise(last) or not passable(last.inputs[0]):
+        return graph, store
+    channels = {k: s[1] for k, s in graph.infer_shapes().items()}
+    new_store = WeightStore(store.tensors)
+    new_layers = []      # inputs before their consumers
+    passed = {last.name}
+
+    def conv(name, src, p, w, b):
+        new_store.put(name + ".w", Tensor(w))
+        if b is not None:
+            new_store.put(name + ".b", Tensor(b))
+        new_layers.append(LayerSpec(name, "conv", [src], dict(
+            p, in_ch=channels[src], out_ch=w.shape[0], bias=b is not None)))
+        return name
+
+    def sink(src, w, b, user, k):
+        """Name of a new layer computing the 1x1 conv (w, b) of layer src's
+        output, where src is input k of layer user."""
+        if not passable(src):
+            return conv(f"{user}.in{k}", src, last.params, w[:, :, None, None], b)
+        l = layers[src]
+        passed.add(src)
+        if l.kind == "conv":
+            if l.params.get("bias", False):
+                b = w @ store.get(src + ".b").data + (0 if b is None else b)
+            wa = store.get(src + ".w").data
+            return conv(src, l.inputs[0], l.params, np.tensordot(w, wa, axes=1), b)
+        if l.kind == "concat":
+            xs, off = [], 0
+            for j, i in enumerate(l.inputs):
+                c = channels[i]
+                xs.append(sink(i, w[:, off:off + c], b if j == 0 else None, src, j))
+                off += c
+            new_layers.append(LayerSpec(src, "add", xs))
+            return src
+        if l.kind == "pixel-shuffle":
+            # output channel o, sub-pixel s reads input channel c*r^2 + s
+            rr = l.params["r"] ** 2
+            w = np.einsum("oc,st->osct", w, np.eye(rr, dtype=w.dtype)).reshape(len(w) * rr, -1)
+            b = None if b is None else np.repeat(b, rr)
+        new_layers.append(LayerSpec(src, l.kind, [sink(l.inputs[0], w, b, src, 0)],
+                                    dict(l.params)))
+        return src
+
+    w = store.get(last.name + ".w").data
+    b = store.get(last.name + ".b").data if last.params.get("bias", False) else None
+    sink(last.inputs[0], w[:, :, 0, 0], b, last.name, 0)
+    for s in (".w", ".b"):
+        new_store.tensors.pop(last.name + s, None)
+    kept = [LayerSpec(l.name, l.kind, list(l.inputs), dict(l.params), l.tap)
+            for l in graph.layers if l.name not in passed]
+    return (NetworkGraph(kept + new_layers, taps=list(graph.taps), variant=graph.variant,
+                         input_shape=graph.input_shape), new_store)
+
+
+def prepare_inference(graph, store):
+    """The graph and store to run for inference: batch norm folded into its
+    convs, then the final 1x1 conv sunk through the linear layers before it
+    (collapse_linear_tail). Both passes are exact rewrites; the originals are
+    untouched."""
+    return collapse_linear_tail(*fold_batch_norm(graph, store))

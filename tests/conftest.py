@@ -31,6 +31,19 @@ def write_ppm(path, arr):
         f.write(a.tobytes())
 
 
+def randomize_weights(store, seed):
+    """Random BN statistics and non-zero conv biases, in place, so that a
+    rewrite that mis-folds a BN or drops a bias changes the output."""
+    rng = np.random.default_rng(seed)
+    for name in store.names():
+        t = store.get(name).data
+        if name.endswith((".b", ".beta", ".rmean")):
+            t[:] = rng.uniform(-0.5, 0.5, t.shape)
+        elif name.endswith((".gamma", ".rvar")):
+            t[:] = rng.uniform(0.5, 1.5, t.shape)
+    return store
+
+
 def make_blob_map(h, w, cy, cx, sigma):
     yy, xx = np.mgrid[0:h, 0:w]
     m = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma ** 2))

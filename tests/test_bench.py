@@ -1,3 +1,5 @@
+import platform
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,18 @@ class TestReportFromLatencies:
     def test_fps_inverse_of_mean(self):
         rep = bench.report_from_latencies([20.0])
         assert rep.fps == pytest.approx(50.0)
+
+
+class TestHost:
+    def test_host_is_named(self):
+        assert bench.report_from_latencies([1.0]).host.strip()
+
+    def test_falls_back_to_machine_type(self, monkeypatch):
+        def no_file(*args, **kwargs):
+            raise FileNotFoundError("/proc/cpuinfo")
+
+        monkeypatch.setattr(bench, "open", no_file, raising=False)
+        assert bench.report_from_latencies([1.0]).host == platform.machine()
 
 
 class TestCsvRoundTrip:

@@ -1,13 +1,17 @@
+import copy
+
 import numpy as np
 import pytest
 
+from conftest import randomize_weights
 from fastsal import network as net
 from fastsal import analyzer
 from fastsal.errors import ConfigError, ParseError, ShapeError, WeightStoreError
 from fastsal.network import (LayerSpec, NetworkGraph, WeightStore,
                              build_backbone, build_fastsal, check_weights,
-                             fold_batch_norm, init_weights, load_weights,
-                             save_weights, trainable_slots)
+                             collapse_linear_tail, fold_batch_norm, init_weights,
+                             load_weights, prepare_inference, save_weights,
+                             trainable_slots)
 from fastsal.tensor import Tensor
 
 
@@ -301,14 +305,7 @@ class TestBatchNormFolding:
         # random BN statistics and non-zero conv biases; A has biased
         # conv->bn pairs, so the folded bias takes the b0 - rmean branch
         graph = build_fastsal(variant, (1, 3, 48, 64), width=0.25)
-        store = init_weights(graph, seed=0)
-        rng = np.random.default_rng(11)
-        for name in store.names():
-            t = store.get(name).data
-            if name.endswith((".b", ".beta", ".rmean")):
-                t[:] = rng.uniform(-0.5, 0.5, t.shape)
-            elif name.endswith((".gamma", ".rvar")):
-                t[:] = rng.uniform(0.5, 1.5, t.shape)
+        store = randomize_weights(init_weights(graph, seed=0), seed=11)
         x = Tensor(np.random.default_rng(7).normal(size=(1, 3, 48, 64))
                    .astype(np.float32))
         ref = graph.run(store, x)["out"].data
@@ -339,3 +336,124 @@ class TestBatchNormFolding:
                    .astype(np.float32))
         taps = fg.run(fs, x, want=["taps"])["taps"]
         assert len(taps) == 18
+
+
+def _rel_err(out, ref):
+    return np.abs(out - ref).max() / (np.abs(ref).max() + 1e-12)
+
+
+def _random_model(variant, shape, seed=5):
+    graph = build_fastsal(variant, shape, width=0.25)
+    return graph, randomize_weights(init_weights(graph, seed=0), seed=seed)
+
+
+def _input(shape, seed=7):
+    return Tensor(np.random.default_rng(seed).normal(size=shape).astype(np.float32))
+
+
+class TestLinearTailCollapse:
+    @pytest.mark.parametrize("shape", [(1, 3, 48, 64), (2, 3, 64, 96)])
+    @pytest.mark.parametrize("variant", ["C", "A"])
+    @pytest.mark.parametrize("rewrite", [collapse_linear_tail, prepare_inference])
+    def test_equivalence(self, rewrite, variant, shape):
+        graph, store = _random_model(variant, shape)
+        x = _input(shape)
+        ref = graph.run(store, x)["out"].data
+        rg, rs = rewrite(graph, store)
+        out = rg.run(rs, x)["out"].data
+        assert out.shape == ref.shape == (shape[0], 1, shape[2], shape[3])
+        assert _rel_err(out, ref) < 1e-5
+        assert rg.layers[-1].kind == "pixel-shuffle"
+        assert "decoder.out" not in {l.name for l in rg.layers}
+        check_weights(rg, rs)
+
+    @pytest.mark.parametrize("variant", ["C", "A"])
+    @pytest.mark.parametrize("rewrite", [collapse_linear_tail, prepare_inference])
+    def test_originals_untouched(self, rewrite, variant):
+        graph, store = _random_model(variant, (1, 3, 48, 64))
+        graph_before = copy.deepcopy(graph)
+        store_before = {k: v.data.copy() for k, v in store.tensors.items()}
+        rewrite(graph, store)
+        assert graph == graph_before
+        assert list(store.tensors) == list(store_before)
+        for k, v in store_before.items():
+            np.testing.assert_array_equal(store.get(k).data, v)
+
+    def test_c_decoder_is_four_wide_after_adapt(self):
+        graph, store = _random_model("C", (1, 3, 48, 64))
+        rg, rs = prepare_inference(graph, store)
+        shapes = rg.infer_shapes()
+        decoder = [l for l in rg.layers if l.name.startswith("decoder.")]
+        assert {l.kind for l in decoder} == {"conv", "resize", "add", "pixel-shuffle"}
+        assert all(shapes[l.name][1] <= 4 for l in decoder)
+        assert [l.name for l in decoder if l.kind == "conv"] == [
+            f"decoder.adapt{i}" for i in range(1, 5)]
+        assert not any(k.startswith("decoder.out.") for k in rs.names())
+
+    def test_a_tail_is_post_then_shuffle(self):
+        graph, store = _random_model("A", (1, 3, 48, 64))
+        rg, _ = prepare_inference(graph, store)
+        post, shuffle = rg.layers[-2:]
+        assert (post.name, post.kind, post.params["out_ch"]) == ("decoder.post", "conv", 4)
+        assert (shuffle.name, shuffle.inputs) == ("decoder.shuffle2", ["decoder.post"])
+        assert rg.infer_shapes()["decoder.shuffle2"] == (1, 1, 48, 64)
+
+    @pytest.mark.parametrize("how", ["tap", "second consumer"])
+    def test_stops_at_tap_or_shared_layer(self, how):
+        graph, store = _random_model("C", (1, 3, 48, 64))
+        graph = copy.deepcopy(graph)
+        up2 = next(l for l in graph.layers if l.name == "decoder.up2")
+        want = ["decoder.up2"]
+        if how == "tap":
+            up2.tap = True
+            graph.taps.append(up2.name)
+            want.append("taps")
+        else:
+            graph.layers.insert(-1, LayerSpec("probe", "relu6", ["decoder.up2"]))
+            want.append("probe")
+        x = _input((1, 3, 48, 64))
+        ref = graph.run(store, x, want=want)
+        rg, rs = collapse_linear_tail(graph, store)
+        got = rg.run(rs, x, want=want)
+        assert _rel_err(got["out"].data, ref["out"].data) < 1e-5
+        for k in want:
+            pairs = zip(got[k], ref[k]) if k == "taps" else [(got[k], ref[k])]
+            for a, b in pairs:
+                np.testing.assert_array_equal(a.data, b.data)
+        assert len(got.get("taps", ())) == len(ref.get("taps", ()))
+        layers = {l.name: l for l in rg.layers}
+        assert layers["decoder.up2"] == up2
+        assert layers["decoder.adapt2"].params["out_ch"] == 128
+        assert rs.get("decoder.adapt2.w") is store.get("decoder.adapt2.w")
+        assert layers["decoder.concat.in1"].inputs == ["decoder.up2"]
+        assert layers["decoder.up1"].params == up2.params
+        assert rg.infer_shapes()["decoder.up1"][1] == 4
+
+    def test_concat_split_need_not_divide_by_r_squared(self):
+        # concat inputs of 3 and 5 channels in front of a shuffle with r=2
+        conv = {"stride": (1, 1), "groups": 1}
+        layers = [
+            LayerSpec("b", "relu6", ["input"]),
+            LayerSpec("a", "conv", ["b"], dict(conv, in_ch=3, out_ch=3, kernel=(3, 3),
+                                               padding=(1, 1), bias=True)),
+            LayerSpec("bb", "conv", ["b"], dict(conv, in_ch=3, out_ch=5, kernel=(1, 1),
+                                                padding=(0, 0), bias=False)),
+            LayerSpec("cat", "concat", ["a", "bb"]),
+            LayerSpec("shuf", "pixel-shuffle", ["cat"], {"r": 2}),
+            LayerSpec("out", "conv", ["shuf"], dict(conv, in_ch=2, out_ch=2, kernel=(1, 1),
+                                                    padding=(0, 0), bias=True)),
+        ]
+        graph = NetworkGraph(layers, input_shape=(2, 3, 4, 6))
+        store = randomize_weights(init_weights(graph, seed=1), seed=2)
+        x = _input((2, 3, 4, 6))
+        rg, rs = collapse_linear_tail(graph, store)
+        assert [(l.name, l.kind) for l in rg.layers] == [
+            ("b", "relu6"), ("a", "conv"), ("bb", "conv"), ("cat", "add"),
+            ("shuf", "pixel-shuffle")]
+        assert rg.infer_shapes()["a"] == (2, 8, 4, 6)
+        assert _rel_err(rg.run(rs, x)["out"].data, graph.run(store, x)["out"].data) < 1e-5
+
+    def test_nothing_to_rewrite(self):
+        graph = build_backbone((1, 3, 48, 64), width=0.25)
+        store = init_weights(graph)
+        assert collapse_linear_tail(graph, store) == (graph, store)

@@ -2,9 +2,17 @@
 resampling, and channel rearrangement, each with a taped backward pass.
 
 Convolution uses the cross-correlation convention (no kernel flip) with zero
-padding. 1x1 stride-1 convolutions take a pure matmul fast path; depthwise
-convolutions vectorize over channels; other grouped cases fall back to a
-per-group loop.
+padding. 1x1 stride-1 convolutions take a pure matmul fast path. Depthwise
+convolutions, forward and backward, accumulate the k_h*k_w taps as
+multiply-adds of contiguous flat slices of the padded input's stride-phase
+planes, at a fixed offset per tap (see _depthwise); they keep those planes,
+about the size of the input, for backward. Other convolutions go through
+im2col, with a per-group loop for grouped cases.
+
+Backward-only state (masks, argmin/argmax) is worked out inside the backward
+function from the retained inputs, so untaped inference neither computes nor
+keeps it. This relies on no op's input being changed in place between its
+forward and its backward; the optimizer updates weights after backward.
 """
 
 from __future__ import annotations
@@ -47,6 +55,78 @@ def _col2im(gcols, n, c, hp, wp, kh, kw, sh, sw, ho, wo, dtype):
     return dxp
 
 
+# bytes of accumulator per block of rows in the depthwise tap loop: a block
+# and its product buffer then stay in cache across the k*k taps. Of 16 KiB to
+# 1 MiB, 256 KiB was fastest on the variant A and C layers; unblocked is ~15%
+# slower on A at 192x256
+_BLOCK_BYTES = 1 << 18
+
+
+def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
+    """Depthwise convolution as k_h*k_w multiply-adds of flat slices.
+
+    The zero-padded input is split into its s_h*s_w phase planes of w2
+    columns each (one plane when the stride is 1), with one spare row. Output
+    pixel (i, j) of tap (u, v) reads plane (u % s_h, v % s_w) at row
+    i + u // s_h, column j + v // s_w, so over a "wide" output of ho rows by
+    w2 columns every tap is one contiguous slice of its plane. The columns
+    past wo read into the next row (the spare row keeps the last one in
+    bounds) and are cropped once at the end. The n*c (item, channel) rows run
+    in blocks of about _BLOCK_BYTES. Returns the output, as a cropped view of
+    the wide buffer, and the backward function, which keeps the phase planes
+    and works on the same slices."""
+    n, c, h, w = xd.shape
+    kh, kw = wd.shape[2:]
+    rows = n * c
+    h2 = -(-(h + 2 * ph) // sh) + 1     # rows per phase plane, plus the spare
+    w2 = -(-(w + 2 * pw) // sw)
+    span = ho * w2
+    xp = np.zeros((n, c, h2 * sh, w2 * sw), dtype=xd.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = xd
+    planes = np.ascontiguousarray(
+        xp.reshape(rows, h2, sh, w2, sw).transpose(0, 2, 4, 1, 3)
+    ).reshape(rows, sh, sw, h2 * w2)
+    wr = np.broadcast_to(wd[:, 0], (n, c, kh, kw)).reshape(rows, kh, kw)
+    taps = [(u, v, u % sh, v % sw, (u // sh) * w2 + v // sw)
+            for u in range(kh) for v in range(kw)]
+    dtype = np.result_type(xd, wd)
+    step = max(1, _BLOCK_BYTES // (span * dtype.itemsize))
+    blocks = [slice(r, r + step) for r in range(0, rows, step)]
+
+    wide = np.empty((rows, span), dtype=dtype)
+    prod = np.empty((min(step, rows), span), dtype=dtype)
+    for r in blocks:
+        acc = wide[r]
+        tmp = prod[:len(acc)]
+        for t, (u, v, a, b, off) in enumerate(taps):
+            np.multiply(planes[r, a, b, off:off + span], wr[r, u, v, None],
+                        out=tmp if t else acc)
+            if t:
+                acc += tmp
+    out = wide.reshape(n, c, ho, w2)[:, :, :, :wo]
+
+    def grads(g):
+        gw = np.zeros((rows, ho, w2), dtype=g.dtype)
+        gw[:, :, :wo] = g.reshape(rows, ho, wo)
+        gw = gw.reshape(rows, span)
+        dwr = np.empty((rows, kh, kw), dtype=dtype)
+        dplanes = np.zeros_like(planes)
+        tmp = np.empty((min(step, rows), span), dtype=np.result_type(g, wd))
+        for r in blocks:
+            gb = gw[r]
+            tb = tmp[:len(gb)]
+            for u, v, a, b, off in taps:
+                dwr[r, u, v] = np.einsum("rl,rl->r", planes[r, a, b, off:off + span], gb)
+                np.multiply(gb, wr[r, u, v, None], out=tb)
+                dplanes[r, a, b, off:off + span] += tb
+        dxp = (dplanes.reshape(rows, sh, sw, h2, w2).transpose(0, 3, 1, 4, 2)
+               .reshape(n, c, h2 * sh, w2 * sw))
+        dw = dwr.reshape(n, c, 1, kh, kw).sum(axis=0, dtype=wd.dtype)
+        return np.ascontiguousarray(dxp[:, :, ph:ph + h, pw:pw + w]), dw
+
+    return out, grads
+
+
 def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
     """2-D cross-correlation. weight is (C_out, C_in/groups, K_h, K_w); bias,
     when present, is a length-C_out vector."""
@@ -74,27 +154,26 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
             f"kernel {kh}x{kw} does not fit padded input {h + 2 * ph}x{w + 2 * pw}")
 
     xd, wd = x.data, weight.data
-    depthwise = groups == cin and cout == cin
 
     if kh == 1 and kw == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0) and groups == 1:
         # pointwise fast path: per-pixel matrix multiply
         xm = xd.reshape(n, cin, h * w)
         out = np.matmul(wd.reshape(cout, cin), xm).reshape(n, cout, h, w)
 
-        def bwd(g):
+        def grads(g):
             gm = g.reshape(n, cout, h * w)
             dx = np.matmul(wd.reshape(cout, cin).T, gm).reshape(n, cin, h, w)
             dw = np.einsum("ncp,nkp->ck", gm, xm).reshape(cout, cin, 1, 1)
-            db = g.sum(axis=(0, 2, 3)) if bias is not None else None
-            return (dx, dw, db) if bias is not None else (dx, dw)
+            return dx, dw
+
+    elif groups == cin and cout == cin:
+        out, grads = _depthwise(xd, wd, sh, sw, ph, pw, ho, wo)
 
     else:
         xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
         hp, wp = xp.shape[2:]
         cols = _im2col(xp, kh, kw, sh, sw, ho, wo)
-        if depthwise:
-            out = np.einsum("nckuhw,ciku->nchw", cols, wd, optimize=True)
-        elif groups == 1:
+        if groups == 1:
             cmat = cols.reshape(n, cin * kh * kw, ho * wo)
             out = np.matmul(wd.reshape(cout, -1), cmat).reshape(n, cout, ho, wo)
         else:
@@ -105,13 +184,8 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
                 wg = wd[gi * og:(gi + 1) * og].reshape(og, -1)
                 out[:, gi * og:(gi + 1) * og] = np.matmul(wg, cmat).reshape(n, og, ho, wo)
 
-        def bwd(g):
-            if depthwise:
-                dw = np.einsum("nckuhw,nchw->cku", cols,
-                               g.reshape(n, cout, ho, wo),
-                               optimize=True).reshape(wd.shape)
-                gcols = np.einsum("nchw,ciku->nckuhw", g, wd, optimize=True)
-            elif groups == 1:
+        def grads(g):
+            if groups == 1:
                 gm = g.reshape(n, cout, ho * wo)
                 cmat = cols.reshape(n, cin * kh * kw, ho * wo)
                 dw = np.einsum("ncp,nkp->ck", gm, cmat).reshape(wd.shape)
@@ -130,13 +204,16 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
                     ).reshape(n, cg, kh, kw, ho, wo)
             dxp = _col2im(gcols, n, cin, hp, wp, kh, kw, sh, sw, ho, wo, xd.dtype)
             dx = dxp[:, :, ph:ph + h, pw:pw + w] if (ph or pw) else dxp
-            db = g.sum(axis=(0, 2, 3)) if bias is not None else None
-            return (dx, dw, db) if bias is not None else (dx, dw)
+            return dx, dw
+
+    def bwd(g):
+        dx, dw = grads(g)
+        return (dx, dw, g.sum(axis=(0, 2, 3))) if bias is not None else (dx, dw)
 
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
         return apply_op("conv2d", (x, weight, bias), out, bwd)
-    return apply_op("conv2d", (x, weight), out, bwd)
+    return apply_op("conv2d", (x, weight), np.ascontiguousarray(out), bwd)
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
@@ -318,7 +395,11 @@ def avg_pool2d(x, k):
     if h % k or w % k:
         raise ShapeError(f"spatial size {h}x{w} not divisible by pool size {k}")
     ho, wo = h // k, w // k
-    out = x.data.reshape(n, c, ho, k, wo, k).mean(axis=(3, 5))
+    views = [x.data[:, :, u::k, v::k] for u in range(k) for v in range(k)]
+    out = views[0].copy()
+    for view in views[1:]:
+        out += view
+    out /= k * k
 
     def bwd(g):
         dg = np.broadcast_to(g[:, :, :, None, :, None] / (k * k),
@@ -339,10 +420,10 @@ def minmax_normalize(x):
     rng = hi - lo
     safe = np.where(rng > 0, rng, 1.0)
     out = ((flat - lo[:, None]) / safe[:, None]) * (rng > 0)[:, None]
-    imin = flat.argmin(axis=1)
-    imax = flat.argmax(axis=1)
 
     def bwd(g):
+        imin = flat.argmin(axis=1)
+        imax = flat.argmax(axis=1)
         gf = g.reshape(n, -1).astype(x.dtype)
         dx = gf / safe[:, None]
         rows = np.arange(n)

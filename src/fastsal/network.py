@@ -587,7 +587,8 @@ def check_weights(graph, store):
 
 def fold_batch_norm(graph, store):
     """Fuse conv+bn pairs for inference. Returns a new (graph, store); the
-    originals are untouched. A bn is fused only into a conv that it alone
+    originals are untouched, and slots the pass does not rewrite share their
+    Tensor with the input store. A bn is fused only into a conv that it alone
     reads and that is not a tap; any other bn is left unfused."""
     consumers = {}
     for l in graph.layers:
@@ -596,7 +597,7 @@ def fold_batch_norm(graph, store):
 
     folded = {}   # bn name -> conv name
     new_layers = {}
-    new_store = store.copy()
+    new_store = WeightStore(store.tensors)
     for l in graph.layers:
         conv = new_layers.get(l.inputs[0]) if l.kind == "bn" else None
         if (conv is not None and conv.kind == "conv"

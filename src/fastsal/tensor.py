@@ -3,24 +3,29 @@
 Tensors wrap contiguous numpy arrays (logical N,C,H,W order for feature maps,
 arbitrary rank allowed for parameter vectors and scalar losses). Operations
 executed while a Tape is active are recorded and can be replayed in reverse to
-produce gradients. Inference without an active tape records nothing and
-allocates no gradient state.
+produce gradients; the active tape is per thread and per asyncio task.
+Inference without an active tape records nothing and allocates no gradient
+state: ops whose backward needs a mask work it out in the backward function.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, NumericDomainError, ShapeError
 
-_TAPE_STACK: list["Tape"] = []
+# the tapes entered and not yet exited, innermost last; a context variable, so
+# each thread (and each asyncio task) records only its own operations
+_TAPE_STACK: ContextVar[tuple] = ContextVar("fastsal_tape_stack", default=())
 
 
 def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    stack = _TAPE_STACK.get()
+    return stack[-1] if stack else None
 
 
 class Tensor:
@@ -124,11 +129,11 @@ class Tape:
         self.nodes: list[TapeNode] = []
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
         return self
 
     def __exit__(self, *exc):
-        _TAPE_STACK.pop()
+        _TAPE_STACK.set(_TAPE_STACK.get()[:-1])
         return False
 
     def record(self, op, inputs, output, backward_fn):
@@ -298,10 +303,10 @@ def sqrt(a):
 
 def clip(a, lo, hi):
     out = np.clip(a.data, lo, hi)
-    mask = (a.data > lo) & (a.data < hi)
+    ad = a.data
 
     def bwd(g):
-        return (g * mask,)
+        return (g * ((ad > lo) & (ad < hi)),)
 
     return apply_op("clip", (a,), out, bwd)
 
@@ -317,10 +322,10 @@ def sigmoid(a):
 
 def relu6(a):
     out = np.clip(a.data, 0.0, 6.0)
-    mask = (a.data > 0.0) & (a.data < 6.0)
+    ad = a.data
 
     def bwd(g):
-        return (g * mask,)
+        return (g * ((ad > 0.0) & (ad < 6.0)),)
 
     return apply_op("relu6", (a,), out, bwd)
 

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,9 @@ import fastsal.distill as distill
 import fastsal.kernels as K
 import fastsal.tensor as T
 from fastsal.errors import ContractError
+from fastsal.network import LayerSpec, NetworkGraph, init_weights, trainable_slots
 from fastsal.tensor import Tape, Tensor, backward, grad_check
+from fastsal.trainer import sgd_step
 
 
 def leaf(arr):
@@ -76,6 +82,58 @@ class TestTapeBasics:
                 _ = x * 3.0
         assert len(outer.nodes) == 1
         assert len(inner.nodes) == 1
+
+    def test_tapes_are_per_thread(self):
+        # every thread enters its tape, then all run forward while all those
+        # tapes are open; each tape must hold its own thread's operations
+        # only, giving the gradients of a serial run
+        serial = [_train_tiny(seed) for seed in range(3)]
+        barrier = threading.Barrier(3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [pool.submit(_train_tiny, seed, barrier) for seed in range(3)]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (nodes_s, grads_s), (nodes_t, grads_t) in zip(serial, threaded):
+            assert nodes_t == nodes_s
+            for gs, gt in zip(grads_s, grads_t):
+                np.testing.assert_allclose(gt, gs, rtol=1e-6, atol=0)
+
+
+def _train_tiny(seed, barrier=None, steps=3):
+    """SGD steps on a conv/bn/relu6/depthwise/1x1 graph; returns the tape
+    length and the gradients of every step."""
+    conv = dict(stride=(1, 1), padding=(1, 1), groups=1, bias=True)
+    graph = NetworkGraph([
+        LayerSpec("c1", "conv", ["input"], dict(conv, in_ch=3, out_ch=8, kernel=(3, 3),
+                                                stride=(2, 2), bias=False)),
+        LayerSpec("b1", "bn", ["c1"]),
+        LayerSpec("r1", "relu6", ["b1"]),
+        LayerSpec("dw", "conv", ["r1"], dict(conv, in_ch=8, out_ch=8, kernel=(3, 3), groups=8)),
+        LayerSpec("r2", "relu6", ["dw"]),
+        LayerSpec("out", "conv", ["r2"], dict(conv, in_ch=8, out_ch=1, kernel=(1, 1),
+                                              padding=(0, 0))),
+    ], input_shape=(2, 3, 12, 16))
+    store = init_weights(graph, seed=seed)
+    params = [(k, store.get(k)) for k in trainable_slots(store)]
+    for _, t in params:
+        t.requires_grad = True
+    x = Tensor(np.random.default_rng(seed).normal(size=graph.input_shape).astype(np.float32))
+    momentum, grads_log = {}, []
+    for _ in range(steps):
+        with Tape() as tape:
+            if barrier is not None:
+                barrier.wait(timeout=30)
+            loss = (graph.run(store, x, training=True)["out"] ** 2).mean()
+            if barrier is not None:
+                barrier.wait(timeout=30)
+        grads = tape.gradients(loss, [t for _, t in params])
+        sgd_step(params, grads, 0.1, momentum)
+        grads_log.extend(grads)
+    return len(tape.nodes), grads_log
 
 
 RNG_SEEDS = [0, 1, 2]
@@ -151,6 +209,33 @@ class TestGradCheckKernels:
         x = Tensor(rng.normal(size=(1, 3, 4, 4)))
         rep = grad_check(
             lambda t: (K.conv2d(t, w, None, padding=(1, 1), groups=3) ** 2).sum(), x)
+        assert rep.passed, rep.max_rel_err
+
+    @pytest.mark.parametrize("stride", [(2, 2), (2, 1)])
+    @pytest.mark.parametrize("seed", RNG_SEEDS)
+    def test_conv2d_depthwise_strided(self, seed, stride):
+        rng = np.random.default_rng(seed)
+        w = Tensor(rng.normal(size=(3, 1, 3, 3)))
+        b = Tensor(rng.normal(size=3))
+        x = Tensor(rng.normal(size=(2, 3, 5, 6)))
+        rep = grad_check(
+            lambda t: (K.conv2d(t, w, b, stride=stride, padding=(1, 1), groups=3) ** 2).sum(), x)
+        assert rep.passed, rep.max_rel_err
+
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("seed", RNG_SEEDS)
+    def test_conv2d_depthwise_weight_and_bias(self, seed, stride):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(2, 3, 5, 6)))
+        w = Tensor(rng.normal(size=(3, 1, 3, 3)))
+        b = Tensor(rng.normal(size=3))
+
+        def conv(wt, bt):
+            return (K.conv2d(x, wt, bt, stride=stride, padding=(1, 1), groups=3) ** 2).sum()
+
+        rep = grad_check(lambda wt: conv(wt, b), w)
+        assert rep.passed, rep.max_rel_err
+        rep = grad_check(lambda bt: conv(w, bt), b)
         assert rep.passed, rep.max_rel_err
 
     @pytest.mark.parametrize("seed", RNG_SEEDS)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_synthetic_dataset, randomize_weights, write_ppm
-from fastsal import cli, data_io, metrics, network
+from fastsal import cli, data_io, kernels, metrics, network, tensor
 from fastsal.network import build_fastsal, init_weights, save_weights
 from fastsal.tensor import Tensor, sigmoid
 
@@ -262,6 +262,32 @@ class TestTracedNames:
         for owner, names in [(cli, ["build_fastsal", "load_weights", "check_weights",
                                     "sigmoid", "main"]),
                              (network, ["build_fastsal"]),
-                             (network.NetworkGraph, ["run"])]:
+                             (network.NetworkGraph, ["run"]),
+                             (kernels, ["conv2d", "apply_op", "avg_pool2d"]),
+                             (tensor, ["apply_op", "relu6", "add"])]:
             for name in names:
                 assert callable(owner.__dict__.get(name)), f"{owner.__name__}.{name}"
+
+    def test_depthwise_fwd_and_bwd_go_through_kernels_apply_op(self, monkeypatch):
+        # the tracer times backward closures by wrapping kernels.apply_op as
+        # conv2d looks it up when it runs; a depthwise path that bypassed it
+        # would read 0 ms of backward
+        calls = []
+        real = kernels.apply_op
+
+        def counting(name, inputs, out, backward_fn):
+            calls.append(name)
+
+            def bwd(g):
+                calls.append(name + ".bwd")
+                return backward_fn(g)
+
+            return real(name, inputs, out, bwd)
+
+        monkeypatch.setattr(kernels, "apply_op", counting)
+        x = Tensor(np.ones((1, 4, 6, 6), np.float32), requires_grad=True)
+        w = Tensor(np.ones((4, 1, 3, 3), np.float32), requires_grad=True)
+        with tensor.Tape() as tape:
+            loss = kernels.conv2d(x, w, stride=2, padding=1, groups=4).sum()
+        tape.gradients(loss, [x, w])
+        assert calls == ["conv2d", "conv2d.bwd"]

@@ -329,6 +329,22 @@ class TestBatchNormFolding:
         np.testing.assert_array_equal(store.get("backbone.stem.conv.w").data,
                                       snapshot)
 
+    @pytest.mark.parametrize("variant", ["C", "A"])
+    def test_shares_untouched_slots(self, variant):
+        # the input store stays bit for bit, with the same Tensor objects;
+        # the folded store holds new tensors only for the convs that absorbed
+        # a bn and shares every other slot
+        graph, store = _random_model(variant, (1, 3, 48, 64))
+        before = {k: (v, v.data.tobytes()) for k, v in store.tensors.items()}
+        _, fs = fold_batch_norm(graph, store)
+        prepare_inference(graph, store)
+        assert list(store.tensors) == list(before)
+        for k, (t, data) in before.items():
+            assert store.get(k) is t and t.data.tobytes() == data, k
+        absorbed = {l.inputs[0] for l in graph.layers if l.kind == "bn"}
+        rewritten = {k for k in fs.names() if fs.get(k) is not store.tensors.get(k)}
+        assert rewritten == {c + s for c in absorbed for s in (".w", ".b")}
+
     def test_taps_preserved(self, fastsal_small):
         graph, store = fastsal_small
         fg, fs = fold_batch_norm(graph, store)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,20 @@ from fastsal.tensor import Tensor, relu6, sigmoid
 
 def t(arr, **kw):
     return Tensor(np.asarray(arr, dtype=np.float64), **kw)
+
+
+def naive_depthwise(x, w, b, stride, padding):
+    """Depthwise convolution one output pixel at a time, in float64."""
+    (sh, sw), (ph, pw) = stride, padding
+    n, c, h, wd = x.shape
+    kh, kw = w.shape[2:]
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    out = np.zeros((n, c, ho, wo))
+    for i, ch, y, z in itertools.product(range(n), range(c), range(ho), range(wo)):
+        window = xp[i, ch, y * sh:y * sh + kh, z * sw:z * sw + kw]
+        out[i, ch, y, z] = (window * w[ch, 0]).sum() + (0.0 if b is None else b[ch])
+    return out
 
 
 class TestConv2d:
@@ -52,6 +68,25 @@ class TestConv2d:
             single = K.conv2d(t(x.data[:, c:c + 1]), t(w.data[c:c + 1]),
                               padding=(1, 1))
             np.testing.assert_allclose(out.data[:, c:c + 1], single.data, rtol=1e-12)
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)], ids=lambda s: "%dx%d" % s)
+    def test_depthwise_matches_naive_loop(self, stride, k, padding):
+        # with stride 2, one of 7 and 10 leaves h + 2p - k indivisible by it
+        rng = np.random.default_rng(10 * k + padding)
+        for (h, w), n, dtype, with_bias in itertools.product(
+                [(7, 10), (10, 9)], [1, 2], [np.float32, np.float64], [False, True]):
+            x = rng.normal(size=(n, 3, h, w)).astype(dtype)
+            wt = rng.normal(size=(3, 1, k, k)).astype(dtype)
+            b = rng.normal(size=3).astype(dtype) if with_bias else None
+            out = K.conv2d(Tensor(x), Tensor(wt), None if b is None else Tensor(b),
+                           stride=stride, padding=(padding, padding), groups=3)
+            ref = naive_depthwise(x, wt, b, stride, (padding, padding))
+            assert out.shape == ref.shape
+            assert out.dtype == dtype and out.data.flags.c_contiguous
+            tol = 1e-12 if dtype == np.float64 else 1e-5
+            np.testing.assert_allclose(out.data, ref, rtol=0, atol=tol * np.abs(ref).max())
 
     def test_grouped_matches_split(self):
         rng = np.random.default_rng(3)

@@ -7,7 +7,11 @@ convolutions, forward and backward, accumulate the k_h*k_w taps as
 multiply-adds of contiguous flat slices of the padded input's stride-phase
 planes, at a fixed offset per tap (see _depthwise); they keep those planes,
 about the size of the input, for backward. Other convolutions go through
-im2col, with a per-group loop for grouped cases.
+im2col, with a per-group loop for grouped cases. Weight gradients of the
+pointwise, im2col and grouped paths are GEMMs: one batched matmul of the
+output gradient with the transposed input (or column) matrix per item,
+summed over the batch (GEMM-lowered convolution, as in cuDNN, Chetlur et
+al. 2014).
 
 Backward-only state (masks, argmin/argmax) is worked out inside the backward
 function from the retained inputs, so untaped inference neither computes nor
@@ -163,7 +167,7 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
         def grads(g):
             gm = g.reshape(n, cout, h * w)
             dx = np.matmul(wd.reshape(cout, cin).T, gm).reshape(n, cin, h, w)
-            dw = np.einsum("ncp,nkp->ck", gm, xm).reshape(cout, cin, 1, 1)
+            dw = np.matmul(gm, xm.transpose(0, 2, 1)).sum(0).reshape(cout, cin, 1, 1)
             return dx, dw
 
     elif groups == cin and cout == cin:
@@ -188,7 +192,7 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
             if groups == 1:
                 gm = g.reshape(n, cout, ho * wo)
                 cmat = cols.reshape(n, cin * kh * kw, ho * wo)
-                dw = np.einsum("ncp,nkp->ck", gm, cmat).reshape(wd.shape)
+                dw = np.matmul(gm, cmat.transpose(0, 2, 1)).sum(0).reshape(wd.shape)
                 gcols = np.matmul(wd.reshape(cout, -1).T, gm).reshape(cols.shape)
             else:
                 dw = np.empty_like(wd)
@@ -197,8 +201,8 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
                 for gi in range(groups):
                     gm = g[:, gi * og:(gi + 1) * og].reshape(n, og, ho * wo)
                     cmat = cols[:, gi * cg:(gi + 1) * cg].reshape(n, cg * kh * kw, ho * wo)
-                    dw[gi * og:(gi + 1) * og] = np.einsum(
-                        "ncp,nkp->ck", gm, cmat).reshape(og, cg, kh, kw)
+                    dw[gi * og:(gi + 1) * og] = np.matmul(
+                        gm, cmat.transpose(0, 2, 1)).sum(0).reshape(og, cg, kh, kw)
                     gcols[:, gi * cg:(gi + 1) * cg] = np.matmul(
                         wd[gi * og:(gi + 1) * og].reshape(og, -1).T, gm
                     ).reshape(n, cg, kh, kw, ho, wo)

@@ -85,14 +85,19 @@ class NetworkGraph:
     def run(self, store, x, training=False, want=None):
         """Execute the graph. Returns a dict with the final output under "out"
         plus any layer names requested in `want` (use "taps" to collect all
-        tapped layers)."""
+        tapped layers). Each activation is dropped once its last reader has
+        run; under a tape, the tape still holds what backward needs."""
         want = set(want or ())
         collect_taps = "taps" in want
         acts = {"input": x}
         results = {}
         tap_values = []
-        for l in self.layers:
+        last_reader = {i: k for k, l in enumerate(self.layers) for i in l.inputs}
+        for k, l in enumerate(self.layers):
             xs = [acts[i] for i in l.inputs]
+            for i in l.inputs:
+                if last_reader[i] == k:
+                    acts.pop(i, None)
             try:
                 op = op_for(l.kind)
                 w = {s: store.get(l.name + s)
@@ -714,6 +719,9 @@ def collapse_linear_tail(graph, store):
     w = store.get(last.name + ".w").data
     b = store.get(last.name + ".b").data if last.params.get("bias", False) else None
     sink(last.inputs[0], w[:, :, 0, 0], b, last.name, 0)
+    # sink refers to itself through its closure cell; the cycle would keep
+    # new_store and the input store alive until the cyclic GC runs
+    del sink
     for s in (".w", ".b"):
         new_store.tensors.pop(last.name + s, None)
     kept = [LayerSpec(l.name, l.kind, list(l.inputs), dict(l.params), l.tap)

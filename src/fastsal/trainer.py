@@ -1,6 +1,8 @@
 """Toy-scale training: hint-loss pretraining and pseudo-label fine-tuning with
 SGD plus momentum under a piecewise-constant learning-rate schedule, and the
-five-row distillation ablation harness."""
+five-row distillation ablation harness. Each step trains the paper graph;
+validation (NSS/CC) runs the inference graph that prepare_inference makes
+from the live weights, one forward per batch of records."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import numpy as np
 from . import distill, metrics
 from .data_io import load_image, load_map, load_teacher_bundle, load_fixations
 from .errors import ConfigError, NumericDomainError
-from .network import trainable_slots
+from .network import prepare_inference, trainable_slots
 from .tensor import Tape, Tensor
 
 ADAPT_LAYERS = tuple(f"decoder.adapt{i}" for i in range(1, 5))
@@ -149,14 +151,33 @@ def _trainable_params(graph, store, config):
     return [(s, store.get(s)) for s in slots]
 
 
-def _validation(graph, store, records, size):
+def _train_step(graph, store, batch, config, params, lr, momentum_state):
+    """One forward, backward and SGD update on a batch (forward only when
+    params is empty); returns the loss. The tape and its activations are
+    freed on return, before anything else (validation) runs."""
+    with Tape() as tape:
+        loss = _batch_loss(graph, store, batch, config, training=bool(params))
+    if params:
+        grads = tape.gradients(loss, [t for _, t in params])
+        sgd_step(params, grads, lr, momentum_state, config.momentum)
+    return float(loss.data.reshape(()))
+
+
+def _validation(graph, store, records, batch_size):
+    """Mean NSS and CC of the current weights over the records, or None where
+    no record has fixations or a gt map. Runs the inference graph
+    (prepare_inference of the live weights), one forward per batch of
+    batch_size records, and scores each record on its own map."""
+    graph, store = prepare_inference(graph, store)
     nss_vals, cc_vals = [], []
-    for item in records:
-        pred = graph.run(store, item["image"])["out"].data[0, 0]
-        if "fix" in item and item["fix"]:
-            nss_vals.append(metrics.nss(pred, item["fix"]))
-        if "gt" in item:
-            cc_vals.append(metrics.cc(pred, item["gt"].data[0, 0]))
+    for start in range(0, len(records), batch_size):
+        batch = records[start:start + batch_size]
+        preds = graph.run(store, _stack([b["image"] for b in batch]))["out"].data[:, 0]
+        for item, pred in zip(batch, preds):
+            if "fix" in item and item["fix"]:
+                nss_vals.append(metrics.nss(pred, item["fix"]))
+            if "gt" in item:
+                cc_vals.append(metrics.cc(pred, item["gt"].data[0, 0]))
     return (float(np.mean(nss_vals)) if nss_vals else None,
             float(np.mean(cc_vals)) if cc_vals else None)
 
@@ -165,10 +186,8 @@ def train(manifest, config, graph, store):
     """Run the configured loss over the manifest for config.epochs, returning
     a per-epoch TrainLog. Deterministic for a fixed seed."""
     config.check()
-    size = graph.input_shape[2:]
-    records = _load_records(manifest, config, size)
+    records = _load_records(manifest, config, graph.input_shape[2:])
     params = _trainable_params(graph, store, config)
-    frozen = not params
     for slot, t in params:
         t.requires_grad = True
     rng = np.random.default_rng(config.seed)
@@ -184,19 +203,14 @@ def train(manifest, config, graph, store):
                 if config.max_steps is not None and step >= config.max_steps:
                     break
                 batch = [records[i] for i in order[start:start + config.batch_size]]
-                with Tape() as tape:
-                    loss = _batch_loss(graph, store, batch, config,
-                                       training=not frozen)
-                losses.append(float(loss.data.reshape(())))
-                if not frozen:
-                    grads = tape.gradients(loss, [t for _, t in params])
-                    sgd_step(params, grads, lr, momentum_state, config.momentum)
+                losses.append(_train_step(graph, store, batch, config, params,
+                                          lr, momentum_state))
                 step += 1
             if not losses:
                 break
             nss_val = cc_val = None
             if config.validate_metrics:
-                nss_val, cc_val = _validation(graph, store, records, size)
+                nss_val, cc_val = _validation(graph, store, records, config.batch_size)
             log.rows.append(LogRow(epoch, lr, float(np.mean(losses)),
                                    nss_val, cc_val))
             if config.max_steps is not None and step >= config.max_steps:
@@ -234,7 +248,7 @@ def ablation_run(manifest, graph, init_store_fn, config=None):
         records = _load_records(manifest, replace(base, loss="salgan",
                                                   use_gt=False, use_teacher=False),
                                 graph.input_shape[2:])
-        nss_val, cc_val = _validation(graph, store, records, graph.input_shape[2:])
+        nss_val, cc_val = _validation(graph, store, records, base.batch_size)
         results.append({"pretrain": pretrain, "finetune": finetune, "gt": use_gt,
                         "nss": nss_val, "cc": cc_val})
     return results

@@ -1,11 +1,13 @@
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import randomize_weights
 from fastsal import network as net
-from fastsal import analyzer
+from fastsal import analyzer, tensor
 from fastsal.errors import ConfigError, ParseError, ShapeError, WeightStoreError
 from fastsal.network import (LayerSpec, NetworkGraph, WeightStore,
                              build_backbone, build_fastsal, check_weights,
@@ -209,6 +211,37 @@ class TestModifiedInvertedResidual:
         assert init_weights(graph).scalar_count() == 18_496
 
 
+class TestRunLiveness:
+    @pytest.mark.parametrize("want,alive", [
+        ((), [0, 0, 0, 0, 0]),
+        (("r1",), [0, 0, 0, 1, 1]),
+        (("taps",), [0, 0, 0, 1, 1]),
+    ])
+    def test_activation_dropped_after_last_reader(self, want, alive, monkeypatch):
+        # a chain r0 -> ... -> r4 with r1 tapped: when r_k runs, the outputs
+        # before its input are dead unless they were asked for
+        layers = [LayerSpec(f"r{k}", "relu6", [f"r{k - 1}" if k else "input"], tap=k == 1)
+                  for k in range(5)]
+        graph = NetworkGraph(layers, taps=["r1"], input_shape=(1, 2, 3, 3))
+        outs, seen = [], []
+        relu6 = tensor.relu6
+
+        def recording(x):
+            seen.append(sum(r() is not None for r in outs[:-1]))
+            y = relu6(x)
+            outs.append(weakref.ref(y.data))
+            return y
+
+        monkeypatch.setattr(tensor, "relu6", recording)
+        x = Tensor(np.linspace(-1, 8, 18, dtype=np.float32).reshape(1, 2, 3, 3))
+        res = graph.run(WeightStore(), x, want=want)
+        assert seen == alive
+        np.testing.assert_array_equal(res["out"].data, np.clip(x.data, 0, 6))
+        if want:
+            r1 = res["taps"][0] if want == ("taps",) else res["r1"]
+            np.testing.assert_array_equal(r1.data, np.clip(x.data, 0, 6))
+
+
 class TestLayerKinds:
     @pytest.mark.parametrize("other", [(1, 4, 3, 3), (1, 4, 1, 1)])
     def test_add_rejects_mismatched_shapes(self, other):
@@ -394,6 +427,25 @@ class TestLinearTailCollapse:
         assert list(store.tensors) == list(store_before)
         for k, v in store_before.items():
             np.testing.assert_array_equal(store.get(k).data, v)
+
+    @pytest.mark.parametrize("variant", ["C", "A"])
+    @pytest.mark.parametrize("rewrite", [fold_batch_norm, collapse_linear_tail,
+                                         prepare_inference])
+    def test_rewritten_store_freed_without_gc(self, rewrite, variant):
+        # training validates through prepare_inference every epoch; its
+        # stores must die by reference counting, not wait for the cyclic GC
+        graph, store = _random_model(variant, (1, 3, 48, 64))
+        gc.collect()
+        gc.disable()
+        try:
+            rg, rs = rewrite(graph, store)
+            refs = [weakref.ref(t.data) for n, t in rs.tensors.items()
+                    if n not in store or t is not store.get(n)]
+            assert refs
+            del rg, rs
+            assert [r() for r in refs if r() is not None] == []
+        finally:
+            gc.enable()
 
     def test_c_decoder_is_four_wide_after_adapt(self):
         graph, store = _random_model("C", (1, 3, 48, 64))

@@ -5,7 +5,7 @@ import pytest
 
 import fastsal.kernels as K
 from fastsal.errors import ConfigError, ShapeError
-from fastsal.tensor import Tensor, relu6, sigmoid
+from fastsal.tensor import Tape, Tensor, relu6, sigmoid
 
 
 def t(arr, **kw):
@@ -24,6 +24,23 @@ def naive_depthwise(x, w, b, stride, padding):
         window = xp[i, ch, y * sh:y * sh + kh, z * sw:z * sw + kw]
         out[i, ch, y, z] = (window * w[ch, 0]).sum() + (0.0 if b is None else b[ch])
     return out
+
+
+def naive_conv_dw(x, g, w_shape, stride, padding, groups):
+    """Weight gradient of a convolution, in float64, one tap at a time:
+    dw[o, c, u, v] is the sum over items and output pixels of g[n, o] times
+    the input of o's group that tap (u, v) reads."""
+    (sh, sw), (ph, pw) = stride, padding
+    cout, cg, kh, kw = w_shape
+    og = cout // groups
+    n, _, ho, wo = g.shape
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    dw = np.zeros(w_shape)
+    for u, v, gi in itertools.product(range(kh), range(kw), range(groups)):
+        window = xp[:, gi * cg:(gi + 1) * cg, u:u + ho * sh:sh, v:v + wo * sw:sw]
+        dw[gi * og:(gi + 1) * og, :, u, v] = np.einsum(
+            "nohw,nchw->oc", g[:, gi * og:(gi + 1) * og].astype(np.float64), window)
+    return dw
 
 
 class TestConv2d:
@@ -87,6 +104,31 @@ class TestConv2d:
             assert out.dtype == dtype and out.data.flags.c_contiguous
             tol = 1e-12 if dtype == np.float64 else 1e-5
             np.testing.assert_allclose(out.data, ref, rtol=0, atol=tol * np.abs(ref).max())
+
+    @pytest.mark.parametrize("cin,cout,k,stride,padding,groups", [
+        (5, 4, 1, (1, 1), (0, 0), 1),     # pointwise matmul path
+        (3, 4, 3, (1, 1), (1, 1), 1),     # im2col
+        (3, 4, 3, (2, 2), (1, 1), 1),
+        (3, 2, 3, (2, 1), (0, 2), 1),
+        (6, 4, 3, (1, 1), (1, 1), 2),     # grouped loop
+        (6, 9, 3, (2, 2), (1, 0), 3),
+    ], ids=["pointwise", "general", "general-s2", "general-s21-p02",
+            "grouped", "grouped-s2"])
+    def test_weight_gradient_matches_naive_loop(self, cin, cout, k, stride, padding, groups):
+        rng = np.random.default_rng(cin * cout + k)
+        for n, dtype in itertools.product([1, 3], [np.float32, np.float64]):
+            x = rng.normal(size=(n, cin, 7, 10)).astype(dtype)
+            w = Tensor(rng.normal(size=(cout, cin // groups, k, k)).astype(dtype),
+                       requires_grad=True)
+            with Tape() as tape:
+                out = K.conv2d(Tensor(x), w, stride=stride, padding=padding, groups=groups)
+                g = rng.normal(size=out.shape).astype(dtype)
+                loss = (out * Tensor(g)).sum()
+            dw = tape.gradients(loss, [w])[0]
+            ref = naive_conv_dw(x, g, w.shape, stride, padding, groups)
+            assert dw.dtype == dtype and dw.shape == ref.shape
+            tol = 1e-12 if dtype == np.float64 else 1e-5
+            np.testing.assert_allclose(dw, ref, rtol=0, atol=tol * np.abs(ref).max())
 
     def test_grouped_matches_split(self):
         rng = np.random.default_rng(3)

@@ -1,14 +1,15 @@
 import csv
+import gc
 
 import numpy as np
 import pytest
 
-from conftest import build_synthetic_dataset
-from fastsal import trainer
+from conftest import build_synthetic_dataset, randomize_weights
+from fastsal import metrics, trainer
 from fastsal.data_io import load_manifest
 from fastsal.errors import ConfigError, NumericDomainError
 from fastsal.network import build_fastsal, init_weights
-from fastsal.tensor import Tensor
+from fastsal.tensor import TapeNode, Tensor
 from fastsal.trainer import TrainConfig, lr_schedule, sgd_step
 
 
@@ -155,6 +156,50 @@ class TestTraining:
         log = trainer.train(rich_dataset, cfg, graph, store)
         assert log.rows[0].nss is not None
         assert log.rows[0].cc is not None
+
+    @pytest.mark.parametrize("variant", ["C", "A"])
+    def test_validation_matches_per_record_paper_graph(self, variant, tmp_path):
+        # 5 records in batches of 2 leave a short last batch; record 2 has
+        # neither fixations nor a gt map
+        manifest = load_manifest(build_synthetic_dataset(str(tmp_path / "d"), n=5))
+        graph = build_fastsal(variant, (2, 3, 48, 64), width=0.25)
+        store = randomize_weights(init_weights(graph, seed=0), seed=5)
+        records = trainer._load_records(
+            manifest, TrainConfig(use_gt=False, use_teacher=False), (48, 64))
+        del records[2]["fix"], records[2]["gt"]
+        nss_vals, cc_vals = [], []
+        for item in records:
+            pred = graph.run(store, item["image"])["out"].data[0, 0]
+            if item.get("fix"):
+                nss_vals.append(metrics.nss(pred, item["fix"]))
+            if "gt" in item:
+                cc_vals.append(metrics.cc(pred, item["gt"].data[0, 0]))
+        assert len(nss_vals) == len(cc_vals) == 4
+        nss, cc = trainer._validation(graph, store, records, batch_size=2)
+        np.testing.assert_allclose(nss, np.mean(nss_vals), rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(cc, np.mean(cc_vals), rtol=1e-5, atol=1e-7)
+
+    def test_no_tape_alive_during_validation(self, rich_dataset, monkeypatch):
+        # the last step's tape holds every activation of the step; it must be
+        # freed before validation allocates its own
+        alive = []
+        validation = trainer._validation
+
+        def counting(*args, **kwargs):
+            alive.append(sum(isinstance(o, TapeNode) for o in gc.get_objects()))
+            return validation(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_validation", counting)
+        graph = small_graph()
+        store = init_weights(graph, seed=8)
+        cfg = TrainConfig(loss="salgan", epochs=2, batch_size=2, validate_metrics=True)
+        gc.collect()
+        gc.disable()
+        try:
+            trainer.train(rich_dataset, cfg, graph, store)
+        finally:
+            gc.enable()
+        assert alive == [0, 0]
 
     def test_requires_grad_reset_after_training(self, rich_dataset):
         graph = small_graph()

@@ -234,34 +234,44 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
     if eps <= 0:
         raise NumericDomainError(f"batch_norm eps must be > 0, got {eps}")
     xd = x.data
+    shape = (1, c, 1, 1)
     if training:
+        # x is centred once: the variance is the mean square of the centred
+        # x, which is then scaled in place into xhat; out reuses the buffer
+        # of the square
         mean = xd.mean(axis=(0, 2, 3))
-        var = xd.var(axis=(0, 2, 3))
+        xhat = xd - mean.reshape(shape)
+        out = np.square(xhat)
+        var = out.mean(axis=(0, 2, 3))
         running_mean.data[:] = (1 - momentum) * running_mean.data + momentum * mean
         running_var.data[:] = (1 - momentum) * running_var.data + momentum * var
     else:
         mean = running_mean.data
         var = running_var.data
+        xhat = xd - mean.reshape(shape)
+        out = np.empty_like(xhat)
     if np.any(var + eps <= 0):
         raise NumericDomainError("batch_norm: var + eps <= 0")
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mean.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-    out = xhat * gamma.data.reshape(1, c, 1, 1) + beta.data.reshape(1, c, 1, 1)
+    xhat *= inv.reshape(shape)
+    np.multiply(xhat, gamma.data.reshape(shape), out=out)
+    out += beta.data.reshape(shape)
 
     m = xd.shape[0] * xd.shape[2] * xd.shape[3]
 
     def bwd(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
+        gx = g * xhat
+        dgamma = gx.sum(axis=(0, 2, 3))
         dbeta = g.sum(axis=(0, 2, 3))
-        gscaled = g * gamma.data.reshape(1, c, 1, 1)
         if training:
-            # batch statistics participate in the graph
-            dx = (inv.reshape(1, c, 1, 1) / m) * (
-                m * gscaled
-                - gscaled.sum(axis=(0, 2, 3), keepdims=True)
-                - xhat * (gscaled * xhat).sum(axis=(0, 2, 3), keepdims=True))
+            # the batch statistics participate in the graph:
+            # dx = gamma * inv * (g - dbeta/m - xhat * dgamma/m)
+            dx = np.multiply(xhat, (dgamma / m).reshape(shape), out=gx)
+            np.subtract(g, dx, out=dx)
+            dx -= (dbeta / m).reshape(shape)
+            dx *= (gamma.data * inv).reshape(shape)
         else:
-            dx = gscaled * inv.reshape(1, c, 1, 1)
+            dx = g * gamma.data.reshape(shape) * inv.reshape(shape)
         return dx, dgamma, dbeta, None, None
 
     return apply_op("batch_norm", (x, gamma, beta, running_mean, running_var),

@@ -1,7 +1,9 @@
 """Declarative network graphs: the MobileNetV2 feature backbone with 18 taps,
 the 4-block feature grouping, and the two FastSal decoders (concatenation and
-addition variants), weight serialization, and the inference passes: batch-norm
-folding and the collapse of the linear layers in front of the final conv.
+addition variants), weight serialization, and the graph passes: batch-norm
+folding (inference only) and the collapse of the linear layers in front of
+the final conv, which inference and training both run; under a tape its
+composed weights are recorded functions of the original slots.
 
 A NetworkGraph is an ordered list of LayerSpec records executed top to bottom;
 every layer names its inputs, so shape inference and complexity accounting can
@@ -642,7 +644,7 @@ def _is_pointwise(l):
             and p.get("groups", 1) == 1)
 
 
-def collapse_linear_tail(graph, store):
+def collapse_linear_tail(graph, store, keep=()):
     """Sink the graph's final 1x1 conv up through the linear layers in front
     of it, so that it runs where they are narrow. Returns a new (graph,
     store), or the inputs themselves when there is nothing to rewrite; the
@@ -656,9 +658,17 @@ def collapse_linear_tail(graph, store):
     mixing commutes with resampling and resize rows sum to 1. Into a
     preceding groups=1 conv it is composed with that conv's weights, which
     ends the walk. It is not moved past a tap, a layer with a second
-    consumer, the graph input or any other kind of layer: there it stays a
-    1x1 conv named '<layer it feeds>.in<input index>'. Rewritten layers keep
-    their names and go to the end of the layer list."""
+    consumer, a layer named in keep, the graph input or any other kind of
+    layer: there it stays a 1x1 conv named '<layer it feeds>.in<input
+    index>'. Rewritten layers keep their names and go to the end of the layer
+    list.
+
+    The new weights are computed with Tensor ops from the input slots, so
+    under a Tape they are recorded functions of those slots: a loss on the
+    rewritten graph has the same gradients on the original slots as on the
+    original graph, up to rounding, and training runs on this form. Layers in
+    keep (the hint loss's decoder.adapt* outputs) compute what they did
+    before."""
     last = graph.layers[-1]
     layers = {l.name: l for l in graph.layers}
     consumers = {}
@@ -668,7 +678,7 @@ def collapse_linear_tail(graph, store):
 
     def passable(name):
         l = layers.get(name)
-        return (l is not None and not l.tap and consumers[name] == 1
+        return (l is not None and not l.tap and name not in keep and consumers[name] == 1
                 and (l.kind in ("resize", "pixel-shuffle", "concat")
                      or l.kind == "conv" and l.params.get("groups", 1) == 1))
 
@@ -680,45 +690,57 @@ def collapse_linear_tail(graph, store):
     passed = {last.name}
 
     def conv(name, src, p, w, b):
-        new_store.put(name + ".w", Tensor(w))
+        new_store.put(name + ".w", w)
         if b is not None:
-            new_store.put(name + ".b", Tensor(b))
+            new_store.put(name + ".b", b)
         new_layers.append(LayerSpec(name, "conv", [src], dict(
             p, in_ch=channels[src], out_ch=w.shape[0], bias=b is not None)))
         return name
 
     def sink(src, w, b, user, k):
         """Name of a new layer computing the 1x1 conv (w, b) of layer src's
-        output, where src is input k of layer user."""
+        output, where src is input k of layer user; w is a 2-D Tensor and b
+        a Tensor or None."""
         if not passable(src):
-            return conv(f"{user}.in{k}", src, last.params, w[:, :, None, None], b)
+            return conv(f"{user}.in{k}", src, last.params,
+                        tensor.reshape(w, w.shape + (1, 1)), b)
         l = layers[src]
         passed.add(src)
         if l.kind == "conv":
             if l.params.get("bias", False):
-                b = w @ store.get(src + ".b").data + (0 if b is None else b)
-            wa = store.get(src + ".w").data
-            return conv(src, l.inputs[0], l.params, np.tensordot(w, wa, axes=1), b)
+                wb = tensor.matmul(w, store.get(src + ".b"))
+                b = wb if b is None else tensor.add(wb, b)
+            wa = store.get(src + ".w")
+            w = tensor.matmul(w, tensor.reshape(wa, (wa.shape[0], -1)))
+            return conv(src, l.inputs[0], l.params,
+                        tensor.reshape(w, w.shape[:1] + wa.shape[1:]), b)
         if l.kind == "concat":
             xs, off = [], 0
             for j, i in enumerate(l.inputs):
                 c = channels[i]
-                xs.append(sink(i, w[:, off:off + c], b if j == 0 else None, src, j))
+                xs.append(sink(i, tensor.columns(w, off, off + c),
+                               b if j == 0 else None, src, j))
                 off += c
             new_layers.append(LayerSpec(src, "add", xs))
             return src
         if l.kind == "pixel-shuffle":
-            # output channel o, sub-pixel s reads input channel c*r^2 + s
+            # output channel o, sub-pixel s reads input channel c*r^2 + s:
+            # w becomes w[o, c] * eye[s, t] at row o*r^2 + s, column c*r^2 + t
+            # and b is repeated r^2 times
             rr = l.params["r"] ** 2
-            w = np.einsum("oc,st->osct", w, np.eye(rr, dtype=w.dtype)).reshape(len(w) * rr, -1)
-            b = None if b is None else np.repeat(b, rr)
+            o, c = w.shape
+            eye = np.eye(rr, dtype=w.dtype).reshape(1, rr, 1, rr)
+            w = tensor.reshape(tensor.mul(tensor.reshape(w, (o, 1, c, 1)), eye),
+                               (o * rr, c * rr))
+            if b is not None:
+                b = tensor.matmul(Tensor(np.repeat(np.eye(o, dtype=b.dtype), rr, axis=0)), b)
         new_layers.append(LayerSpec(src, l.kind, [sink(l.inputs[0], w, b, src, 0)],
                                     dict(l.params)))
         return src
 
-    w = store.get(last.name + ".w").data
-    b = store.get(last.name + ".b").data if last.params.get("bias", False) else None
-    sink(last.inputs[0], w[:, :, 0, 0], b, last.name, 0)
+    w = store.get(last.name + ".w")
+    b = store.get(last.name + ".b") if last.params.get("bias", False) else None
+    sink(last.inputs[0], tensor.reshape(w, w.shape[:2]), b, last.name, 0)
     # sink refers to itself through its closure cell; the cycle would keep
     # new_store and the input store alive until the cyclic GC runs
     del sink

@@ -372,6 +372,39 @@ def reshape(a, shape):
     return apply_op("reshape", (a,), out, bwd)
 
 
+def columns(a, start, stop):
+    """Columns start:stop of a 2-D tensor, as a contiguous copy."""
+    out = np.ascontiguousarray(a.data[:, start:stop])
+    shape = a.shape
+
+    def bwd(g):
+        ga = np.zeros(shape, dtype=g.dtype)
+        ga[:, start:stop] = g
+        return (ga,)
+
+    return apply_op("columns", (a,), out, bwd)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra
+# ---------------------------------------------------------------------------
+
+def matmul(a, b):
+    """Matrix product of a 2-D a with a 2-D b, or matrix-vector product with
+    a 1-D b."""
+    if a.data.ndim != 2 or b.data.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul takes a 2-D and a 1-D or 2-D operand with "
+                         f"matching inner sizes, got {a.shape} and {b.shape}")
+    out = np.matmul(a.data, b.data)
+    ad, bd = a.data, b.data
+
+    def bwd(g):
+        ga = np.outer(g, bd) if bd.ndim == 1 else np.matmul(g, bd.T)
+        return ga, np.matmul(ad.T, g)
+
+    return apply_op("matmul", (a, b), out, bwd)
+
+
 # ---------------------------------------------------------------------------
 # gradient verification
 # ---------------------------------------------------------------------------

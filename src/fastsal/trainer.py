@@ -1,8 +1,11 @@
 """Toy-scale training: hint-loss pretraining and pseudo-label fine-tuning with
 SGD plus momentum under a piecewise-constant learning-rate schedule, and the
-five-row distillation ablation harness. Each step trains the paper graph;
-validation (NSS/CC) runs the inference graph that prepare_inference makes
-from the live weights, one forward per batch of records."""
+five-row distillation ablation harness. Each step runs the graph that
+collapse_linear_tail makes from the live weights inside the step's tape, so
+the paper slots are trained through the composed decoder weights (the hint
+loss keeps its decoder.adapt* outputs); validation (NSS/CC) runs the
+inference graph that prepare_inference makes from the live weights, one
+forward per batch of records."""
 
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import numpy as np
 from . import distill, metrics
 from .data_io import load_image, load_map, load_teacher_bundle, load_fixations
 from .errors import ConfigError, NumericDomainError
-from .network import prepare_inference, trainable_slots
+from .network import collapse_linear_tail, prepare_inference, trainable_slots
 from .tensor import Tape, Tensor
 
 ADAPT_LAYERS = tuple(f"decoder.adapt{i}" for i in range(1, 5))
@@ -56,13 +59,18 @@ def lr_schedule(config, epoch):
 
 def sgd_step(params, grads, lr, momentum_state, momentum=0.9):
     """Classical momentum: v <- mu*v + g; w <- w - lr*v. params is a list of
-    (slot name, Tensor); updates happen in place."""
+    (slot name, Tensor); the weights and the momentum buffers are updated in
+    place. The first step stores a copy of grad, so the caller's gradient
+    arrays are never changed."""
     for (slot, tensor), grad in zip(params, grads):
         if not np.all(np.isfinite(grad)):
             raise NumericDomainError(f"non-finite gradient for '{slot}'; step aborted")
         v = momentum_state.get(slot)
-        v = grad if v is None else momentum * v + grad
-        momentum_state[slot] = v
+        if v is None:
+            v = momentum_state[slot] = grad.copy()
+        else:
+            v *= momentum
+            v += grad
         tensor.data -= lr * v
 
 
@@ -153,10 +161,15 @@ def _trainable_params(graph, store, config):
 
 def _train_step(graph, store, batch, config, params, lr, momentum_state):
     """One forward, backward and SGD update on a batch (forward only when
-    params is empty); returns the loss. The tape and its activations are
-    freed on return, before anything else (validation) runs."""
+    params is empty); returns the loss. The forward runs the graph that
+    collapse_linear_tail makes from the live store inside the tape, so the
+    gradients reach the paper slots through the composed weights. The tape
+    and its activations are freed on return, before anything else
+    (validation) runs."""
+    keep = ADAPT_LAYERS if config.loss == "hint" else ()
     with Tape() as tape:
-        loss = _batch_loss(graph, store, batch, config, training=bool(params))
+        step_graph, step_store = collapse_linear_tail(graph, store, keep)
+        loss = _batch_loss(step_graph, step_store, batch, config, training=bool(params))
     if params:
         grads = tape.gradients(loss, [t for _, t in params])
         sgd_step(params, grads, lr, momentum_state, config.momentum)

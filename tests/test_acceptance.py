@@ -91,6 +91,9 @@ def _grad_cases(seed):
 
     kinks = Tensor(rng.choice([-2.0, 1.0, 3.0, 8.0], (2, 3))
                    + rng.uniform(-0.2, 0.2, (2, 3)))
+    m42 = Tensor(rng.standard_normal((4, 2)))
+    m23 = Tensor(rng.standard_normal((2, 3)))
+    v4 = Tensor(rng.standard_normal(4))
     return [
         ("add", lambda t: (t + t * 2.0).sum(), x()),
         ("sub", lambda t: (3.0 - t).sum(), x()),
@@ -107,6 +110,12 @@ def _grad_cases(seed):
         ("sum", lambda t: ((t.sum(axis=1) ** 2)).sum(), x()),
         ("mean", lambda t: ((t.mean(axis=0) ** 2)).sum(), x()),
         ("reshape", lambda t: (t.reshape(12) ** 2).sum(), x()),
+        ("columns", lambda t: (T.columns(t, 1, 3) ** 2).sum() + T.columns(t, 0, 2).sum(),
+         x((2, 4))),
+        # both operands, with a 2-D and with a 1-D right operand
+        ("matmul", lambda t: (T.matmul(t, m42) ** 2).sum()
+         + (T.matmul(m23, T.matmul(t, v4)) ** 2).sum() + (T.matmul(m23, t) ** 2).sum(),
+         x((3, 4))),
         ("conv2d", lambda t: (K.conv2d(t, conv_w, None,
                                        padding=(1, 1)) ** 2).sum(),
          x((1, 2, 4, 4))),
@@ -145,7 +154,7 @@ def test_criterion_03_gradient_correctness(capsys):
     elapsed = time.perf_counter() - start
     ok = all(err <= 1e-4 for err in worst.values()) and elapsed < 120.0
     announce(capsys, 3,
-             "gradients match finite differences (27 cases x 10 seeds)", ok)
+             f"gradients match finite differences ({len(worst)} cases x 10 seeds)", ok)
 
 
 def test_criterion_04_loss_fixtures(capsys):

@@ -7,14 +7,14 @@ import pytest
 
 from conftest import randomize_weights
 from fastsal import network as net
-from fastsal import analyzer, tensor
+from fastsal import analyzer, distill, tensor, trainer
 from fastsal.errors import ConfigError, ParseError, ShapeError, WeightStoreError
 from fastsal.network import (LayerSpec, NetworkGraph, WeightStore,
                              build_backbone, build_fastsal, check_weights,
                              collapse_linear_tail, fold_batch_norm, init_weights,
                              load_weights, prepare_inference, save_weights,
                              trainable_slots)
-from fastsal.tensor import Tensor
+from fastsal.tensor import Tape, Tensor
 
 
 @pytest.fixture(scope="module")
@@ -525,3 +525,99 @@ class TestLinearTailCollapse:
         graph = build_backbone((1, 3, 48, 64), width=0.25)
         store = init_weights(graph)
         assert collapse_linear_tail(graph, store) == (graph, store)
+
+
+def _taped(graph, store, x, loss_fn, rewrite, keep=()):
+    """Loss, output and gradient on every trainable slot of one training-mode
+    forward, on the graph itself or on its collapse under the same tape."""
+    slots = trainable_slots(store)
+    for k in slots:
+        store.get(k).requires_grad = True
+    try:
+        with Tape() as tape:
+            g, s = collapse_linear_tail(graph, store, keep) if rewrite else (graph, store)
+            res = g.run(s, x, training=True, want=trainer.ADAPT_LAYERS if keep else None)
+            loss = loss_fn(res)
+        grads = tape.gradients(loss, [store.get(k) for k in slots])
+    finally:
+        for k in slots:
+            store.get(k).requires_grad = False
+    return loss.data, res, dict(zip(slots, grads))
+
+
+class TestTapedCollapse:
+    """collapse_linear_tail under a Tape: training runs the collapsed graph,
+    so its gradients on the paper slots must be the paper graph's. Float64
+    keeps rounding far below the tolerance: slots whose true gradient is
+    zero (conv biases and shifts ahead of a training-mode bn) then read as
+    zero on both graphs."""
+
+    @pytest.mark.parametrize("variant", ["C", "A"])
+    def test_salgan_gradients_match_paper_graph(self, variant):
+        shape = (2, 3, 48, 64)
+        graph = build_fastsal(variant, shape, width=0.25)
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=shape))
+        gt, pseudo = (Tensor(rng.uniform(0.05, 0.95, (2, 1, 48, 64))) for _ in range(2))
+
+        def loss_fn(res):
+            return distill.salgan_loss(res["out"], gt=gt, pseudo=pseudo)
+
+        runs = []
+        for rewrite in (False, True):
+            store = randomize_weights(init_weights(graph, seed=0, dtype=np.float64), seed=5)
+            runs.append(_taped(graph, store, x, loss_fn, rewrite))
+        (loss0, _, ref), (loss1, _, got) = runs
+        assert _rel_err(loss1, loss0) < 1e-12
+        scale = max(np.abs(g).max() for g in ref.values())
+        assert scale > 0
+        for k, g in ref.items():
+            assert np.abs(got[k] - g).max() <= 1e-5 * max(np.abs(g).max(), 1e-9 * scale), k
+
+    def test_hint_keep_leaves_adapt_outputs(self):
+        shape = (2, 3, 48, 64)
+        graph = build_fastsal("C", shape, width=0.25)
+        store = randomize_weights(init_weights(graph, seed=0, dtype=np.float64), seed=6)
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=shape))
+        shapes = graph.infer_shapes()
+        teacher = [Tensor(rng.normal(size=shapes[n])) for n in trainer.ADAPT_LAYERS]
+
+        def loss_fn(res):
+            return distill.hint_loss([res[n] for n in trainer.ADAPT_LAYERS], teacher)
+
+        keep = trainer.ADAPT_LAYERS
+        loss0, res0, ref = _taped(graph, store, x, loss_fn, False, keep)
+        loss1, res1, got = _taped(graph, store, x, loss_fn, True, keep)
+        np.testing.assert_array_equal(loss1, loss0)
+        for n in keep:
+            np.testing.assert_array_equal(res1[n].data, res0[n].data)
+        for k, g in ref.items():
+            np.testing.assert_array_equal(got[k], g)
+        rg, rs = collapse_linear_tail(graph, store, keep)
+        layers = {l.name: l for l in rg.layers}
+        assert [layers[n].params["out_ch"] for n in keep] == [64, 128, 128, 32]
+        assert all(rs.get(n + ".w") is store.get(n + ".w") for n in keep)
+        assert layers["decoder.up1.in0"].inputs == ["decoder.adapt1"]
+        assert "decoder.out" not in layers
+
+    @pytest.mark.parametrize("variant", ["C", "A"])
+    def test_same_store_inside_and_outside_a_tape(self, variant):
+        graph, store = _random_model(variant, (1, 3, 48, 64))
+        rg, plain = collapse_linear_tail(graph, store)
+        slots = trainable_slots(store)
+        for k in slots:
+            store.get(k).requires_grad = True
+        try:
+            with Tape() as tape:
+                rg_taped, taped = collapse_linear_tail(graph, store)
+        finally:
+            for k in slots:
+                store.get(k).requires_grad = False
+        assert rg_taped == rg
+        assert taped.names() == plain.names()
+        for k in plain.names():
+            np.testing.assert_array_equal(taped.get(k).data, plain.get(k).data)
+        rewritten = [k for k in plain.names() if plain.get(k) is not store.tensors.get(k)]
+        assert rewritten and all(taped.get(k).requires_grad for k in rewritten)
+        assert tape.nodes

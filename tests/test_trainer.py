@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import build_synthetic_dataset, randomize_weights
-from fastsal import metrics, trainer
+from fastsal import kernels, metrics, trainer
 from fastsal.data_io import load_manifest
 from fastsal.errors import ConfigError, NumericDomainError
 from fastsal.network import build_fastsal, init_weights
@@ -94,6 +94,22 @@ class TestSgdStep:
         sgd_step([("a", a), ("b", b)], [np.array([1.0]), np.array([2.0])],
                  lr=1.0, momentum_state=state, momentum=0.9)
         assert state["a"][0] == 1.0 and state["b"][0] == 2.0
+
+    def test_matches_formula_and_leaves_gradients_unchanged(self):
+        rng = np.random.default_rng(0)
+        w0 = rng.standard_normal((3, 4)).astype(np.float32)
+        grads = [rng.standard_normal((3, 4)).astype(np.float32) for _ in range(3)]
+        passed = [g.copy() for g in grads]
+        w, state = Tensor(w0.copy()), {}
+        ref_w, ref_v = w0.copy(), None
+        for g, p in zip(grads, passed):
+            sgd_step([("w", w)], [p], lr=0.05, momentum_state=state, momentum=0.9)
+            ref_v = g if ref_v is None else 0.9 * ref_v + g
+            ref_w -= 0.05 * ref_v
+            np.testing.assert_array_equal(w.data, ref_w)
+            np.testing.assert_array_equal(state["w"], ref_v)
+        for g, p in zip(grads, passed):
+            np.testing.assert_array_equal(p, g)
 
     def test_non_finite_gradient_aborts(self):
         w = Tensor(np.array([1.0]))
@@ -200,6 +216,25 @@ class TestTraining:
         finally:
             gc.enable()
         assert alive == [0, 0]
+
+    def test_salgan_step_shuffles_only_the_collapsed_tail(self, rich_dataset, monkeypatch):
+        # the step trains the collapsed C decoder: no 1408-channel concat is
+        # shuffled, only the 4 channels in front of the final shuffle
+        seen = []
+        shuffle = kernels.pixel_shuffle
+
+        def recording(x, r):
+            seen.append(x.shape[1])
+            return shuffle(x, r)
+
+        monkeypatch.setattr(kernels, "pixel_shuffle", recording)
+        graph = build_fastsal("C", (4, 3, 48, 64))
+        store = init_weights(graph, seed=9)
+        before = store.get("decoder.out.w").data.copy()
+        cfg = TrainConfig(loss="salgan", epochs=1, batch_size=4, max_steps=1)
+        trainer.train(rich_dataset, cfg, graph, store)
+        assert seen == [4]
+        assert not np.array_equal(store.get("decoder.out.w").data, before)
 
     def test_requires_grad_reset_after_training(self, rich_dataset):
         graph = small_graph()

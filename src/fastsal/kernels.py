@@ -6,12 +6,17 @@ padding. 1x1 stride-1 convolutions take a pure matmul fast path. Depthwise
 convolutions, forward and backward, accumulate the k_h*k_w taps as
 multiply-adds of contiguous flat slices of the padded input's stride-phase
 planes, at a fixed offset per tap (see _depthwise); they keep those planes,
-about the size of the input, for backward. Other convolutions go through
-im2col, with a per-group loop for grouped cases. Weight gradients of the
-pointwise, im2col and grouped paths are GEMMs: one batched matmul of the
-output gradient with the transposed input (or column) matrix per item,
-summed over the batch (GEMM-lowered convolution, as in cuDNN, Chetlur et
-al. 2014).
+about the size of the input, for backward. Their buffers are pixel-major
+(the n*c item-channel rows innermost) when those rows outnumber the wide
+span ho*w2 of one row, as on the late blocks' small maps, and row-major
+otherwise (_pixel_major); the output is the same in both. Other
+convolutions go through im2col, with a per-group loop for grouped cases.
+Weight gradients of the pointwise, im2col and grouped paths are GEMMs
+(GEMM-lowered convolution, as in cuDNN, Chetlur et al. 2014): one GEMM over
+the (N*pixels) axis when that is shorter than C_out*K, else one per item,
+summed over the batch (_weight_grad). Every branch adds the bias in place
+on its fresh output. Training-mode batch norm keeps the centred input for
+backward and takes its per-channel sums as einsum reductions.
 
 Backward-only state (masks, argmin/argmax) is worked out inside the backward
 function from the retained inputs, so untaped inference neither computes nor
@@ -66,6 +71,17 @@ def _col2im(gcols, n, c, hp, wp, kh, kw, sh, sw, ho, wo, dtype):
 _BLOCK_BYTES = 1 << 18
 
 
+def _pixel_major(rows, span):
+    """The depthwise layout rule: keep the n*c (item, channel) rows innermost
+    in memory when they outnumber the wide span ho*w2 that each row's
+    multiply-adds run over. Timed on the C and A layers at 4x3x48x64 and
+    1x3x192x256 with one BLAS thread: from rows/span 10 up pixel-major was
+    up to 2.7x faster, below 0.3 it was up to 3x slower (but for one layer
+    at 0.16, within 15%), and from 0.9 to 2.7 the two were within about 15%
+    of each other."""
+    return rows > span
+
+
 def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
     """Depthwise convolution as k_h*k_w multiply-adds of flat slices.
 
@@ -75,30 +91,50 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
     i + u // s_h, column j + v // s_w, so over a "wide" output of ho rows by
     w2 columns every tap is one contiguous slice of its plane. The columns
     past wo read into the next row (the spare row keeps the last one in
-    bounds) and are cropped once at the end. The n*c (item, channel) rows run
-    in blocks of about _BLOCK_BYTES. Returns the output, as a cropped view of
-    the wide buffer, and the backward function, which keeps the phase planes
-    and works on the same slices."""
+    bounds) and are cropped once at the end.
+
+    Every buffer is indexed (n*c rows, ...). It is row-major or, when
+    _pixel_major says so from the shape (as on the small maps of the late
+    blocks), pixel-major: rows innermost in memory, so that each multiply-add
+    runs over long contiguous rows, not over many short ones. The tap loop
+    and its order, and so the output, are the same in both layouts.
+    Row-major rows run in blocks of about _BLOCK_BYTES. Returns the output,
+    as a cropped view of the wide buffer, and the backward function, which
+    keeps the phase planes and works on the same slices."""
     n, c, h, w = xd.shape
     kh, kw = wd.shape[2:]
     rows = n * c
     h2 = -(-(h + 2 * ph) // sh) + 1     # rows per phase plane, plus the spare
     w2 = -(-(w + 2 * pw) // sw)
     span = ho * w2
-    xp = np.zeros((n, c, h2 * sh, w2 * sw), dtype=xd.dtype)
-    xp[:, :, ph:ph + h, pw:pw + w] = xd
-    planes = np.ascontiguousarray(
-        xp.reshape(rows, h2, sh, w2, sw).transpose(0, 2, 4, 1, 3)
-    ).reshape(rows, sh, sw, h2 * w2)
-    wr = np.broadcast_to(wd[:, 0], (n, c, kh, kw)).reshape(rows, kh, kw)
+    pixel_major = _pixel_major(rows, span)
+    dtype = np.result_type(xd, wd)
+
+    def buffer(shape, dt, zero=False):
+        # a (rows, ...) array; pixel-major keeps the rows axis innermost
+        alloc = np.zeros if zero else np.empty
+        if not pixel_major:
+            return alloc(shape, dtype=dt)
+        return np.moveaxis(alloc(shape[1:] + shape[:1], dtype=dt), -1, 0)
+
+    xp = buffer((rows, h2 * sh, w2 * sw), xd.dtype, zero=True)
+    xp[:, ph:ph + h, pw:pw + w] = xd.reshape(rows, h, w)
+    if sh == sw == 1:
+        planes = xp.reshape(rows, 1, 1, h2 * w2)
+    else:
+        planes = buffer((rows, sh, sw, h2 * w2), xd.dtype)
+        planes.reshape(rows, sh, sw, h2, w2)[...] = (
+            xp.reshape(rows, h2, sh, w2, sw).transpose(0, 2, 4, 1, 3))
+    wr = buffer((rows, kh, kw), wd.dtype)
+    wr.reshape(n, c, kh, kw)[...] = wd[:, 0]
     taps = [(u, v, u % sh, v % sw, (u // sh) * w2 + v // sw)
             for u in range(kh) for v in range(kw)]
-    dtype = np.result_type(xd, wd)
-    step = max(1, _BLOCK_BYTES // (span * dtype.itemsize))
+    # pixel-major rows are the inner loop, so they run in one block
+    step = rows if pixel_major else max(1, _BLOCK_BYTES // (span * dtype.itemsize))
     blocks = [slice(r, r + step) for r in range(0, rows, step)]
 
-    wide = np.empty((rows, span), dtype=dtype)
-    prod = np.empty((min(step, rows), span), dtype=dtype)
+    wide = buffer((rows, span), dtype)
+    prod = buffer((min(step, rows), span), dtype)
     for r in blocks:
         acc = wide[r]
         tmp = prod[:len(acc)]
@@ -110,17 +146,21 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
     out = wide.reshape(n, c, ho, w2)[:, :, :, :wo]
 
     def grads(g):
-        gw = np.zeros((rows, ho, w2), dtype=g.dtype)
+        gw = buffer((rows, ho, w2), g.dtype, zero=True)
         gw[:, :, :wo] = g.reshape(rows, ho, wo)
         gw = gw.reshape(rows, span)
-        dwr = np.empty((rows, kh, kw), dtype=dtype)
-        dplanes = np.zeros_like(planes)
-        tmp = np.empty((min(step, rows), span), dtype=np.result_type(g, wd))
+        dwr = buffer((rows, kh, kw), dtype)
+        dplanes = buffer(planes.shape, planes.dtype, zero=True)
+        tmp = buffer((min(step, rows), span), np.result_type(g, wd, planes))
         for r in blocks:
             gb = gw[r]
             tb = tmp[:len(gb)]
             for u, v, a, b, off in taps:
-                dwr[r, u, v] = np.einsum("rl,rl->r", planes[r, a, b, off:off + span], gb)
+                if pixel_major:
+                    np.multiply(planes[r, a, b, off:off + span], gb, out=tb)
+                    np.sum(tb, axis=1, out=dwr[r, u, v])
+                else:
+                    dwr[r, u, v] = np.einsum("rl,rl->r", planes[r, a, b, off:off + span], gb)
                 np.multiply(gb, wr[r, u, v, None], out=tb)
                 dplanes[r, a, b, off:off + span] += tb
         dxp = (dplanes.reshape(rows, sh, sw, h2, w2).transpose(0, 3, 1, 4, 2)
@@ -129,6 +169,17 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
         return np.ascontiguousarray(dxp[:, :, ph:ph + h, pw:pw + w]), dw
 
     return out, grads
+
+
+def _weight_grad(gm, cm):
+    """sum over n of gm[n] @ cm[n].T for gm (N, C_out, P) and cm (N, K, P).
+    When N*P < C_out*K, as on small late-block maps, it is one GEMM over
+    the (N*P) axis; otherwise one GEMM per item, whose (N, C_out, K)
+    products are then summed."""
+    n, cout, p = gm.shape
+    if n * p < cout * cm.shape[1]:
+        return np.tensordot(gm, cm, axes=([0, 2], [0, 2]))
+    return np.matmul(gm, cm.transpose(0, 2, 1)).sum(0)
 
 
 def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
@@ -167,7 +218,7 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
         def grads(g):
             gm = g.reshape(n, cout, h * w)
             dx = np.matmul(wd.reshape(cout, cin).T, gm).reshape(n, cin, h, w)
-            dw = np.matmul(gm, xm.transpose(0, 2, 1)).sum(0).reshape(cout, cin, 1, 1)
+            dw = _weight_grad(gm, xm).reshape(cout, cin, 1, 1)
             return dx, dw
 
     elif groups == cin and cout == cin:
@@ -192,7 +243,7 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
             if groups == 1:
                 gm = g.reshape(n, cout, ho * wo)
                 cmat = cols.reshape(n, cin * kh * kw, ho * wo)
-                dw = np.matmul(gm, cmat.transpose(0, 2, 1)).sum(0).reshape(wd.shape)
+                dw = _weight_grad(gm, cmat).reshape(wd.shape)
                 gcols = np.matmul(wd.reshape(cout, -1).T, gm).reshape(cols.shape)
             else:
                 dw = np.empty_like(wd)
@@ -201,8 +252,7 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
                 for gi in range(groups):
                     gm = g[:, gi * og:(gi + 1) * og].reshape(n, og, ho * wo)
                     cmat = cols[:, gi * cg:(gi + 1) * cg].reshape(n, cg * kh * kw, ho * wo)
-                    dw[gi * og:(gi + 1) * og] = np.matmul(
-                        gm, cmat.transpose(0, 2, 1)).sum(0).reshape(og, cg, kh, kw)
+                    dw[gi * og:(gi + 1) * og] = _weight_grad(gm, cmat).reshape(og, cg, kh, kw)
                     gcols[:, gi * cg:(gi + 1) * cg] = np.matmul(
                         wd[gi * og:(gi + 1) * og].reshape(og, -1).T, gm
                     ).reshape(n, cg, kh, kw, ho, wo)
@@ -214,10 +264,27 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
         dx, dw = grads(g)
         return (dx, dw, g.sum(axis=(0, 2, 3))) if bias is not None else (dx, dw)
 
-    if bias is not None:
-        out = out + bias.data.reshape(1, cout, 1, 1)
-        return apply_op("conv2d", (x, weight, bias), out, bwd)
-    return apply_op("conv2d", (x, weight), np.ascontiguousarray(out), bwd)
+    # the other branches' outputs are fresh contiguous buffers, so the bias
+    # goes on in place; the depthwise output is a cropped view of one, and
+    # the copy that makes it contiguous adds the bias
+    if bias is None:
+        return apply_op("conv2d", (x, weight), np.ascontiguousarray(out), bwd)
+    b = bias.data.reshape(1, cout, 1, 1)
+    if out.flags.c_contiguous:
+        out += b
+    else:
+        out = np.add(out, b, order="C")
+    return apply_op("conv2d", (x, weight, bias), out, bwd)
+
+
+def _channel_sum(a, b=None):
+    """Per-channel sum over (N, H, W) of a, or of a*b, as one einsum
+    reduction with no full-size temporary (3-4x faster than
+    sum(axis=(0, 2, 3)) on the backbone's shapes)."""
+    n, c = a.shape[:2]
+    if b is None:
+        return np.einsum("ncp->c", a.reshape(n, c, -1))
+    return np.einsum("ncp,ncp->c", a.reshape(n, c, -1), b.reshape(n, c, -1))
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
@@ -235,43 +302,42 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
         raise NumericDomainError(f"batch_norm eps must be > 0, got {eps}")
     xd = x.data
     shape = (1, c, 1, 1)
+    m = xd.shape[0] * xd.shape[2] * xd.shape[3]
     if training:
-        # x is centred once: the variance is the mean square of the centred
-        # x, which is then scaled in place into xhat; out reuses the buffer
-        # of the square
-        mean = xd.mean(axis=(0, 2, 3))
-        xhat = xd - mean.reshape(shape)
-        out = np.square(xhat)
-        var = out.mean(axis=(0, 2, 3))
+        # backward keeps the centred x, xc; xhat = xc * inv is never stored
+        mean = _channel_sum(xd) / m
+        xc = xd - mean.reshape(shape)
+        var = _channel_sum(xc, xc) / m
         running_mean.data[:] = (1 - momentum) * running_mean.data + momentum * mean
         running_var.data[:] = (1 - momentum) * running_var.data + momentum * var
     else:
         mean = running_mean.data
         var = running_var.data
-        xhat = xd - mean.reshape(shape)
-        out = np.empty_like(xhat)
+        xc = xd - mean.reshape(shape)
     if np.any(var + eps <= 0):
         raise NumericDomainError("batch_norm: var + eps <= 0")
     inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv.reshape(shape)
-    np.multiply(xhat, gamma.data.reshape(shape), out=out)
+    if training:
+        out = np.multiply(xc, (gamma.data * inv).reshape(shape))
+    else:
+        xc *= inv.reshape(shape)        # from here on xc holds xhat
+        out = np.multiply(xc, gamma.data.reshape(shape))
     out += beta.data.reshape(shape)
 
-    m = xd.shape[0] * xd.shape[2] * xd.shape[3]
-
     def bwd(g):
-        gx = g * xhat
-        dgamma = gx.sum(axis=(0, 2, 3))
-        dbeta = g.sum(axis=(0, 2, 3))
-        if training:
-            # the batch statistics participate in the graph:
-            # dx = gamma * inv * (g - dbeta/m - xhat * dgamma/m)
-            dx = np.multiply(xhat, (dgamma / m).reshape(shape), out=gx)
-            np.subtract(g, dx, out=dx)
-            dx -= (dbeta / m).reshape(shape)
-            dx *= (gamma.data * inv).reshape(shape)
-        else:
-            dx = g * gamma.data.reshape(shape) * inv.reshape(shape)
+        if not training:
+            dgamma = (g * xc).sum(axis=(0, 2, 3))
+            dbeta = g.sum(axis=(0, 2, 3))
+            return (g * gamma.data.reshape(shape) * inv.reshape(shape), dgamma, dbeta,
+                    None, None)
+        # the batch statistics participate in the graph:
+        # dx = gamma * inv * (g - dbeta/m - xhat * dgamma/m)
+        dbeta = _channel_sum(g)
+        dgamma = _channel_sum(g, xc) * inv
+        dx = np.multiply(xc, (inv * dgamma / m).reshape(shape))
+        np.subtract(g, dx, out=dx)
+        dx -= (dbeta / m).reshape(shape)
+        dx *= (gamma.data * inv).reshape(shape)
         return dx, dgamma, dbeta, None, None
 
     return apply_op("batch_norm", (x, gamma, beta, running_mean, running_var),

@@ -644,7 +644,7 @@ def _is_pointwise(l):
             and p.get("groups", 1) == 1)
 
 
-def collapse_linear_tail(graph, store, keep=()):
+def collapse_linear_tail(graph, store):
     """Sink the graph's final 1x1 conv up through the linear layers in front
     of it, so that it runs where they are narrow. Returns a new (graph,
     store), or the inputs themselves when there is nothing to rewrite; the
@@ -658,17 +658,14 @@ def collapse_linear_tail(graph, store, keep=()):
     mixing commutes with resampling and resize rows sum to 1. Into a
     preceding groups=1 conv it is composed with that conv's weights, which
     ends the walk. It is not moved past a tap, a layer with a second
-    consumer, a layer named in keep, the graph input or any other kind of
-    layer: there it stays a 1x1 conv named '<layer it feeds>.in<input
-    index>'. Rewritten layers keep their names and go to the end of the layer
-    list.
+    consumer, the graph input or any other kind of layer: there it stays a
+    1x1 conv named '<layer it feeds>.in<input index>'. Rewritten layers keep
+    their names and go to the end of the layer list.
 
     The new weights are computed with Tensor ops from the input slots, so
     under a Tape they are recorded functions of those slots: a loss on the
     rewritten graph has the same gradients on the original slots as on the
-    original graph, up to rounding, and training runs on this form. Layers in
-    keep (the hint loss's decoder.adapt* outputs) compute what they did
-    before."""
+    original graph, up to rounding, and training runs on this form."""
     last = graph.layers[-1]
     layers = {l.name: l for l in graph.layers}
     consumers = {}
@@ -678,7 +675,7 @@ def collapse_linear_tail(graph, store, keep=()):
 
     def passable(name):
         l = layers.get(name)
-        return (l is not None and not l.tap and name not in keep and consumers[name] == 1
+        return (l is not None and not l.tap and consumers[name] == 1
                 and (l.kind in ("resize", "pixel-shuffle", "concat")
                      or l.kind == "conv" and l.params.get("groups", 1) == 1))
 
@@ -750,6 +747,19 @@ def collapse_linear_tail(graph, store, keep=()):
             for l in graph.layers if l.name not in passed]
     return (NetworkGraph(kept + new_layers, taps=list(graph.taps), variant=graph.variant,
                          input_shape=graph.input_shape), new_store)
+
+
+def subgraph(graph, names):
+    """The graph of the layers that the named layers' outputs depend on, in
+    their order, so that it ends with the last of them. Layers are shared
+    with the input graph; taps outside the subgraph are dropped."""
+    need = set(names)
+    for l in reversed(graph.layers):
+        if l.name in need:
+            need.update(l.inputs)
+    return NetworkGraph([l for l in graph.layers if l.name in need],
+                        taps=[t for t in graph.taps if t in need],
+                        variant=graph.variant, input_shape=graph.input_shape)
 
 
 def prepare_inference(graph, store):

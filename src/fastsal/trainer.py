@@ -1,11 +1,12 @@
 """Toy-scale training: hint-loss pretraining and pseudo-label fine-tuning with
 SGD plus momentum under a piecewise-constant learning-rate schedule, and the
-five-row distillation ablation harness. Each step runs the graph that
-collapse_linear_tail makes from the live weights inside the step's tape, so
-the paper slots are trained through the composed decoder weights (the hint
-loss keeps its decoder.adapt* outputs); validation (NSS/CC) runs the
-inference graph that prepare_inference makes from the live weights, one
-forward per batch of records."""
+five-row distillation ablation harness. Each fine-tuning step runs the
+graph that collapse_linear_tail makes from the live weights inside the
+step's tape, so the paper slots are trained through the composed decoder
+weights; a hint step runs only the layers that the decoder.adapt* outputs
+depend on. Validation (NSS/CC) runs the inference graph that
+prepare_inference makes from the live weights, one forward per batch of
+records."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import distill, metrics
 from .data_io import load_image, load_map, load_teacher_bundle, load_fixations
 from .errors import ConfigError, NumericDomainError
-from .network import collapse_linear_tail, prepare_inference, trainable_slots
+from .network import collapse_linear_tail, prepare_inference, subgraph, trainable_slots
 from .tensor import Tape, Tensor
 
 ADAPT_LAYERS = tuple(f"decoder.adapt{i}" for i in range(1, 5))
@@ -161,14 +162,17 @@ def _trainable_params(graph, store, config):
 
 def _train_step(graph, store, batch, config, params, lr, momentum_state):
     """One forward, backward and SGD update on a batch (forward only when
-    params is empty); returns the loss. The forward runs the graph that
-    collapse_linear_tail makes from the live store inside the tape, so the
-    gradients reach the paper slots through the composed weights. The tape
-    and its activations are freed on return, before anything else
-    (validation) runs."""
-    keep = ADAPT_LAYERS if config.loss == "hint" else ()
+    params is empty); returns the loss. A fine-tuning forward runs the graph
+    that collapse_linear_tail makes from the live store inside the tape, so
+    the gradients reach the paper slots through the composed weights. A hint
+    forward runs only the layers that the decoder.adapt* outputs depend on,
+    the only ones its loss reads. The tape and its activations are freed on
+    return, before anything else (validation) runs."""
     with Tape() as tape:
-        step_graph, step_store = collapse_linear_tail(graph, store, keep)
+        if config.loss == "hint":
+            step_graph, step_store = subgraph(graph, ADAPT_LAYERS), store
+        else:
+            step_graph, step_store = collapse_linear_tail(graph, store)
         loss = _batch_loss(step_graph, step_store, batch, config, training=bool(params))
     if params:
         grads = tape.gradients(loss, [t for _, t in params])

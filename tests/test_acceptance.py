@@ -4,6 +4,7 @@ single pass/fail line on the terminal in addition to the pytest verdict."""
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,7 +274,7 @@ def test_criterion_09_serialization_round_trip(capsys, tmp_path):
         ok = ok and np.array_equal(loaded.get(name).data,
                                    store.get(name).data)
     for corrupt, expect_offset in ((b"XXXX" + b"\x00" * 8, 0),
-                                   (open(path, "rb").read()[:30], None)):
+                                   (Path(path).read_bytes()[:30], None)):
         bad = tmp_path / "bad.fsal"
         bad.write_bytes(corrupt)
         try:

@@ -248,6 +248,24 @@ class TestGradCheckKernels:
         rep = grad_check(lambda bt: conv(w, bt), b)
         assert rep.passed, rep.max_rel_err
 
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)])
+    def test_conv2d_depthwise_pixel_major(self, stride, monkeypatch):
+        # dx, dw and db of _depthwise's pixel-major layout (rows innermost
+        # in memory) on a late-block-like shape: 48 channels on a 3x4 map
+        monkeypatch.setattr(K, "_pixel_major", lambda rows, span: True)
+        rng = np.random.default_rng(sum(stride))
+        x = Tensor(rng.normal(size=(1, 48, 3, 4)))
+        w = Tensor(rng.normal(size=(48, 1, 3, 3)))
+        b = Tensor(rng.normal(size=48))
+
+        def conv(xt, wt, bt):
+            return (K.conv2d(xt, wt, bt, stride=stride, padding=(1, 1), groups=48) ** 2).sum()
+
+        for rep in (grad_check(lambda t: conv(t, w, b), x),
+                    grad_check(lambda t: conv(x, t, b), w),
+                    grad_check(lambda t: conv(x, w, t), b)):
+            assert rep.passed, rep.max_rel_err
+
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_batch_norm_training_mode(self, seed):
         rng = np.random.default_rng(seed)

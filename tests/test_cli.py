@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,10 @@ from conftest import build_synthetic_dataset, randomize_weights, write_ppm
 from fastsal import cli, data_io, kernels, metrics, network, tensor
 from fastsal.network import build_fastsal, init_weights, save_weights
 from fastsal.tensor import Tensor, sigmoid
+
+
+def _csv_rows(path):
+    return list(csv.DictReader(Path(path).read_text().splitlines()))
 
 
 SMALL = ["--size", "64x64", "--width", "0.25"]
@@ -141,7 +146,7 @@ class TestAnalyze:
         assert rc == 0
         printed = capsys.readouterr().out
         assert "TOTAL" in printed
-        rows = list(csv.DictReader(open(out)))
+        rows = _csv_rows(out)
         assert rows[-1]["name"] == "TOTAL"
 
     def test_table_and_convention(self, capsys):
@@ -160,7 +165,7 @@ class TestBench:
                        "--csv", out] + SMALL)
         assert rc == 0
         assert "fps=" in capsys.readouterr().out
-        rows = list(csv.DictReader(open(out)))
+        rows = _csv_rows(out)
         assert len(rows) == 1
         assert int(rows[0]["iterations"]) == 2
 
@@ -171,7 +176,7 @@ class TestBench:
                        "--csv", out] + SMALL)
         assert rc == 0
         capsys.readouterr()
-        assert int(list(csv.DictReader(open(out)))[0]["threads"]) == 3
+        assert int(_csv_rows(out)[0]["threads"]) == 3
 
 
 class TestEval:
@@ -182,7 +187,7 @@ class TestEval:
         rc = cli.main(["eval", "--manifest", manifest, "--csv", out] + SMALL)
         assert rc == 0
         capsys.readouterr()
-        rows = list(csv.DictReader(open(out)))
+        rows = _csv_rows(out)
         assert len(rows) == 2
         for row in rows:
             for col in ("auc", "nss", "cc", "kldiv", "sim"):
@@ -196,7 +201,7 @@ class TestEval:
         rc = cli.main(["eval", "--manifest", manifest, "--model", path,
                        "--csv", out] + SMALL)
         assert rc == 0, capsys.readouterr().err
-        rows = list(csv.DictReader(open(out)))
+        rows = _csv_rows(out)
         for rec, row in zip(data_io.load_manifest(manifest), rows, strict=True):
             x = data_io.load_image(rec.image, size=(64, 64))
             pred = graph.run(store, x)["out"].data[0, 0]
@@ -227,7 +232,7 @@ class TestTrain:
         assert "loss=" in capsys.readouterr().out
         from fastsal.network import load_weights
         load_weights(out)
-        assert len(list(csv.DictReader(open(log)))) == 1
+        assert len(_csv_rows(log)) == 1
 
     def test_invalid_loss_config_is_input_error(self, capsys, tmp_path):
         manifest = build_synthetic_dataset(str(tmp_path / "d"), n=2,

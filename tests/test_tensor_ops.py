@@ -105,14 +105,62 @@ class TestConv2d:
             tol = 1e-12 if dtype == np.float64 else 1e-5
             np.testing.assert_allclose(out.data, ref, rtol=0, atol=tol * np.abs(ref).max())
 
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)], ids=lambda s: "%dx%d" % s)
+    def test_depthwise_pixel_major_matches_naive_loop(self, stride, k, monkeypatch):
+        # 48-96 channels on small maps, the shapes of the late blocks, in
+        # _depthwise's pixel-major layout (rows innermost in memory)
+        monkeypatch.setattr(K, "_pixel_major", lambda rows, span: True)
+        rng = np.random.default_rng(100 * k + 10 * stride[0] + stride[1])
+        pad = k // 2
+        for (h, w), n, dtype, with_bias in itertools.product(
+                [(2, 2), (3, 4), (3, 5)], [1, 4], [np.float32, np.float64], [False, True]):
+            c = int(rng.integers(48, 97))
+            x = rng.normal(size=(n, c, h, w)).astype(dtype)
+            wt = rng.normal(size=(c, 1, k, k)).astype(dtype)
+            b = rng.normal(size=c).astype(dtype) if with_bias else None
+            out = K.conv2d(Tensor(x), Tensor(wt), None if b is None else Tensor(b),
+                           stride=stride, padding=pad, groups=c)
+            ref = naive_depthwise(x, wt, b, stride, (pad, pad))
+            assert out.shape == ref.shape
+            assert out.dtype == dtype and out.data.flags.c_contiguous
+            tol = 1e-12 if dtype == np.float64 else 1e-5
+            np.testing.assert_allclose(out.data, ref, rtol=0, atol=tol * np.abs(ref).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)], ids=lambda s: "%dx%d" % s)
+    def test_depthwise_layouts_agree(self, stride, k, dtype, monkeypatch):
+        # both memory layouts run the same taps in the same order, so the
+        # forward is bit-identical; the dw reductions differ in order only
+        rng = np.random.default_rng(7 * k + stride[1])
+        pad = k // 2
+        for (h, w), n, c in itertools.product([(2, 2), (3, 5), (7, 10)], [1, 4], [3, 64]):
+            x = rng.normal(size=(n, c, h, w)).astype(dtype)
+            wt = rng.normal(size=(c, 1, k, k)).astype(dtype)
+            ho = (h + 2 * pad - k) // stride[0] + 1
+            wo = (w + 2 * pad - k) // stride[1] + 1
+            g = rng.normal(size=(n, c, ho, wo)).astype(dtype)
+            runs = []
+            for pixel_major in (False, True):
+                monkeypatch.setattr(K, "_pixel_major", lambda rows, span: pixel_major)
+                out, grads = K._depthwise(x, wt, *stride, pad, pad, ho, wo)
+                runs.append((np.ascontiguousarray(out),) + grads(g))
+            (out0, dx0, dw0), (out1, dx1, dw1) = runs
+            np.testing.assert_array_equal(out1, out0)
+            for got, ref in ((dx1, dx0), (dw1, dw0)):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+
     @pytest.mark.parametrize("cin,cout,k,stride,padding,groups", [
-        (5, 4, 1, (1, 1), (0, 0), 1),     # pointwise matmul path
+        (5, 4, 1, (1, 1), (0, 0), 1),     # pointwise, one GEMM per item
+        (24, 32, 1, (1, 1), (0, 0), 1),   # pointwise, one GEMM over N*P < C_out*C_in
         (3, 4, 3, (1, 1), (1, 1), 1),     # im2col
         (3, 4, 3, (2, 2), (1, 1), 1),
         (3, 2, 3, (2, 1), (0, 2), 1),
         (6, 4, 3, (1, 1), (1, 1), 2),     # grouped loop
         (6, 9, 3, (2, 2), (1, 0), 3),
-    ], ids=["pointwise", "general", "general-s2", "general-s21-p02",
+    ], ids=["pointwise", "pointwise-one-gemm", "general", "general-s2", "general-s21-p02",
             "grouped", "grouped-s2"])
     def test_weight_gradient_matches_naive_loop(self, cin, cout, k, stride, padding, groups):
         rng = np.random.default_rng(cin * cout + k)

@@ -9,7 +9,7 @@ from fastsal import kernels, metrics, trainer
 from fastsal.data_io import load_manifest
 from fastsal.errors import ConfigError, NumericDomainError
 from fastsal.network import build_fastsal, init_weights
-from fastsal.tensor import TapeNode, Tensor
+from fastsal.tensor import Tape, TapeNode, Tensor
 from fastsal.trainer import TrainConfig, lr_schedule, sgd_step
 
 
@@ -236,6 +236,44 @@ class TestTraining:
         assert seen == [4]
         assert not np.array_equal(store.get("decoder.out.w").data, before)
 
+    def test_hint_step_runs_only_adapt_ancestors(self, monkeypatch):
+        # the hint loss reads the decoder.adapt* outputs only: its step runs
+        # none of the C decoder tail, and its loss and update are bit for bit
+        # those of a step on the whole paper graph
+        graph = build_fastsal("C", (2, 3, 48, 64), width=0.25)
+        shapes = graph.infer_shapes()
+        rng = np.random.default_rng(12)
+        batch = [{"image": Tensor(rng.normal(size=(1, 3, 48, 64)).astype(np.float32)),
+                  "hint": [Tensor(rng.normal(size=(1,) + shapes[n][1:]).astype(np.float32))
+                           for n in trainer.ADAPT_LAYERS]} for _ in range(2)]
+        cfg = TrainConfig(loss="hint")
+        ref, got = (randomize_weights(init_weights(graph, seed=0), seed=6) for _ in range(2))
+
+        params = trainer._trainable_params(graph, ref, cfg)
+        for _, t in params:
+            t.requires_grad = True
+        with Tape() as tape:
+            ref_loss = trainer._batch_loss(graph, ref, batch, cfg, training=True)
+        trainer.sgd_step(params, tape.gradients(ref_loss, [t for _, t in params]),
+                         0.01, {}, cfg.momentum)
+
+        seen = []
+        shuffle = kernels.pixel_shuffle
+
+        def recording(x, r):
+            seen.append(x.shape[1])
+            return shuffle(x, r)
+
+        monkeypatch.setattr(kernels, "pixel_shuffle", recording)
+        params = trainer._trainable_params(graph, got, cfg)
+        for _, t in params:
+            t.requires_grad = True
+        loss = trainer._train_step(graph, got, batch, cfg, params, 0.01, {})
+        assert seen == []
+        assert loss == float(ref_loss.data.reshape(()))
+        for k in ref.names():
+            np.testing.assert_array_equal(got.get(k).data, ref.get(k).data, err_msg=k)
+
     def test_requires_grad_reset_after_training(self, rich_dataset):
         graph = small_graph()
         store = init_weights(graph, seed=6)
@@ -271,7 +309,7 @@ class TestLogAndAblation:
             trainer.LogRow(1, 0.01, 1.00, None, 0.25)])
         path = tmp_path / "log.csv"
         log.write_csv(str(path))
-        rows = list(csv.DictReader(path.open()))
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         assert rows[0]["epoch"] == "0"
         assert float(rows[0]["mean_loss"]) == pytest.approx(1.25)
         assert rows[0]["cc"] == ""
@@ -290,6 +328,6 @@ class TestLogAndAblation:
                    for r in results)
         path = tmp_path / "ablation.csv"
         trainer.ablation_csv(results, str(path))
-        rows = list(csv.DictReader(path.open()))
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         assert len(rows) == 5
         assert {"pretrain", "finetune", "gt", "nss", "cc"} <= set(rows[0])

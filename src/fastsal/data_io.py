@@ -225,11 +225,15 @@ PSEUDO_DIST_SLOT = "teacher.pseudo_dist"
 
 def load_teacher_bundle(path):
     """Teacher supervision packed in the weight-file container under the
-    reserved teacher.* names."""
+    reserved teacher.* names. Any other slot name, or some of the four hint
+    slots without the rest, raises ContractError."""
     store = load_weights(path)
+    for name in store.names():
+        if name not in HINT_SLOTS + (PSEUDO_MAP_SLOT, PSEUDO_DIST_SLOT):
+            raise ContractError(f"{path}: unexpected slot '{name}' in teacher bundle")
     hints = None
-    if all(s in store for s in HINT_SLOTS):
-        hints = [store.get(s) for s in HINT_SLOTS]
+    if any(s in store for s in HINT_SLOTS):
+        hints = [store.get(s) for s in HINT_SLOTS if s in store]
     bundle = TeacherBundle(
         hint_features=hints,
         pseudo_map=store.get(PSEUDO_MAP_SLOT) if PSEUDO_MAP_SLOT in store else None,

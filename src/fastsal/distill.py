@@ -33,13 +33,20 @@ class TeacherBundle:
         if self.hint_features is not None and len(self.hint_features) != 4:
             raise ContractError(
                 f"expected 4 hint feature tensors, got {len(self.hint_features)}")
+        for what, t in ([("hint feature", t) for t in self.hint_features or ()]
+                        + [("pseudo map", self.pseudo_map),
+                           ("pseudo distribution", self.pseudo_dist)]):
+            if t is not None and (t.data.ndim != 4 or t.size == 0):
+                raise ContractError(f"{what} must be a non-empty 4-D (N,C,H,W) tensor, "
+                                    f"got shape {t.shape}")
         if self.pseudo_map is not None:
             v = self.pseudo_map.data
-            if v.min() < 0 or v.max() > 1:
+            # written so that a NaN fails the test
+            if not (v.min() >= 0 and v.max() <= 1):
                 raise NumericDomainError("pseudo map values must lie in [0,1]")
         if self.pseudo_dist is not None:
             sums = self.pseudo_dist.data.reshape(self.pseudo_dist.shape[0], -1).sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > 1e-5):
+            if not np.all(np.abs(sums - 1.0) <= 1e-5):
                 raise ContractError("pseudo distribution must sum to 1 per item")
         return self
 

@@ -15,13 +15,18 @@ Weight gradients of the pointwise, im2col and grouped paths are GEMMs
 (GEMM-lowered convolution, as in cuDNN, Chetlur et al. 2014): one GEMM over
 the (N*pixels) axis when that is shorter than C_out*K, else one per item,
 summed over the batch (_weight_grad). Every branch adds the bias in place
-on its fresh output. Training-mode batch norm keeps the centred input for
-backward and takes its per-channel sums as einsum reductions.
+on its fresh output. Batch norm keeps the centred input for backward; its
+per-channel sums, and those of the conv bias gradient, are einsum
+reductions (_channel_sum).
 
 Backward-only state (masks, argmin/argmax) is worked out inside the backward
 function from the retained inputs, so untaped inference neither computes nor
 keeps it. This relies on no op's input being changed in place between its
-forward and its backward; the optimizer updates weights after backward.
+forward and its backward; the optimizer updates weights after backward. The
+one exception is a relu6 that network.clip_in_place marks: it clips the
+fresh output of a conv2d, batch_norm or tensor.add in place. None of their
+backwards reads its own output, and the relu6 mask reads the same from
+clipped values.
 """
 
 from __future__ import annotations
@@ -262,7 +267,7 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
 
     def bwd(g):
         dx, dw = grads(g)
-        return (dx, dw, g.sum(axis=(0, 2, 3))) if bias is not None else (dx, dw)
+        return (dx, dw, _channel_sum(g)) if bias is not None else (dx, dw)
 
     # the other branches' outputs are fresh contiguous buffers, so the bias
     # goes on in place; the depthwise output is a cropped view of one, and
@@ -326,8 +331,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
 
     def bwd(g):
         if not training:
-            dgamma = (g * xc).sum(axis=(0, 2, 3))
-            dbeta = g.sum(axis=(0, 2, 3))
+            dgamma = _channel_sum(g, xc)
+            dbeta = _channel_sum(g)
             return (g * gamma.data.reshape(shape) * inv.reshape(shape), dgamma, dbeta,
                     None, None)
         # the batch statistics participate in the graph:

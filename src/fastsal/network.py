@@ -1,8 +1,9 @@
 """Declarative network graphs: the MobileNetV2 feature backbone with 18 taps,
 the 4-block feature grouping, and the two FastSal decoders (concatenation and
 addition variants), weight serialization, and the graph passes: batch-norm
-folding (inference only) and the collapse of the linear layers in front of
-the final conv, which inference and training both run; under a tape its
+folding (inference only), the collapse of the linear layers in front of the
+final conv, and the marking of the relu6 layers that may clip in place; the
+last two run for inference and training alike. Under a tape the collapse's
 composed weights are recorded functions of the original slots.
 
 A NetworkGraph is an ordered list of LayerSpec records executed top to bottom;
@@ -15,6 +16,7 @@ execution, weight init and checking, and the analyzer all read that table.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable
@@ -210,6 +212,8 @@ def _bn_slots(p, ins):
 
 
 def _relu6_run(p, xs, w, training):
+    if p.get("inplace"):
+        return tensor.relu6(xs[0], inplace=True)
     return tensor.relu6(xs[0])
 
 
@@ -526,6 +530,7 @@ def init_weights(graph, seed=0, dtype=np.float32):
 
 _MAGIC = b"FSAL"
 _VERSION = 1
+_MAX_RANK = 32      # numpy 1.x's limit on array dimensions
 
 
 def save_weights(store, path):
@@ -547,36 +552,60 @@ def save_weights(store, path):
 
 
 def load_weights(path):
-    with open(path, "rb") as f:
-        blob = f.read()
-    off = 0
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise ParseError(f"truncated weight file while reading {what}", offset=off)
-        chunk = blob[off:off + n]
-        off += n
-        return chunk
-
-    if take(4, "magic") != _MAGIC:
-        raise ParseError("bad magic, not a weight file", offset=0)
-    (version,) = struct.unpack("<H", take(2, "version"))
-    if version != _VERSION:
-        raise ParseError(f"unsupported weight file version {version}", offset=4)
-    (count,) = struct.unpack("<I", take(4, "entry count"))
+    """Read a save_weights container. Each payload is read straight into its
+    own float32 array, after its size is checked against the file's, so a
+    header that claims more data than the file holds allocates nothing.
+    Malformed content raises ParseError with the byte offset of the bad
+    field."""
     store = WeightStore()
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", take(2, "name length"))
-        name = take(nlen, "name").decode("utf-8")
-        (rank,) = struct.unpack("<B", take(1, "rank"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        nelem = int(np.prod(dims)) if rank else 1
-        payload = take(4 * nelem, f"payload of '{name}'")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-        store.put(name, Tensor(arr))
-    if off != len(blob):
-        raise ParseError("trailing bytes after last entry", offset=off)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        off = 0
+
+        def truncated(what):
+            return ParseError(f"truncated weight file while reading {what}", offset=off)
+
+        def take(n, what):
+            nonlocal off
+            chunk = f.read(n) if off + n <= size else b""
+            if len(chunk) != n:
+                raise truncated(what)
+            off += n
+            return chunk
+
+        if take(4, "magic") != _MAGIC:
+            raise ParseError("bad magic, not a weight file", offset=0)
+        (version,) = struct.unpack("<H", take(2, "version"))
+        if version != _VERSION:
+            raise ParseError(f"unsupported weight file version {version}", offset=4)
+        (count,) = struct.unpack("<I", take(4, "entry count"))
+        for _ in range(count):
+            (nlen,) = struct.unpack("<H", take(2, "name length"))
+            name_off = off
+            try:
+                name = take(nlen, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError("slot name is not valid UTF-8", offset=name_off) from None
+            if name in store:
+                raise ParseError(f"duplicate slot name '{name}'", offset=name_off)
+            (rank,) = struct.unpack("<B", take(1, "rank"))
+            if rank > _MAX_RANK:
+                raise ParseError(f"rank {rank} of '{name}' exceeds {_MAX_RANK}", offset=off - 1)
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
+            nbytes = 4 * math.prod(dims)
+            if off + nbytes > size:
+                raise truncated(f"payload of '{name}'")
+            if math.prod(d for d in dims if d) > size:
+                # an empty array whose other dims numpy cannot represent
+                raise ParseError(f"dims {dims} of '{name}' are out of range",
+                                 offset=off - 4 * rank)
+            arr = np.empty(dims, dtype="<f4")
+            if f.readinto(arr) != nbytes:
+                raise truncated(f"payload of '{name}'")
+            off += nbytes
+            store.put(name, Tensor(arr))
+        if off != size:
+            raise ParseError("trailing bytes after last entry", offset=off)
     return store
 
 
@@ -762,9 +791,44 @@ def subgraph(graph, names):
                         variant=graph.variant, input_shape=graph.input_shape)
 
 
+# layer kinds whose output buffer is fresh and whose backward does not read
+# that output, so a relu6 may clip it in place
+_CLIP_PRODUCERS = ("conv", "bn", "add")
+
+
+def clip_in_place(graph, keep=()):
+    """Mark the relu6 layers that may clip their input in place, with
+    params["inplace"]: those whose input is the output of a conv, bn or
+    (two or more input) add layer that has no other reader, is not a tap and
+    is not named in keep (pass the names a caller asks run() for). Returns a
+    new graph whose marked layers are new LayerSpecs; every other layer is
+    shared with the input graph, which is not changed. The outputs and, under
+    a tape, the gradients are bit for bit those of the input graph."""
+    readers = {}
+    for l in graph.layers:
+        for i in l.inputs:
+            readers[i] = readers.get(i, 0) + 1
+    layers = {l.name: l for l in graph.layers}
+    keep = set(keep)
+
+    def marked(l):
+        src = layers.get(l.inputs[0]) if l.kind == "relu6" else None
+        return (src is not None and src.kind in _CLIP_PRODUCERS
+                and readers[src.name] == 1 and not src.tap and src.name not in keep
+                and (src.kind != "add" or len(src.inputs) > 1))
+
+    return NetworkGraph([LayerSpec(l.name, l.kind, list(l.inputs),
+                                   dict(l.params, inplace=True), l.tap)
+                         if marked(l) else l for l in graph.layers],
+                        taps=list(graph.taps), variant=graph.variant,
+                        input_shape=graph.input_shape)
+
+
 def prepare_inference(graph, store):
     """The graph and store to run for inference: batch norm folded into its
     convs, then the final 1x1 conv sunk through the linear layers before it
-    (collapse_linear_tail). Both passes are exact rewrites; the originals are
-    untouched."""
-    return collapse_linear_tail(*fold_batch_norm(graph, store))
+    (collapse_linear_tail), then each relu6 that may do so marked to clip its
+    producer's output in place (clip_in_place). All three passes are exact
+    rewrites; the originals are untouched."""
+    graph, store = collapse_linear_tail(*fold_batch_norm(graph, store))
+    return clip_in_place(graph), store

@@ -320,8 +320,12 @@ def sigmoid(a):
     return apply_op("sigmoid", (a,), out, bwd)
 
 
-def relu6(a):
-    out = np.clip(a.data, 0.0, 6.0)
+def relu6(a, inplace=False):
+    """Clip to [0, 6]. With inplace=True the result is written into a's own
+    buffer, so a reads as clipped from then on; the caller must be the only
+    reader of a. The backward mask is the same either way, since
+    0 < clip(x) < 6 exactly when 0 < x < 6."""
+    out = np.clip(a.data, 0.0, 6.0, out=a.data if inplace else None)
     ad = a.data
 
     def bwd(g):

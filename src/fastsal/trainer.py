@@ -11,6 +11,7 @@ records."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +19,8 @@ import numpy as np
 from . import distill, metrics
 from .data_io import load_image, load_map, load_teacher_bundle, load_fixations
 from .errors import ConfigError, NumericDomainError
-from .network import collapse_linear_tail, prepare_inference, subgraph, trainable_slots
+from .network import (clip_in_place, collapse_linear_tail, prepare_inference, subgraph,
+                      trainable_slots)
 from .tensor import Tape, Tensor
 
 ADAPT_LAYERS = tuple(f"decoder.adapt{i}" for i in range(1, 5))
@@ -58,21 +60,38 @@ def lr_schedule(config, epoch):
     return config.base_lr * (config.decay_factor ** decays)
 
 
+def _all_finite(a):
+    """Whether every element of a is finite. a.a is finite exactly then,
+    unless it overflows (the caller silences that warning), and only then
+    does the elementwise check run; so a finite array costs one BLAS dot and
+    no full-size boolean array."""
+    a = a.reshape(-1)
+    return math.isfinite(np.dot(a, a)) or bool(np.isfinite(a).all())
+
+
 def sgd_step(params, grads, lr, momentum_state, momentum=0.9):
     """Classical momentum: v <- mu*v + g; w <- w - lr*v. params is a list of
     (slot name, Tensor); the weights and the momentum buffers are updated in
-    place. The first step stores a copy of grad, so the caller's gradient
-    arrays are never changed."""
+    place. A non-finite gradient aborts the step before any slot changes,
+    naming the first such slot. The first step stores a copy of grad, so the
+    caller's gradient arrays are never changed. lr*v goes through one scratch
+    buffer per dtype, the size of the largest gradient."""
+    with np.errstate(over="ignore"):
+        for (slot, _), grad in zip(params, grads):
+            if not _all_finite(grad):
+                raise NumericDomainError(f"non-finite gradient for '{slot}'; step aborted")
+    scratch = {}
     for (slot, tensor), grad in zip(params, grads):
-        if not np.all(np.isfinite(grad)):
-            raise NumericDomainError(f"non-finite gradient for '{slot}'; step aborted")
         v = momentum_state.get(slot)
         if v is None:
             v = momentum_state[slot] = grad.copy()
         else:
             v *= momentum
             v += grad
-        tensor.data -= lr * v
+        buf = scratch.get(v.dtype)
+        if buf is None:
+            buf = scratch[v.dtype] = np.empty(max(g.size for g in grads), v.dtype)
+        tensor.data -= np.multiply(v, lr, out=buf[:v.size].reshape(v.shape))
 
 
 @dataclass
@@ -166,14 +185,18 @@ def _train_step(graph, store, batch, config, params, lr, momentum_state):
     that collapse_linear_tail makes from the live store inside the tape, so
     the gradients reach the paper slots through the composed weights. A hint
     forward runs only the layers that the decoder.adapt* outputs depend on,
-    the only ones its loss reads. The tape and its activations are freed on
-    return, before anything else (validation) runs."""
+    the only ones its loss reads. Either graph runs with its relu6 layers
+    clipping in place where clip_in_place allows, so the tape keeps one
+    buffer for each such relu6 and its producer. The tape and its
+    activations are freed on return, before anything else (validation)
+    runs."""
     with Tape() as tape:
         if config.loss == "hint":
-            step_graph, step_store = subgraph(graph, ADAPT_LAYERS), store
+            step_graph, step_store, keep = subgraph(graph, ADAPT_LAYERS), store, ADAPT_LAYERS
         else:
-            step_graph, step_store = collapse_linear_tail(graph, store)
-        loss = _batch_loss(step_graph, step_store, batch, config, training=bool(params))
+            (step_graph, step_store), keep = collapse_linear_tail(graph, store), ()
+        loss = _batch_loss(clip_in_place(step_graph, keep), step_store, batch, config,
+                           training=bool(params))
     if params:
         grads = tape.gradients(loss, [t for _, t in params])
         sgd_step(params, grads, lr, momentum_state, config.momentum)

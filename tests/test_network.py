@@ -311,6 +311,63 @@ class TestWeightIO:
         with pytest.raises(ParseError, match="version"):
             load_weights(str(path))
 
+    def test_save_load_save_byte_identical(self, tmp_path, fastsal_small):
+        _, store = fastsal_small
+        first, second = tmp_path / "a.fsal", tmp_path / "b.fsal"
+        save_weights(store, str(first))
+        save_weights(load_weights(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+    @staticmethod
+    def _entry(name_bytes, dims, payload=b""):
+        return (len(name_bytes).to_bytes(2, "little") + name_bytes + bytes([len(dims)])
+                + b"".join(d.to_bytes(4, "little") for d in dims) + payload)
+
+    def _file(self, tmp_path, *entries):
+        path = tmp_path / "w.fsal"
+        path.write_bytes(b"FSAL" + (1).to_bytes(2, "little")
+                         + len(entries).to_bytes(4, "little") + b"".join(entries))
+        return str(path)
+
+    def test_name_not_utf8_is_parse_error_at_name(self, tmp_path):
+        good = self._entry(b"a", (1,), b"\0" * 4)
+        path = self._file(tmp_path, good, self._entry(b"b\xff", (1,), b"\0" * 4))
+        with pytest.raises(ParseError, match="UTF-8") as e:
+            load_weights(path)
+        assert e.value.offset == 10 + len(good) + 2
+
+    def test_duplicate_name_is_parse_error(self, tmp_path):
+        entry = self._entry(b"a", (2,), b"\0" * 8)
+        with pytest.raises(ParseError, match="duplicate slot name 'a'") as e:
+            load_weights(self._file(tmp_path, entry, entry))
+        assert e.value.offset == 10 + len(entry) + 2
+
+    def test_oversized_header_allocates_nothing(self, tmp_path):
+        # 10^10 elements (40 GB) claimed by a 30-byte file; dims whose
+        # product overflows int64 likewise
+        import tracemalloc
+
+        for dims in ((100_000, 100_000), (2 ** 32 - 1,) * 4):
+            path = self._file(tmp_path, self._entry(b"big", dims, b"\0" * 4))
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParseError, match="payload of 'big'") as e:
+                    load_weights(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
+            assert e.value.offset == 10 + 2 + 3 + 1 + 4 * len(dims)
+
+    @pytest.mark.parametrize("dims,match", [
+        ((1,) * 70, "rank 70"),
+        ((0,) + (2 ** 32 - 1,) * 3, "out of range"),
+    ])
+    def test_unrepresentable_dims_are_parse_errors(self, tmp_path, dims, match):
+        # numpy would raise ValueError for either shape
+        with pytest.raises(ParseError, match=match):
+            load_weights(self._file(tmp_path, self._entry(b"x", dims)))
+
     def test_missing_slot(self, fastsal_small):
         graph, store = fastsal_small
         broken = store.copy()
@@ -594,3 +651,116 @@ class TestTapedCollapse:
         rewritten = [k for k in plain.names() if plain.get(k) is not store.tensors.get(k)]
         assert rewritten and all(taped.get(k).requires_grad for k in rewritten)
         assert tape.nodes
+
+
+def _unmarked(graph):
+    """The graph with every relu6 clip_in_place mark taken off."""
+    return NetworkGraph([LayerSpec(l.name, l.kind, list(l.inputs),
+                                   {k: v for k, v in l.params.items() if k != "inplace"},
+                                   l.tap) for l in graph.layers],
+                        taps=list(graph.taps), variant=graph.variant,
+                        input_shape=graph.input_shape)
+
+
+def _marked(graph):
+    return [l.name for l in graph.layers if l.params.get("inplace")]
+
+
+def _clip_case(case):
+    """A producer p feeding relu6 r, then a 1x1 conv, on a 1x1x4x4 input;
+    case changes p's kind or gives it a tap, a second reader or no layer at
+    all (r reads the graph input). Returns (graph, names run() is asked for,
+    keep)."""
+    conv = dict(in_ch=1, out_ch=1, kernel=(1, 1), stride=(1, 1), padding=(0, 0),
+                groups=1, bias=True)
+    producers = {
+        "conv": LayerSpec("p", "conv", ["input"], dict(conv)),
+        "bn": LayerSpec("p", "bn", ["input"]),
+        "add": LayerSpec("p", "add", ["input", "input"]),
+        "one-input add": LayerSpec("p", "add", ["input"]),
+        "sigmoid": LayerSpec("p", "sigmoid", ["input"]),
+        "softmax-spatial": LayerSpec("p", "softmax-spatial", ["input"]),
+        "resize": LayerSpec("p", "resize", ["input"], {"out_h": 4, "out_w": 4}),
+        "avg-pool": LayerSpec("p", "avg-pool", ["input"], {"k": 1}),
+        "concat": LayerSpec("p", "concat", ["input"]),
+    }
+    p = producers.get(case, producers["conv"])
+    layers = [p, LayerSpec("r", "relu6", ["input" if case == "graph input" else "p"]),
+              LayerSpec("out", "conv", ["r"], dict(conv))]
+    want, keep = ["out"], ()
+    if case == "tap":
+        p.tap = True
+        want = ["taps"]
+    elif case == "second reader":
+        layers.append(LayerSpec("sum", "add", ["out", "p"]))
+    elif case == "keep":
+        want = keep = ("p",)
+    taps = ["p"] if p.tap else []
+    return NetworkGraph(layers, taps=taps, input_shape=(1, 1, 4, 4)), want, keep
+
+
+class TestClipInPlace:
+    @pytest.mark.parametrize("variant", ["C", "A"])
+    def test_prepared_outputs_bit_identical(self, variant):
+        # random BN statistics and non-zero biases; every relu6 of the
+        # prepared graph reads a folded conv and so is marked
+        graph, store = _random_model(variant, (2, 3, 48, 64))
+        x = _input((2, 3, 48, 64))
+        rg, rs = prepare_inference(graph, store)
+        relus = [l.name for l in rg.layers if l.kind == "relu6"]
+        assert relus and _marked(rg) == relus
+        ref = _unmarked(rg).run(rs, x)["out"].data
+        np.testing.assert_array_equal(rg.run(rs, x)["out"].data, ref)
+        fg, fs = collapse_linear_tail(*fold_batch_norm(graph, store))
+        np.testing.assert_array_equal(fg.run(fs, x)["out"].data, ref)
+
+    def test_input_graph_unchanged_and_shared(self):
+        graph, _ = _random_model("A", (1, 3, 48, 64))
+        fg = fold_batch_norm(graph, init_weights(graph))[0]
+        before = copy.deepcopy(fg)
+        cg = net.clip_in_place(fg)
+        assert fg == before
+        assert not _marked(fg)
+        for old, new in zip(fg.layers, cg.layers):
+            assert (new is old) == (new.name not in _marked(cg)), new.name
+        assert cg.taps == fg.taps and cg.taps is not fg.taps
+
+    @pytest.mark.parametrize("case,marked", [
+        ("conv", True), ("bn", True), ("add", True),
+        ("tap", False), ("second reader", False), ("keep", False),
+        ("graph input", False), ("one-input add", False), ("sigmoid", False),
+        ("softmax-spatial", False), ("resize", False), ("avg-pool", False),
+        ("concat", False),
+    ])
+    def test_guards(self, case, marked):
+        # a producer's output may be clipped in place only when the relu6 is
+        # its one reader, nothing else asks for it and its backward does not
+        # read it (sigmoid's and softmax's do); what run() returns is the
+        # unmarked graph's either way
+        graph, want, keep = _clip_case(case)
+        store = randomize_weights(init_weights(graph, seed=1), seed=2)
+        cg = net.clip_in_place(graph, keep=keep)
+        assert _marked(cg) == (["r"] if marked else [])
+        x = _input((1, 1, 4, 4))
+        x.data *= 8
+        got, ref = cg.run(store, x, want=want), graph.run(store, x, want=want)
+        for k in set(got) | set(ref):
+            pairs = zip(got[k], ref[k]) if k == "taps" else [(got[k], ref[k])]
+            for a, b in pairs:
+                np.testing.assert_array_equal(a.data, b.data)
+
+    def test_marked_relu6_writes_into_its_input(self, monkeypatch):
+        graph, _, _ = _clip_case("conv")
+        store = init_weights(graph, seed=1)
+        seen = []
+        relu6 = tensor.relu6
+
+        def recording(x, **kwargs):
+            y = relu6(x, **kwargs)
+            seen.append(y.data is x.data)
+            return y
+
+        monkeypatch.setattr(tensor, "relu6", recording)
+        net.clip_in_place(graph).run(store, _input((1, 1, 4, 4)))
+        graph.run(store, _input((1, 1, 4, 4)))
+        assert seen == [True, False]

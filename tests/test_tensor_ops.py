@@ -247,6 +247,22 @@ class TestActivations:
         out = relu6(t([[[[-1.0, 3.0, 9.0, 0.0]]]]))
         np.testing.assert_allclose(out.data.reshape(-1), [0, 3, 6, 0])
 
+    def test_relu6_in_place_matches_copy(self):
+        # the in-place form clips into its input's buffer; at and around the
+        # kinks 0 and 6 its output and its gradient are the copying form's
+        vals = np.array([[[[-1.0, 0.0, 1e-9, 3.0, 6.0 - 1e-9, 6.0, 9.0]]]], np.float32)
+        res = []
+        for inplace in (False, True):
+            x = Tensor(vals.copy(), requires_grad=True)
+            with Tape() as tape:
+                y = relu6(x, inplace=inplace)
+                loss = (y * y).sum()
+            assert (y.data is x.data) == inplace
+            res.append((y.data, tape.gradients(loss, [x])[0]))
+        for a, b in zip(*res):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(res[0][1] != 0, (vals > 0) & (vals < 6))
+
     def test_sigmoid_at_zero(self):
         assert sigmoid(t([[[[0.0]]]])).data.item() == pytest.approx(0.5)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import build_synthetic_dataset, randomize_weights
-from fastsal import kernels, metrics, trainer
+from fastsal import kernels, metrics, network, trainer
 from fastsal.data_io import load_manifest
 from fastsal.errors import ConfigError, NumericDomainError
 from fastsal.network import build_fastsal, init_weights
@@ -116,6 +116,19 @@ class TestSgdStep:
         with pytest.raises(NumericDomainError, match="'w'"):
             sgd_step([("w", w)], [np.array([np.nan])], lr=0.1,
                      momentum_state={}, momentum=0.9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_first_non_finite_slot(self, bad):
+        # 1e30 squares past float32's range: a finite slot whose quick check
+        # overflows must still pass; no slot is updated
+        a, b, c = (Tensor(np.zeros((2, 3), np.float32)) for _ in range(3))
+        big = np.full((2, 3), 1e30, np.float32)
+        g = np.zeros((2, 3), np.float32)
+        g[1, 2] = bad
+        with pytest.raises(NumericDomainError, match="'b'"):
+            sgd_step([("a", a), ("b", b), ("c", c)], [big, g, g.copy()], lr=0.1,
+                     momentum_state={}, momentum=0.9)
+        assert not (a.data.any() or b.data.any() or c.data.any())
 
 
 class TestTraining:
@@ -273,6 +286,61 @@ class TestTraining:
         assert loss == float(ref_loss.data.reshape(()))
         for k in ref.names():
             np.testing.assert_array_equal(got.get(k).data, ref.get(k).data, err_msg=k)
+
+    @pytest.mark.parametrize("loss", ["salgan", "hint"])
+    def test_clip_in_place_keeps_step_bit_identical(self, rich_dataset, loss, monkeypatch):
+        # random BN statistics and biases; the step with its relu6 layers
+        # clipping in place has the loss, gradients and updated weights and
+        # BN statistics of the step without
+        graph = small_graph()
+        cfg = TrainConfig(loss=loss)
+        batch = trainer._load_records(rich_dataset, cfg, (48, 64))[:2]
+        real = trainer.clip_in_place
+        runs = []
+        for on in (True, False):
+            store = randomize_weights(init_weights(graph, seed=0), seed=9)
+            params = trainer._trainable_params(graph, store, cfg)
+            for _, t in params:
+                t.requires_grad = True
+            got = {"marked": 0}
+
+            def clip(g, keep=()):
+                out = real(g, keep) if on else g
+                got["marked"] += sum(bool(l.params.get("inplace")) for l in out.layers)
+                return out
+
+            def record(params, grads, *args):
+                got["grads"] = [g.copy() for g in grads]
+                return sgd_step(params, grads, *args)
+
+            monkeypatch.setattr(trainer, "clip_in_place", clip)
+            monkeypatch.setattr(trainer, "sgd_step", record)
+            got["loss"] = trainer._train_step(graph, store, batch, cfg, params, 0.01, {})
+            got["store"] = store
+            runs.append(got)
+        on, off = runs
+        assert on["marked"] > 0 and off["marked"] == 0
+        assert on["loss"] == off["loss"]
+        for a, b in zip(on["grads"], off["grads"]):
+            np.testing.assert_array_equal(a, b)
+        for k in on["store"].names():
+            np.testing.assert_array_equal(on["store"].get(k).data, off["store"].get(k).data,
+                                          err_msg=k)
+
+    def test_clip_in_place_keeps_train_log(self, rich_dataset, monkeypatch):
+        # per-epoch loss, NSS and CC with the pass in the steps and in
+        # validation (through prepare_inference), and with it off in both
+        cfg = TrainConfig(loss="salgan", epochs=2, batch_size=2, validate_metrics=True)
+        graph = small_graph()
+        logs = []
+        for on in (True, False):
+            if not on:
+                monkeypatch.setattr(trainer, "clip_in_place", lambda g, keep=(): g)
+                monkeypatch.setattr(network, "clip_in_place", lambda g, keep=(): g)
+            store = randomize_weights(init_weights(graph, seed=0), seed=9)
+            logs.append(trainer.train(rich_dataset, cfg, graph, store).rows)
+        assert logs[0] == logs[1]
+        assert all(r.nss is not None for r in logs[0])
 
     def test_requires_grad_reset_after_training(self, rich_dataset):
         graph = small_graph()

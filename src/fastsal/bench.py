@@ -1,14 +1,16 @@
-"""Wall-clock inference benchmarking: fixed-size random input, warmup plus
-timed single-image iterations on a monotonic clock, FPS from mean latency.
-`prepare_inference` runs before timing; the timed region excludes I/O and
-weight loading."""
+"""Wall-clock inference benchmarking: a seeded random input of the graph's
+input shape, untimed warmup, then timed single-image iterations on a
+monotonic clock, with FPS from the mean latency. The graph and store are
+rewritten by `prepare_inference` before timing; the timed region excludes
+I/O and weight loading. `write_csv` writes one row per report, one column
+per `BenchReport` field."""
 
 from __future__ import annotations
 
 import csv
 import platform
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -38,44 +40,18 @@ class BenchReport:
     median_ms: float
     p95_ms: float
     fps: float
-    threads: int
-    deterministic: bool
     host: str = field(default_factory=_host)
     variant: str = ""
-
-    def to_csv_row(self):
-        return asdict(self)
-
-    @staticmethod
-    def csv_fields():
-        return ["variant", "iterations", "warmup", "mean_ms", "median_ms",
-                "p95_ms", "fps", "threads", "deterministic", "host"]
 
 
 def write_csv(reports, path):
     with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=BenchReport.csv_fields())
+        w = csv.DictWriter(f, fieldnames=[fl.name for fl in fields(BenchReport)])
         w.writeheader()
-        for r in reports:
-            w.writerow({k: r.to_csv_row()[k] for k in BenchReport.csv_fields()})
+        w.writerows(asdict(r) for r in reports)
 
 
-def read_csv(path):
-    reports = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            reports.append(BenchReport(
-                iterations=int(row["iterations"]), warmup=int(row["warmup"]),
-                mean_ms=float(row["mean_ms"]), median_ms=float(row["median_ms"]),
-                p95_ms=float(row["p95_ms"]), fps=float(row["fps"]),
-                threads=int(row["threads"]),
-                deterministic=row["deterministic"] in ("True", "true", "1"),
-                host=row["host"], variant=row["variant"]))
-    return reports
-
-
-def report_from_latencies(latencies_ms, warmup=0, threads=1, deterministic=True,
-                          variant=""):
+def report_from_latencies(latencies_ms, warmup=0, variant=""):
     lat = np.asarray(latencies_ms, dtype=np.float64)
     if lat.size < 1:
         raise ContractError("need at least one timed iteration")
@@ -83,24 +59,20 @@ def report_from_latencies(latencies_ms, warmup=0, threads=1, deterministic=True,
     return BenchReport(iterations=int(lat.size), warmup=warmup,
                        mean_ms=mean, median_ms=float(np.median(lat)),
                        p95_ms=float(np.percentile(lat, 95)),
-                       fps=1000.0 / mean, threads=threads,
-                       deterministic=deterministic, variant=variant)
+                       fps=1000.0 / mean, variant=variant)
 
 
-def benchmark(graph, store, input_shape=None, iterations=100, warmup=10,
-              threads=1, seed=0, deterministic=True, fold=True):
-    """Time single-image inference. Input data is fixed by the seed; warmup
-    iterations are untimed. With fold, the graph and store are first
-    rewritten by prepare_inference."""
+def benchmark(graph, store, iterations=100, warmup=10, seed=0):
+    """Time single-image inference of graph.input_shape on the graph and
+    store as prepare_inference rewrites them. Input data is fixed by the
+    seed; warmup iterations are untimed."""
     if warmup < 0:
         raise ContractError("warmup must be >= 0")
     if iterations < 1:
         raise ContractError("iterations must be >= 1")
-    shape = tuple(input_shape or graph.input_shape)
-    if fold:
-        graph, store = prepare_inference(graph, store)
+    graph, store = prepare_inference(graph, store)
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.standard_normal(shape).astype(np.float32))
+    x = Tensor(rng.standard_normal(graph.input_shape).astype(np.float32))
     for _ in range(warmup):
         graph.run(store, x)
     latencies = []
@@ -108,9 +80,7 @@ def benchmark(graph, store, input_shape=None, iterations=100, warmup=10,
         t0 = time.perf_counter()
         graph.run(store, x)
         latencies.append((time.perf_counter() - t0) * 1000.0)
-    return report_from_latencies(latencies, warmup=warmup, threads=threads,
-                                 deterministic=deterministic,
-                                 variant=graph.variant)
+    return report_from_latencies(latencies, warmup=warmup, variant=graph.variant)
 
 
 def build_vgg16_reference(input_shape):

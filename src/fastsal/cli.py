@@ -1,12 +1,14 @@
 """Command-line entry point: predict, analyze, bench, eval, train, grad-check.
 
-Exit codes: 0 success, 1 validation error (bad flags, malformed input), 2
-runtime failure. Diagnostics go to stderr; results to stdout or --out."""
+`bench` times the graph as `prepare_inference` rewrites it; it sets no
+thread count. Exit codes: 0 success, 1 validation error (bad flags, such as
+a width that is not positive and finite, a size that is not a positive
+multiple of 32 or an epoch, batch or step count below 1; malformed input),
+2 runtime failure. Diagnostics go to stderr; results to stdout or --out."""
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -27,13 +29,6 @@ def _parse_size(text):
     if h % 32 or w % 32:
         raise ConfigError(f"input size must be divisible by 32, got {h}x{w}")
     return h, w
-
-
-def _threads(args):
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("FASTSAL_THREADS")
-    return int(env) if env else 1
 
 
 def _graph(args):
@@ -79,8 +74,7 @@ def _cmd_bench(args):
     graph = _graph(args)
     store = _store(args, graph)
     report = bench.benchmark(graph, store, iterations=args.iters,
-                             warmup=args.warmup, threads=_threads(args),
-                             seed=args.seed)
+                             warmup=args.warmup, seed=args.seed)
     if args.csv:
         bench.write_csv([report], args.csv)
     print(f"variant={report.variant} iters={report.iterations} "
@@ -205,8 +199,6 @@ def build_parser():
     _common_model_flags(p)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--warmup", type=int, default=10)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads (default FASTSAL_THREADS or 1)")
     p.add_argument("--csv")
     p.set_defaults(fn=_cmd_bench)
 

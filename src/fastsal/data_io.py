@@ -87,10 +87,10 @@ def load_pnm(path):
     return pixels.astype(np.float32) / maxval
 
 
-def load_image(path, size=None, mean=IMAGENET_MEAN, std=IMAGENET_STD,
-               normalize=True):
+def load_image(path, size=None, normalize=True):
     """Image file to a (1,3,H,W) tensor: grayscale broadcast to 3 channels,
-    bilinear resize to the target size, then per-channel normalization."""
+    bilinear resize to the target size, then per-channel normalization by
+    the ImageNet mean and std."""
     from .kernels import bilinear_resize
 
     arr = load_pnm(path)
@@ -100,8 +100,8 @@ def load_image(path, size=None, mean=IMAGENET_MEAN, std=IMAGENET_STD,
     if size is not None and (t.shape[2], t.shape[3]) != tuple(size):
         t = bilinear_resize(t, size[0], size[1])
     if normalize:
-        m = np.asarray(mean, dtype=np.float32).reshape(1, 3, 1, 1)
-        s = np.asarray(std, dtype=np.float32).reshape(1, 3, 1, 1)
+        m = np.asarray(IMAGENET_MEAN, dtype=np.float32).reshape(1, 3, 1, 1)
+        s = np.asarray(IMAGENET_STD, dtype=np.float32).reshape(1, 3, 1, 1)
         t = Tensor((t.data - m) / s)
     return t
 
@@ -173,7 +173,6 @@ class ManifestRecord:
 @dataclass
 class DatasetManifest:
     records: list = field(default_factory=list)
-    split: str = ""
 
     def __len__(self):
         return len(self.records)
@@ -182,7 +181,7 @@ class DatasetManifest:
         return iter(self.records)
 
 
-def load_manifest(path, split=""):
+def load_manifest(path):
     """JSON-lines manifest; every referenced path must exist and image paths
     must be unique."""
     base = os.path.dirname(os.path.abspath(path))
@@ -215,7 +214,7 @@ def load_manifest(path, split=""):
                         f"{path} line {lineno}: {key} file not found: {p}")
                 setattr(rec, key, full)
             records.append(rec)
-    return DatasetManifest(records=records, split=split)
+    return DatasetManifest(records=records)
 
 
 HINT_SLOTS = tuple(f"teacher.hint.{i}" for i in range(4))

@@ -10,8 +10,9 @@ about the size of the input, for backward. Their buffers are pixel-major
 (the n*c item-channel rows innermost) when those rows outnumber the wide
 span ho*w2 of one row, as on the late blocks' small maps, and row-major
 otherwise (_pixel_major); the output is the same in both. Other
-convolutions go through im2col, with a per-group loop for grouped cases.
-Weight gradients of the pointwise, im2col and grouped paths are GEMMs
+convolutions go through im2col and one GEMM per group (one group when
+groups == 1), each written straight into its slice of the output.
+Weight gradients of the pointwise and im2col paths are GEMMs
 (GEMM-lowered convolution, as in cuDNN, Chetlur et al. 2014): one GEMM over
 the (N*pixels) axis when that is shorter than C_out*K, else one per item,
 summed over the batch (_weight_grad). Every branch adds the bias in place
@@ -38,7 +39,7 @@ from .tensor import Tensor, apply_op
 
 __all__ = [
     "conv2d", "batch_norm", "softmax_spatial", "bilinear_resize",
-    "pixel_shuffle", "space_to_depth", "concat_channels", "avg_pool2d",
+    "pixel_shuffle", "concat_channels", "avg_pool2d",
     "minmax_normalize",
 ]
 
@@ -233,34 +234,29 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
         xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
         hp, wp = xp.shape[2:]
         cols = _im2col(xp, kh, kw, sh, sw, ho, wo)
-        if groups == 1:
-            cmat = cols.reshape(n, cin * kh * kw, ho * wo)
-            out = np.matmul(wd.reshape(cout, -1), cmat).reshape(n, cout, ho, wo)
-        else:
-            out = np.empty((n, cout, ho, wo), dtype=xd.dtype)
-            cg, og = cin // groups, cout // groups
-            for gi in range(groups):
-                cmat = cols[:, gi * cg:(gi + 1) * cg].reshape(n, cg * kh * kw, ho * wo)
-                wg = wd[gi * og:(gi + 1) * og].reshape(og, -1)
-                out[:, gi * og:(gi + 1) * og] = np.matmul(wg, cmat).reshape(n, og, ho, wo)
+        # one GEMM per group (one group when groups == 1), each written into
+        # its slice of out, dw and gcols, so no group needs a temporary
+        cg, og = cin // groups, cout // groups
+        spans = [(slice(i * og, (i + 1) * og), slice(i * cg, (i + 1) * cg))
+                 for i in range(groups)]
+
+        def cmat(a, ci):
+            # the column rows of input channels ci as an (n, cg*kh*kw, ho*wo)
+            # view; the backward writes gcols through it
+            return a[:, ci].reshape(n, cg * kh * kw, ho * wo)
+
+        out = np.empty((n, cout, ho * wo), dtype=np.result_type(xd, wd))
+        for co, ci in spans:
+            np.matmul(wd[co].reshape(og, -1), cmat(cols, ci), out=out[:, co])
+        out = out.reshape(n, cout, ho, wo)
 
         def grads(g):
-            if groups == 1:
-                gm = g.reshape(n, cout, ho * wo)
-                cmat = cols.reshape(n, cin * kh * kw, ho * wo)
-                dw = _weight_grad(gm, cmat).reshape(wd.shape)
-                gcols = np.matmul(wd.reshape(cout, -1).T, gm).reshape(cols.shape)
-            else:
-                dw = np.empty_like(wd)
-                gcols = np.empty_like(cols)
-                cg, og = cin // groups, cout // groups
-                for gi in range(groups):
-                    gm = g[:, gi * og:(gi + 1) * og].reshape(n, og, ho * wo)
-                    cmat = cols[:, gi * cg:(gi + 1) * cg].reshape(n, cg * kh * kw, ho * wo)
-                    dw[gi * og:(gi + 1) * og] = _weight_grad(gm, cmat).reshape(og, cg, kh, kw)
-                    gcols[:, gi * cg:(gi + 1) * cg] = np.matmul(
-                        wd[gi * og:(gi + 1) * og].reshape(og, -1).T, gm
-                    ).reshape(n, cg, kh, kw, ho, wo)
+            gm = g.reshape(n, cout, ho * wo)
+            dw = np.empty_like(wd)
+            gcols = np.empty_like(cols)
+            for co, ci in spans:
+                dw[co] = _weight_grad(gm[:, co], cmat(cols, ci)).reshape(og, cg, kh, kw)
+                np.matmul(wd[co].reshape(og, -1).T, gm[:, co], out=cmat(gcols, ci))
             dxp = _col2im(gcols, n, cin, hp, wp, kh, kw, sh, sw, ho, wo, xd.dtype)
             dx = dxp[:, :, ph:ph + h, pw:pw + w] if (ph or pw) else dxp
             return dx, dw
@@ -430,26 +426,6 @@ def pixel_shuffle(x, r):
         return (dg,)
 
     return apply_op("pixel_shuffle", (x,), np.ascontiguousarray(out), bwd)
-
-
-def space_to_depth(x, r):
-    """Inverse of pixel_shuffle: (N, C, rH, rW) to (N, C*r^2, H, W)."""
-    _require_4d(x, "space_to_depth input")
-    n, c, h, w = x.shape
-    if h % r or w % r:
-        raise ConfigError(f"spatial size {h}x{w} not divisible by r={r}")
-    ho, wo = h // r, w // r
-    out = (x.data.reshape(n, c, ho, r, wo, r)
-           .transpose(0, 1, 3, 5, 2, 4)
-           .reshape(n, c * r * r, ho, wo))
-
-    def bwd(g):
-        dg = (g.reshape(n, c, r, r, ho, wo)
-              .transpose(0, 1, 4, 2, 5, 3)
-              .reshape(n, c, h, w))
-        return (dg,)
-
-    return apply_op("space_to_depth", (x,), np.ascontiguousarray(out), bwd)
 
 
 def concat_channels(tensors):

@@ -364,12 +364,20 @@ def _backbone_layers(b, width=1.0):
     return taps, tap_ch
 
 
+def _check_build(input_shape, width):
+    """ConfigError unless the width multiplier is positive and finite and the
+    input H and W are positive multiples of 16."""
+    h, w = input_shape[2:]
+    if not (math.isfinite(width) and width > 0):
+        raise ConfigError(f"width multiplier must be positive and finite, got {width}")
+    if h < 1 or w < 1 or h % 16 or w % 16:
+        raise ConfigError(f"input H and W must be positive and divisible by 16, got {h}x{w}")
+
+
 def build_backbone(input_shape, width=1.0):
     """MobileNetV2 feature extractor with a tap after the stem and after each
     of the 17 inverted residual blocks."""
-    n, c, h, w = input_shape
-    if h % 16 or w % 16:
-        raise ConfigError(f"input H and W must be divisible by 16, got {h}x{w}")
+    _check_build(input_shape, width)
     b = _Builder()
     taps, _ = _backbone_layers(b, width)
     return NetworkGraph(b.layers, taps=taps, variant="backbone",
@@ -450,9 +458,8 @@ def build_fastsal(variant, input_shape, width=1.0):
     decoder. Output is a single channel of unnormalized logits at input size."""
     if variant not in ("C", "A"):
         raise ConfigError(f"variant must be 'C' or 'A', got '{variant}'")
-    n, c, h, w = input_shape
-    if h % 16 or w % 16:
-        raise ConfigError(f"input H and W must be divisible by 16, got {h}x{w}")
+    _check_build(input_shape, width)
+    h, w = input_shape[2:]
     b = _Builder()
     taps, tap_ch = _backbone_layers(b, width)
     blocks, block_ch = _grouping_layers(b, taps, tap_ch)
@@ -496,13 +503,10 @@ class WeightStore:
         return WeightStore({k: Tensor(v.data.copy(), requires_grad=v.requires_grad)
                             for k, v in self.tensors.items()})
 
-    def scalar_count(self, exclude_running_stats=True):
-        total = 0
-        for k, v in self.tensors.items():
-            if exclude_running_stats and k.endswith(RUNNING_STATS):
-                continue
-            total += v.size
-        return total
+    def scalar_count(self):
+        """Trainable scalars: every slot but the BN running statistics."""
+        return sum(v.size for k, v in self.tensors.items()
+                   if not k.endswith(RUNNING_STATS))
 
 
 def trainable_slots(store):

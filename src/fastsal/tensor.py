@@ -29,9 +29,9 @@ def _active_tape():
 
 
 class Tensor:
-    """A dense numeric array plus an optional gradient record."""
+    """A dense numeric array plus whether gradients flow to it."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -39,7 +39,6 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
 
     @property
     def shape(self):
@@ -58,12 +57,6 @@ class Tensor:
 
     def detach(self):
         return Tensor(self.data, requires_grad=False)
-
-    def astype(self, dtype):
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -140,48 +133,28 @@ class Tape:
         self.nodes.append(TapeNode(op, tuple(inputs), output, backward_fn))
 
     def gradients(self, loss, leaves):
-        """Gradient of a scalar loss w.r.t. each leaf; zeros for leaves the loss
-        does not depend on."""
-        grads = _replay(self, loss)
+        """Gradient of a scalar loss w.r.t. each leaf, by replaying the nodes
+        in reverse; zeros for leaves the loss does not depend on."""
+        if loss.data.size != 1:
+            raise ContractError(f"gradients need a scalar loss, got shape {loss.shape}")
+        grads = {id(loss): np.ones_like(loss.data)}
+        for node in reversed(self.nodes):
+            gout = grads.pop(id(node.output), None)
+            if gout is None:
+                continue
+            gins = node.backward(gout)
+            for tensor, gin in zip(node.inputs, gins):
+                if gin is None or not tensor.requires_grad:
+                    continue
+                acc = grads.get(id(tensor))
+                grads[id(tensor)] = gin if acc is None else acc + gin
+            # keep a reference so id() stays unique while grads are alive
+            grads.setdefault(("done", id(node.output)), node.output)
         out = []
         for leaf in leaves:
             g = grads.get(id(leaf))
             out.append(g if g is not None else np.zeros_like(leaf.data))
         return out
-
-
-def _replay(tape, loss):
-    if loss.data.size != 1:
-        raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape.nodes):
-        gout = grads.pop(id(node.output), None)
-        if gout is None:
-            continue
-        gins = node.backward(gout)
-        for tensor, gin in zip(node.inputs, gins):
-            if gin is None or not tensor.requires_grad:
-                continue
-            acc = grads.get(id(tensor))
-            grads[id(tensor)] = gin if acc is None else acc + gin
-        # keep a reference so id() stays unique while grads are alive
-        grads.setdefault(("done", id(node.output)), node.output)
-    return {k: v for k, v in grads.items() if not isinstance(k, tuple)}
-
-
-def backward(tape, loss):
-    """Replay the tape in reverse, storing dLoss/dLeaf on every requires_grad
-    leaf that participated. Leaves on the tape that do not contribute get a
-    zero gradient."""
-    grads = _replay(tape, loss)
-    produced = {id(n.output) for n in tape.nodes}
-    seen = set()
-    for node in tape.nodes:
-        for t in node.inputs:
-            if t.requires_grad and id(t) not in produced and id(t) not in seen:
-                seen.add(id(t))
-                g = grads.get(id(t))
-                t.grad = g if g is not None else np.zeros_like(t.data)
 
 
 def _as_tensor(x, dtype):
@@ -194,7 +167,6 @@ def apply_op(name, inputs, out_data, backward_fn):
     """Wrap a forward result; record on the active tape when gradients flow."""
     out = Tensor.__new__(Tensor)
     out.data = out_data
-    out.grad = None
     out.requires_grad = any(t.requires_grad for t in inputs)
     tape = _active_tape()
     if tape is not None and out.requires_grad:
@@ -419,7 +391,6 @@ class GradCheckReport:
     tolerance: float
     passed: bool
     checked: int = 0
-    notes: str = ""
 
 
 def grad_check(fn, x, step=1e-4, tolerance=1e-4):

@@ -48,6 +48,10 @@ class TrainConfig:
             raise ConfigError("fine-tuning needs use_gt or use_teacher (or both)")
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ConfigError("decay epochs must be strictly increasing")
+        for name in ("epochs", "batch_size", "max_steps"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         return self
 
 

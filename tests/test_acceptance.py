@@ -129,8 +129,6 @@ def _grad_cases(seed):
          x()),
         ("pixel_shuffle", lambda t: (K.pixel_shuffle(t, 2) * t.sum()).sum(),
          x((1, 4, 2, 3))),
-        ("space_to_depth", lambda t: (K.space_to_depth(t, 2) ** 2).sum(),
-         x((1, 1, 4, 4))),
         ("avg_pool2d", lambda t: (K.avg_pool2d(t, 2) ** 2).sum(),
          x((1, 2, 4, 4))),
         ("concat_channels", lambda t: (K.concat_channels(
@@ -255,8 +253,7 @@ def test_criterion_08_benchmark_protocol(capsys):
           and abs(rep.fps - 1000.0 / rep.mean_ms) < 1e-9)
     ref_graph = bench.build_vgg16_reference((1, 3, 192, 256))
     ref_store = init_weights(ref_graph)
-    ref = bench.benchmark(ref_graph, ref_store, iterations=5, warmup=1,
-                          fold=False)
+    ref = bench.benchmark(ref_graph, ref_store, iterations=5, warmup=1)
     ok = ok and rep.fps > ref.fps
     announce(capsys, 8,
              f"bench protocol (100 iters, {rep.fps:.1f} fps vs "

@@ -11,14 +11,13 @@ from fastsal.network import build_fastsal, init_weights
 class TestReportFromLatencies:
     def test_statistics(self):
         lat = [1.0, 2.0, 3.0, 4.0, 5.0]
-        rep = bench.report_from_latencies(lat, warmup=3, threads=2,
-                                          variant="C")
+        rep = bench.report_from_latencies(lat, warmup=3, variant="C")
         assert rep.iterations == 5
         assert rep.mean_ms == pytest.approx(3.0)
         assert rep.median_ms == pytest.approx(3.0)
         assert rep.p95_ms == pytest.approx(np.percentile(lat, 95))
         assert rep.fps == pytest.approx(1000.0 / 3.0)
-        assert rep.warmup == 3 and rep.threads == 2 and rep.variant == "C"
+        assert rep.warmup == 3 and rep.variant == "C"
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
@@ -39,24 +38,6 @@ class TestHost:
 
         monkeypatch.setattr(bench, "open", no_file, raising=False)
         assert bench.report_from_latencies([1.0]).host == platform.machine()
-
-
-class TestCsvRoundTrip:
-    def test_write_read(self, tmp_path):
-        reps = [bench.report_from_latencies([1.0, 2.0], warmup=1, threads=1,
-                                            deterministic=True, variant="C"),
-                bench.report_from_latencies([5.0], warmup=0, threads=4,
-                                            deterministic=False, variant="A")]
-        path = str(tmp_path / "bench.csv")
-        bench.write_csv(reps, path)
-        back = bench.read_csv(path)
-        assert len(back) == 2
-        for a, b in zip(reps, back):
-            assert a.variant == b.variant
-            assert a.iterations == b.iterations
-            assert a.mean_ms == pytest.approx(b.mean_ms)
-            assert a.deterministic == b.deterministic
-            assert a.threads == b.threads
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +68,6 @@ class TestBenchmark:
         bench.benchmark(graph, store, iterations=1, warmup=0)
         assert len(store.tensors) == n
 
-    def test_unfolded_run_supported(self, model):
-        graph, store = model
-        rep = bench.benchmark(graph, store, iterations=1, warmup=0, fold=False)
-        assert rep.mean_ms > 0
-
 
 class TestVggReference:
     def test_structure(self):
@@ -110,5 +86,5 @@ class TestVggReference:
     def test_runs_forward(self):
         graph = bench.build_vgg16_reference((1, 3, 16, 16))
         store = init_weights(graph)
-        rep = bench.benchmark(graph, store, iterations=1, warmup=0, fold=False)
+        rep = bench.benchmark(graph, store, iterations=1, warmup=0)
         assert rep.mean_ms > 0

@@ -73,6 +73,26 @@ class TestArgHandling:
         assert rc == 1
         assert "divisible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--width", "nan"],
+        ["analyze", "--width", "inf"],
+        ["analyze", "--width", "-1"],
+        ["analyze", "--size", "0x0"],
+        ["train", "--batch-size", "0"],
+        ["train", "--batch-size", "-2"],
+        ["train", "--epochs", "0"],
+        ["train", "--max-steps", "0"],
+    ], ids="_".join)
+    def test_bad_flag_is_input_error(self, capsys, tmp_path, argv):
+        out = tmp_path / "o.fsal"
+        if argv[0] == "train":
+            manifest = build_synthetic_dataset(str(tmp_path / "d"), n=2, size=(64, 64))
+            argv = argv[:1] + SMALL + argv[1:] + ["--manifest", manifest, "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert any(line.startswith("error: ") for line in err.splitlines()), err
+        assert not out.exists()
+
     def test_program_fault_is_runtime_failure(self, capsys, monkeypatch):
         def fault(args):
             raise AttributeError("module 'numpy' has no attribute 'trapz'")
@@ -168,15 +188,6 @@ class TestBench:
         rows = _csv_rows(out)
         assert len(rows) == 1
         assert int(rows[0]["iterations"]) == 2
-
-    def test_threads_env_fallback(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("FASTSAL_THREADS", "3")
-        out = str(tmp_path / "bench.csv")
-        rc = cli.main(["bench", "--iters", "1", "--warmup", "0",
-                       "--csv", out] + SMALL)
-        assert rc == 0
-        capsys.readouterr()
-        assert int(_csv_rows(out)[0]["threads"]) == 3
 
 
 class TestEval:

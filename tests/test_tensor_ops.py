@@ -43,6 +43,54 @@ def naive_conv_dw(x, g, w_shape, stride, padding, groups):
     return dw
 
 
+def naive_conv(x, w, b, stride, padding, groups):
+    """Convolution with bias, in float64, one tap at a time: tap (u, v) adds
+    w[o, :, u, v] times the input of o's group that the tap reads."""
+    (sh, sw), (ph, pw) = stride, padding
+    cout, cg, kh, kw = w.shape
+    og = cout // groups
+    n, _, h, wd = x.shape
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    out = np.zeros((n, cout, ho, wo)) + b.astype(np.float64).reshape(1, cout, 1, 1)
+    for u, v, gi in itertools.product(range(kh), range(kw), range(groups)):
+        window = xp[:, gi * cg:(gi + 1) * cg, u:u + ho * sh:sh, v:v + wo * sw:sw]
+        out[:, gi * og:(gi + 1) * og] += np.einsum(
+            "oc,nchw->nohw", w[gi * og:(gi + 1) * og, :, u, v].astype(np.float64), window)
+    return out
+
+
+def naive_conv_dx(g, w, x_shape, stride, padding, groups):
+    """Input gradient of a convolution, in float64, one tap at a time: tap
+    (u, v) scatters g through w[:, :, u, v] back onto the input pixels it
+    reads."""
+    (sh, sw), (ph, pw) = stride, padding
+    cout, cg, kh, kw = w.shape
+    og = cout // groups
+    n, cin, h, wd = x_shape
+    ho, wo = g.shape[2:]
+    dxp = np.zeros((n, cin, h + 2 * ph, wd + 2 * pw))
+    for u, v, gi in itertools.product(range(kh), range(kw), range(groups)):
+        dxp[:, gi * cg:(gi + 1) * cg, u:u + ho * sh:sh, v:v + wo * sw:sw] += np.einsum(
+            "nohw,oc->nchw", g[:, gi * og:(gi + 1) * og].astype(np.float64),
+            w[gi * og:(gi + 1) * og, :, u, v].astype(np.float64))
+    return dxp[:, :, ph:ph + h, pw:pw + wd]
+
+
+# (cin, cout, k, stride, padding, groups) over the pointwise, im2col and
+# grouped paths of conv2d
+CONV_CASES = pytest.mark.parametrize("cin,cout,k,stride,padding,groups", [
+    (5, 4, 1, (1, 1), (0, 0), 1),     # pointwise, one GEMM per item
+    (24, 32, 1, (1, 1), (0, 0), 1),   # pointwise, one GEMM over N*P < C_out*C_in
+    (3, 4, 3, (1, 1), (1, 1), 1),     # im2col
+    (3, 4, 3, (2, 2), (1, 1), 1),
+    (3, 2, 3, (2, 1), (0, 2), 1),
+    (6, 4, 3, (1, 1), (1, 1), 2),     # grouped loop
+    (6, 9, 3, (2, 2), (1, 0), 3),
+], ids=["pointwise", "pointwise-one-gemm", "general", "general-s2", "general-s21-p02",
+        "grouped", "grouped-s2"])
+
+
 class TestConv2d:
     def test_single_multiply(self):
         out = K.conv2d(t([[[[2.0]]]]), t([[[[3.0]]]]))
@@ -152,16 +200,7 @@ class TestConv2d:
                 assert got.dtype == ref.dtype and got.shape == ref.shape
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
 
-    @pytest.mark.parametrize("cin,cout,k,stride,padding,groups", [
-        (5, 4, 1, (1, 1), (0, 0), 1),     # pointwise, one GEMM per item
-        (24, 32, 1, (1, 1), (0, 0), 1),   # pointwise, one GEMM over N*P < C_out*C_in
-        (3, 4, 3, (1, 1), (1, 1), 1),     # im2col
-        (3, 4, 3, (2, 2), (1, 1), 1),
-        (3, 2, 3, (2, 1), (0, 2), 1),
-        (6, 4, 3, (1, 1), (1, 1), 2),     # grouped loop
-        (6, 9, 3, (2, 2), (1, 0), 3),
-    ], ids=["pointwise", "pointwise-one-gemm", "general", "general-s2", "general-s21-p02",
-            "grouped", "grouped-s2"])
+    @CONV_CASES
     def test_weight_gradient_matches_naive_loop(self, cin, cout, k, stride, padding, groups):
         rng = np.random.default_rng(cin * cout + k)
         for n, dtype in itertools.product([1, 3], [np.float32, np.float64]):
@@ -177,6 +216,26 @@ class TestConv2d:
             assert dw.dtype == dtype and dw.shape == ref.shape
             tol = 1e-12 if dtype == np.float64 else 1e-5
             np.testing.assert_allclose(dw, ref, rtol=0, atol=tol * np.abs(ref).max())
+
+    @CONV_CASES
+    def test_forward_and_input_gradient_match_naive_loop(self, cin, cout, k, stride,
+                                                         padding, groups):
+        rng = np.random.default_rng(cin * cout + k + 1)
+        for n, dtype in itertools.product([1, 3], [np.float32, np.float64]):
+            x = Tensor(rng.normal(size=(n, cin, 7, 10)).astype(dtype), requires_grad=True)
+            w = rng.normal(size=(cout, cin // groups, k, k)).astype(dtype)
+            b = rng.normal(size=cout).astype(dtype)
+            with Tape() as tape:
+                out = K.conv2d(x, Tensor(w), Tensor(b), stride=stride, padding=padding,
+                               groups=groups)
+                g = rng.normal(size=out.shape).astype(dtype)
+                loss = (out * Tensor(g)).sum()
+            dx = tape.gradients(loss, [x])[0]
+            tol = 1e-12 if dtype == np.float64 else 1e-5
+            for got, ref in ((out.data, naive_conv(x.data, w, b, stride, padding, groups)),
+                             (dx, naive_conv_dx(g, w, x.shape, stride, padding, groups))):
+                assert got.dtype == dtype and got.shape == ref.shape
+                np.testing.assert_allclose(got, ref, rtol=0, atol=tol * np.abs(ref).max())
 
     def test_grouped_matches_split(self):
         rng = np.random.default_rng(3)
@@ -314,10 +373,15 @@ class TestPixelShuffle:
 
     @pytest.mark.parametrize("r", [1, 2, 4])
     def test_round_trip(self, r):
+        # read each input channel back out of the output by the docstring's
+        # rule: output pixel (c, r*y+dy, r*x+dx) is input channel c*r^2 + dy*r + dx
         rng = np.random.default_rng(r)
-        x = t(rng.normal(size=(2, 16 * r * r // (r * r) * (r * r), 3, 5)))
-        back = K.space_to_depth(K.pixel_shuffle(x, r), r)
-        np.testing.assert_array_equal(back.data, x.data)
+        x = t(rng.normal(size=(2, 3 * r * r, 3, 5)))
+        out = K.pixel_shuffle(x, r).data
+        back = np.empty_like(x.data)
+        for c, dy, dx in itertools.product(range(3), range(r), range(r)):
+            back[:, c * r * r + dy * r + dx] = out[:, c, dy::r, dx::r]
+        np.testing.assert_array_equal(back, x.data)
 
     def test_indivisible_channels(self):
         with pytest.raises(ConfigError):

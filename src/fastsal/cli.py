@@ -1,14 +1,19 @@
 """Command-line entry point: predict, analyze, bench, eval, train, grad-check.
 
 `bench` times the graph as `prepare_inference` rewrites it; it sets no
-thread count. Exit codes: 0 success, 1 validation error (bad flags, such as
-a width that is not positive and finite, a size that is not a positive
-multiple of 32 or an epoch, batch or step count below 1; malformed input),
+thread count. `main` first sets glibc's malloc, once per process, to keep
+freed memory in the heap (_keep_freed_pages), so that repeated requests in
+one process do not page-fault their activations in again; it adds no flag.
+Exit codes: 0 success, 1 validation error (bad flags, such as a width that
+is not positive and finite, a size that is not a positive multiple of 32, an
+epoch, batch or step count below 1 or a negative seed; malformed input),
 2 runtime failure. Diagnostics go to stderr; results to stdout or --out."""
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import sys
 
 import numpy as np
@@ -18,6 +23,24 @@ from .errors import ConfigError, ContractError, FastSalError, ParseError
 from .network import (build_fastsal, check_weights, init_weights, load_weights,
                       prepare_inference, save_weights)
 from .tensor import Tensor, sigmoid
+
+
+@functools.cache
+def _keep_freed_pages():
+    """Tell glibc's malloc to keep freed memory in the process heap: blocks
+    up to 32 MiB come from the heap rather than their own mmap, and the top
+    of the heap is not handed back to the kernel until 256 MiB of it are
+    free. A request's activations are then reused by the next request, eval
+    record or training step instead of being returned and faulted in again.
+    Both values are set because setting the trim threshold alone turns off
+    glibc's adaptive mmap threshold. Does nothing where the C library has no
+    mallopt (macOS, musl) or cannot be opened by ctypes.CDLL(None) (Windows)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
 def _parse_size(text):
@@ -233,12 +256,15 @@ def build_parser():
 
 
 def main(argv=None):
+    _keep_freed_pages()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
+        if args.seed < 0:  # every subcommand takes --seed
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except (ConfigError, ContractError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -16,11 +16,14 @@ import numpy as np
 
 from .distill import TeacherBundle
 from .errors import ContractError, ParseError
+from .kernels import _resize_taps
 from .network import load_weights
 from .tensor import Tensor
 
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
 IMAGENET_STD = (0.229, 0.224, 0.225)
+_MEAN = np.asarray(IMAGENET_MEAN, dtype=np.float32).reshape(3, 1, 1)
+_STD = np.asarray(IMAGENET_STD, dtype=np.float32).reshape(3, 1, 1)
 
 
 def _parse_pnm(blob):
@@ -76,47 +79,85 @@ def _parse_pnm(blob):
     return channels, height, width, pixels.reshape(height, width, channels), maxval
 
 
-def load_pnm(path):
-    """Raw decode to a float array in [0,1], shape (H, W, C)."""
+def _read_pnm(path):
+    """Decode a P5/P6 file to its uint8 (H, W, C) pixels and maxval."""
     with open(path, "rb") as f:
         blob = f.read()
     try:
-        channels, h, w, pixels, maxval = _parse_pnm(blob)
+        _, _, _, pixels, maxval = _parse_pnm(blob)
     except ParseError as e:
         raise ParseError(f"{path}: {e}", offset=e.offset) from None
-    return pixels.astype(np.float32) / maxval
+    return pixels, maxval
+
+
+def load_pnm(path):
+    """Raw decode to a float array in [0,1], shape (H, W, C)."""
+    pixels, maxval = _read_pnm(path)
+    return pixels / np.float32(maxval)
+
+
+def _lerp(arr, axis, taps, scale):
+    """Two-tap interpolation of a 2-D array along axis: output index j is
+    arr[i0[j]] * w0[j] + arr[i1[j]] * w1[j], times scale, in float32."""
+    i0, i1, w0, w1 = taps
+    shape = (-1, 1) if axis == 0 else (-1,)
+    out = arr.take(i0, axis).astype(np.float32, copy=False)
+    out *= (w0 * scale).astype(np.float32).reshape(shape)
+    far = arr.take(i1, axis).astype(np.float32, copy=False)
+    far *= (w1 * scale).astype(np.float32).reshape(shape)
+    out += far
+    return out
+
+
+def _load_resized(path, size):
+    """Decode a P5/P6 file, resize it bilinearly to size (or keep its own
+    size when None) and scale it to [0, 1]: float32 (h, w, C).
+
+    The resize gathers whole rows, then single samples within the rows, of
+    the uint8 pixels with kernels._resize_taps, so it costs in proportion to
+    the output; the first pass folds 1/maxval into its weights. An image
+    already at size is only scaled."""
+    pixels, maxval = _read_pnm(path)
+    h, w, c = pixels.shape
+    oh, ow = size or (h, w)
+    arr = pixels.reshape(h, w * c)
+    if oh != h:
+        arr = _lerp(arr, 0, _resize_taps(h, oh, np.float64), 1.0 / maxval)
+    if ow != w:
+        # interleaved channels: sample k of output column j reads i*c + k
+        i0, i1, w0, w1 = _resize_taps(w, ow, np.float64)
+        k = np.arange(c)
+        taps = ((i0[:, None] * c + k).ravel(), (i1[:, None] * c + k).ravel(),
+                np.repeat(w0, c), np.repeat(w1, c))
+        arr = _lerp(arr, 1, taps, 1.0 / maxval if oh == h else 1.0)
+    if (oh, ow) == (h, w):
+        arr = arr / np.float32(maxval)
+    return arr.reshape(oh, ow, c)
 
 
 def load_image(path, size=None, normalize=True):
-    """Image file to a (1,3,H,W) tensor: grayscale broadcast to 3 channels,
-    bilinear resize to the target size, then per-channel normalization by
-    the ImageNet mean and std."""
-    from .kernels import bilinear_resize
-
-    arr = load_pnm(path)
-    if arr.shape[2] == 1:
-        arr = np.repeat(arr, 3, axis=2)
-    t = Tensor(arr.transpose(2, 0, 1)[None])
-    if size is not None and (t.shape[2], t.shape[3]) != tuple(size):
-        t = bilinear_resize(t, size[0], size[1])
+    """Image file to a (1,3,H,W) float32 tensor. In order: decode, bilinear
+    resize to size (half-pixel centers), scale by 1/maxval, broadcast
+    grayscale to 3 channels, then normalize each channel by the ImageNet
+    mean and std. The resize and the scale run in one pass on the 8-bit
+    pixels (_load_resized), so the rest works at the output size."""
+    arr = _load_resized(path, size)
+    x = np.empty((1, 3) + arr.shape[:2], dtype=np.float32)
+    x[0] = arr.transpose(2, 0, 1)
     if normalize:
-        m = np.asarray(IMAGENET_MEAN, dtype=np.float32).reshape(1, 3, 1, 1)
-        s = np.asarray(IMAGENET_STD, dtype=np.float32).reshape(1, 3, 1, 1)
-        t = Tensor((t.data - m) / s)
-    return t
+        x -= _MEAN
+        x /= _STD
+    return Tensor(x)
 
 
 def load_map(path, size=None):
-    """Single-channel map file to a (1,1,H,W) tensor in [0,1]."""
-    from .kernels import bilinear_resize
-
-    arr = load_pnm(path)
+    """Map file to a (1,1,H,W) float32 tensor in [0,1]. In order: decode,
+    bilinear resize to size, scale by 1/maxval (both in one pass, as in
+    load_image), then average the channels of a color file to one."""
+    arr = _load_resized(path, size)
     if arr.shape[2] == 3:
-        arr = arr.mean(axis=2, keepdims=True)
-    t = Tensor(arr.transpose(2, 0, 1)[None])
-    if size is not None and (t.shape[2], t.shape[3]) != tuple(size):
-        t = bilinear_resize(t, size[0], size[1])
-    return t
+        arr = arr @ np.full((3, 1), 1 / 3, dtype=np.float32)
+    return Tensor(np.ascontiguousarray(arr.transpose(2, 0, 1)[None]))
 
 
 def save_map(saliency, path):

@@ -365,17 +365,24 @@ def softmax_spatial(x):
     return apply_op("softmax_spatial", (x,), out, bwd)
 
 
-def _resize_matrix(n_in, n_out, dtype):
-    # dense interpolation operator for half-pixel centers (align-corners=false)
+def _resize_taps(n_in, n_out, dtype):
+    """Bilinear taps for half-pixel centers (align-corners=false): output
+    index j reads source indices i0[j] and i1[j] (clamped to the edge) with
+    weights w0[j] and w1[j]. Returns (i0, i1, w0, w1)."""
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     i0 = np.floor(src).astype(np.int64)
     frac = src - i0
-    i0c = np.clip(i0, 0, n_in - 1)
-    i1c = np.clip(i0 + 1, 0, n_in - 1)
+    return (np.clip(i0, 0, n_in - 1), np.clip(i0 + 1, 0, n_in - 1),
+            (1.0 - frac).astype(dtype), frac.astype(dtype))
+
+
+def _resize_matrix(n_in, n_out, dtype):
+    # dense (n_out, n_in) interpolation operator built from the taps
+    i0, i1, w0, w1 = _resize_taps(n_in, n_out, dtype)
     m = np.zeros((n_out, n_in), dtype=dtype)
     rows = np.arange(n_out)
-    m[rows, i0c] += (1.0 - frac).astype(dtype)
-    m[rows, i1c] += frac.astype(dtype)
+    m[rows, i0] += w0
+    m[rows, i1] += w1
     return m
 
 

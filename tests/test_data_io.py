@@ -101,6 +101,89 @@ class TestImageLoading:
         assert 0.0 <= t.data.min() and t.data.max() <= 1.0
 
 
+def _dense_resize(n_in, n_out):
+    """Float64 half-pixel bilinear operator, written out independently."""
+    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    i0 = np.floor(src).astype(np.int64)
+    frac = src - i0
+    m = np.zeros((n_out, n_in))
+    rows = np.arange(n_out)
+    np.add.at(m, (rows, np.clip(i0, 0, n_in - 1)), 1.0 - frac)
+    np.add.at(m, (rows, np.clip(i0 + 1, 0, n_in - 1)), frac)
+    return m
+
+
+def _reference(pixels, maxval, size):
+    """(C, h, w) float64: scale, then dense resize of each plane."""
+    planes = pixels.transpose(2, 0, 1).astype(np.float64) / maxval
+    if size is None:
+        return planes
+    return _dense_resize(planes.shape[1], size[0]) @ planes \
+        @ _dense_resize(planes.shape[2], size[1]).T
+
+
+def _write_pnm(path, pixels, maxval):
+    h, w, c = pixels.shape
+    with open(path, "wb") as f:
+        f.write(f"{'P6' if c == 3 else 'P5'}\n{w} {h}\n{maxval}\n".encode())
+        f.write(pixels.astype(np.uint8).tobytes())
+
+
+class TestResizeOnLoad:
+    """load_image and load_map resize on the 8-bit pixels; both must match a
+    float64 dense-matrix resize of the scaled image within 2e-6."""
+
+    CASES = [  # (channels, source HxW, target size, maxval)
+        (3, (48, 64), (24, 32), 255),     # downsize by 2
+        (1, (48, 64), (24, 32), 255),
+        (3, (37, 53), (16, 24), 255),     # non-integer ratios
+        (1, (5, 7), (12, 20), 255),       # upsize
+        (3, (5, 7), (12, 20), 100),
+        (3, (20, 30), (20, 30), 255),     # native size given
+        (1, (20, 30), None, 77),          # no target size
+        (3, (20, 30), (20, 12), 200),     # one axis native
+        (1, (21, 30), (8, 30), 1),
+    ]
+
+    @pytest.mark.parametrize("channels,src,size,maxval", CASES)
+    def test_load_image_matches_dense_reference(self, tmp_path, channels, src, size,
+                                                maxval):
+        rng = np.random.default_rng(channels * 1000 + maxval)
+        pixels = rng.integers(0, maxval + 1, (*src, channels))
+        path = tmp_path / "img.pnm"
+        _write_pnm(path, pixels, maxval)
+        ref = _reference(pixels, maxval, size)
+        ref = np.broadcast_to(ref, (3,) + ref.shape[1:])
+        raw = data_io.load_image(str(path), size=size, normalize=False).data
+        assert raw.dtype == np.float32 and raw.shape == (1,) + ref.shape
+        np.testing.assert_allclose(raw[0], ref, rtol=0, atol=2e-6)
+        mean = np.array(data_io.IMAGENET_MEAN).reshape(3, 1, 1)
+        std = np.array(data_io.IMAGENET_STD).reshape(3, 1, 1)
+        x = data_io.load_image(str(path), size=size).data
+        np.testing.assert_allclose(x[0], (ref - mean) / std, rtol=0, atol=2e-6)
+
+    @pytest.mark.parametrize("channels,src,size,maxval", CASES)
+    def test_load_map_matches_dense_reference(self, tmp_path, channels, src, size,
+                                              maxval):
+        rng = np.random.default_rng(channels * 1000 + maxval + 1)
+        pixels = rng.integers(0, maxval + 1, (*src, channels))
+        path = tmp_path / "map.pnm"
+        _write_pnm(path, pixels, maxval)
+        ref = _reference(pixels, maxval, size).mean(axis=0)
+        got = data_io.load_map(str(path), size=size).data
+        assert got.dtype == np.float32 and got.shape == (1, 1) + ref.shape
+        np.testing.assert_allclose(got[0, 0], ref, rtol=0, atol=2e-6)
+
+    def test_native_size_is_exact_scale(self, tmp_path):
+        rng = np.random.default_rng(3)
+        pixels = rng.integers(0, 256, (6, 9, 3)).astype(np.uint8)
+        path = tmp_path / "n.ppm"
+        write_ppm(path, pixels)
+        x = data_io.load_image(str(path), size=(6, 9), normalize=False).data
+        np.testing.assert_array_equal(
+            x[0], pixels.transpose(2, 0, 1).astype(np.float32) / np.float32(255))
+
+
 class TestSaveMap:
     def test_round_trip_with_scaling(self, tmp_path):
         sal = np.linspace(-2, 5, 12).reshape(1, 1, 3, 4)

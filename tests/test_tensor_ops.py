@@ -360,6 +360,23 @@ class TestBilinearResize:
         with pytest.raises(ShapeError):
             K.bilinear_resize(t(np.zeros((1, 1, 2, 2))), 0, 3)
 
+    @pytest.mark.parametrize("n_in,n_out", [(480, 192), (640, 256), (5, 12), (7, 3),
+                                            (1, 4), (4, 1), (9, 9), (37, 16)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matrix_built_from_taps_is_bit_identical(self, n_in, n_out, dtype):
+        # the dense formula _resize_matrix had before it was built from
+        # _resize_taps, written out here
+        src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+        i0 = np.floor(src).astype(np.int64)
+        frac = src - i0
+        old = np.zeros((n_out, n_in), dtype=dtype)
+        rows = np.arange(n_out)
+        old[rows, np.clip(i0, 0, n_in - 1)] += (1.0 - frac).astype(dtype)
+        old[rows, np.clip(i0 + 1, 0, n_in - 1)] += frac.astype(dtype)
+        new = K._resize_matrix(n_in, n_out, dtype)
+        assert new.dtype == dtype
+        assert np.array_equal(new, old)
+
 
 class TestPixelShuffle:
     def test_r1_identity(self):

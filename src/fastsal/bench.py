@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ContractError
-from .network import NetworkGraph, LayerSpec, prepare_inference
+from .network import NetworkGraph, _Builder, prepare_inference
 from .tensor import Tensor
 
 
@@ -87,23 +87,16 @@ def build_vgg16_reference(input_shape):
     """A VGG16-features-scale plain convolutional graph used as the throughput
     comparison baseline on the same engine."""
     widths = [(64, 2), (128, 2), (256, 3), (512, 3), (512, 3)]
-    layers = []
+    b = _Builder()
     prev = "input"
     cin = input_shape[1]
     idx = 0
     for stage, (c, reps) in enumerate(widths, 1):
-        for r in range(reps):
+        for _ in range(reps):
             idx += 1
-            name = f"vgg.conv{idx}"
-            layers.append(LayerSpec(name, "conv", [prev],
-                                    {"in_ch": cin, "out_ch": c, "kernel": (3, 3),
-                                     "stride": (1, 1), "padding": (1, 1),
-                                     "groups": 1, "bias": True}))
-            prev = name
+            prev = b.conv(f"vgg.conv{idx}", prev, cin, c, 3, 1, 1, bias=True)
             cin = c
         if stage < len(widths):
-            name = f"vgg.pool{stage}"
-            layers.append(LayerSpec(name, "avg-pool", [prev], {"k": 2}))
-            prev = name
-    return NetworkGraph(layers, variant="vgg16-reference",
+            prev = b.emit(f"vgg.pool{stage}", "avg-pool", [prev], k=2)
+    return NetworkGraph(b.layers, variant="vgg16-reference",
                         input_shape=tuple(input_shape))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import sys
 
@@ -119,7 +120,7 @@ def _cmd_eval(args):
         fix = data_io.load_fixations(rec.fix, bounds=(h, w)) if rec.fix else None
         report = metrics_mod.evaluate(pred, gt_density=gt, fixations=fix)
         rows.append((rec.image, report))
-    cols = ["auc", "sauc", "nss", "cc", "kldiv", "sim", "ig"]
+    cols = [f.name for f in dataclasses.fields(metrics_mod.MetricReport)]
     lines = ["image," + ",".join(cols)]
     for image, rep in rows:
         vals = [getattr(rep, c) for c in cols]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,8 @@ _STD = np.asarray(IMAGENET_STD, dtype=np.float32).reshape(3, 1, 1)
 
 
 def _parse_pnm(blob):
-    """Parse a binary P5/P6 file, returning (channels, height, width, pixels).
-    Raises ParseError with the byte offset of the first bad byte."""
+    """Parse a binary P5/P6 file, returning its uint8 (H, W, C) pixels and
+    its maxval. Raises ParseError with the byte offset of the first bad byte."""
     pos = 0
 
     def skip_ws():
@@ -76,7 +76,7 @@ def _parse_pnm(blob):
     if len(blob) - pos > nbytes:
         raise ParseError("trailing bytes after pixel data", offset=pos + nbytes)
     pixels = np.frombuffer(blob, dtype=np.uint8, count=nbytes, offset=pos)
-    return channels, height, width, pixels.reshape(height, width, channels), maxval
+    return pixels.reshape(height, width, channels), maxval
 
 
 def _read_pnm(path):
@@ -84,16 +84,9 @@ def _read_pnm(path):
     with open(path, "rb") as f:
         blob = f.read()
     try:
-        _, _, _, pixels, maxval = _parse_pnm(blob)
+        return _parse_pnm(blob)
     except ParseError as e:
         raise ParseError(f"{path}: {e}", offset=e.offset) from None
-    return pixels, maxval
-
-
-def load_pnm(path):
-    """Raw decode to a float array in [0,1], shape (H, W, C)."""
-    pixels, maxval = _read_pnm(path)
-    return pixels / np.float32(maxval)
 
 
 def _lerp(arr, axis, taps, scale):
@@ -135,7 +128,7 @@ def _load_resized(path, size):
     return arr.reshape(oh, ow, c)
 
 
-def load_image(path, size=None, normalize=True):
+def load_image(path, size=None):
     """Image file to a (1,3,H,W) float32 tensor. In order: decode, bilinear
     resize to size (half-pixel centers), scale by 1/maxval, broadcast
     grayscale to 3 channels, then normalize each channel by the ImageNet
@@ -144,9 +137,8 @@ def load_image(path, size=None, normalize=True):
     arr = _load_resized(path, size)
     x = np.empty((1, 3) + arr.shape[:2], dtype=np.float32)
     x[0] = arr.transpose(2, 0, 1)
-    if normalize:
-        x -= _MEAN
-        x /= _STD
+    x -= _MEAN
+    x /= _STD
     return Tensor(x)
 
 
@@ -211,20 +203,10 @@ class ManifestRecord:
     teacher: str | None = None
 
 
-@dataclass
-class DatasetManifest:
-    records: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-
 def load_manifest(path):
-    """JSON-lines manifest; every referenced path must exist and image paths
-    must be unique."""
+    """JSON-lines manifest as a list of ManifestRecords, with paths made
+    absolute; every referenced path must exist and image paths must be
+    unique."""
     base = os.path.dirname(os.path.abspath(path))
     records = []
     seen = set()
@@ -255,7 +237,7 @@ def load_manifest(path):
                         f"{path} line {lineno}: {key} file not found: {p}")
                 setattr(rec, key, full)
             records.append(rec)
-    return DatasetManifest(records=records)
+    return records
 
 
 HINT_SLOTS = tuple(f"teacher.hint.{i}" for i in range(4))

@@ -1,10 +1,13 @@
-"""Knowledge-distillation losses and saliency-map representation conversions.
+"""Knowledge-distillation losses.
 
 Three losses: squared-error matching of adapted intermediate features against
 teacher features (hint loss), twin binary cross-entropy against ground truth
 and a bounded pseudo saliency map, and a KL + cosine + BCE composite against a
-teacher-produced spatial probability distribution. All are differentiable
-through the tape and reduce per sample, averaged over the batch.
+teacher-produced spatial probability distribution. The composite's BCE target
+is the teacher distribution min-max scaled to [0, 1] per item, in numpy, since
+the teacher side carries no gradient; both BCE terms are one expression
+(_bce). All losses are differentiable through the tape and reduce per sample,
+averaged over the batch.
 """
 
 from __future__ import annotations
@@ -67,9 +70,22 @@ def hint_loss(student_adapted, teacher):
     return total
 
 
-def _bce(prob, target):
+def _bce(prob, target, axis=None):
+    """Binary cross-entropy of prob, clamped away from 0 and 1, against
+    target, averaged over axis (over everything when None)."""
     p = T.clip(prob, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return -(target * T.log(p) + (1.0 - target) * T.log(1.0 - p)).mean()
+    return -(target * T.log(p) + (1.0 - target) * T.log(1.0 - p)).mean(axis=axis)
+
+
+def _minmax(a):
+    """Per-item min-max scaling of an (N, ...) numpy array to [0, 1]; a
+    constant item maps to all zeros."""
+    n = a.shape[0]
+    flat = a.reshape(n, -1)
+    lo = flat.min(axis=1)
+    rng = flat.max(axis=1) - lo
+    safe = np.where(rng > 0, rng, 1.0)
+    return (((flat - lo[:, None]) / safe[:, None]) * (rng > 0)[:, None]).reshape(a.shape)
 
 
 def salgan_loss(logits, gt=None, pseudo=None):
@@ -93,17 +109,6 @@ def salgan_loss(logits, gt=None, pseudo=None):
     return total
 
 
-def to_distribution(logits):
-    """Spatial softmax: logits to a per-item probability distribution."""
-    return kernels.softmax_spatial(logits)
-
-
-def distribution_to_map(dist):
-    """Min-max rescale a distribution to a bounded [0,1] map; a constant
-    distribution maps to zeros."""
-    return kernels.minmax_normalize(dist)
-
-
 def deepgaze_loss(logits, pseudo_dist):
     """KL(teacher || student distribution) + (1 - cosine similarity) + binary
     cross-entropy of the sigmoid prediction against the min-max rescaled
@@ -116,7 +121,7 @@ def deepgaze_loss(logits, pseudo_dist):
     if np.any(np.abs(sums - 1.0) > 1e-5):
         raise ContractError("pseudo_dist must sum to 1 per item")
     ybar = pseudo_dist.detach()
-    g_pred = to_distribution(logits)
+    g_pred = kernels.softmax_spatial(logits)
     axes = (1, 2, 3)
 
     # KL(ybar || g_pred); teacher is constant, only the student side carries grad
@@ -129,9 +134,5 @@ def deepgaze_loss(logits, pseudo_dist):
     ns = T.sqrt((g_pred ** 2).sum(axis=axes))
     cos_term = 1.0 - dot / (nt * ns)
 
-    bce_targets = distribution_to_map(ybar).detach()
-    prob = T.clip(T.sigmoid(logits), BCE_CLAMP, 1.0 - BCE_CLAMP)
-    bce = -(bce_targets * T.log(prob)
-            + (1.0 - bce_targets) * T.log(1.0 - prob)).mean(axis=axes)
-
+    bce = _bce(T.sigmoid(logits), Tensor(_minmax(ybar.data)), axis=axes)
     return (kl + cos_term + bce).mean()

@@ -2,25 +2,29 @@
 resampling, and channel rearrangement, each with a taped backward pass.
 
 Convolution uses the cross-correlation convention (no kernel flip) with zero
-padding. 1x1 stride-1 convolutions take a pure matmul fast path. Depthwise
-convolutions, forward and backward, accumulate the k_h*k_w taps as
-multiply-adds of contiguous flat slices of the padded input's stride-phase
-planes, at a fixed offset per tap (see _depthwise); they keep those planes,
-about the size of the input, for backward. Their buffers are pixel-major
-(the n*c item-channel rows innermost) when those rows outnumber the wide
-span ho*w2 of one row, as on the late blocks' small maps, and row-major
-otherwise (_pixel_major); the output is the same in both. Other
-convolutions go through im2col and one GEMM per group (one group when
-groups == 1), each written straight into its slice of the output.
-Weight gradients of the pointwise and im2col paths are GEMMs
-(GEMM-lowered convolution, as in cuDNN, Chetlur et al. 2014): one GEMM over
-the (N*pixels) axis when that is shorter than C_out*K, else one per item,
-summed over the batch (_weight_grad). Every branch adds the bias in place
-on its fresh output. Batch norm keeps the centred input for backward; its
+padding and takes one of two paths. Depthwise convolutions (groups ==
+in_channels == out_channels), forward and backward, accumulate the k_h*k_w
+taps as multiply-adds of contiguous flat slices of the padded input's
+stride-phase planes, at a fixed offset per tap (see _depthwise); they keep
+those planes, about the size of the input, for backward. Their buffers are
+pixel-major (the n*c item-channel rows innermost) when those rows outnumber
+the wide span ho*w2 of one row, as on the late blocks' small maps, and
+row-major otherwise (_pixel_major); the output is the same in both. Every
+other convolution goes through im2col and one GEMM per group, each written
+straight into its slice of the output (GEMM-lowered convolution, as in
+cuDNN, Chetlur et al. 2014). For a 1x1 stride-1 kernel the im2col matrix is
+the (padded) input itself, taken as a view, and col2im is a reshape. A
+one-channel conv (groups = in = out = 1) meets both rules: it takes the
+depthwise path, except when it is an unpadded 1x1 stride-1 conv, which
+takes the GEMM path as every groups=1 1x1 conv does. Weight gradients are
+GEMMs: one over the (N*pixels) axis when that is shorter than C_out*K, else
+one per item, summed over the batch (_weight_grad). The GEMM path adds the
+bias in place on its fresh output, the depthwise path in the copy that
+crops its wide output. Batch norm keeps the centred input for backward; its
 per-channel sums, and those of the conv bias gradient, are einsum
 reductions (_channel_sum).
 
-Backward-only state (masks, argmin/argmax) is worked out inside the backward
+Backward-only state (such as the relu6 mask) is worked out inside the backward
 function from the retained inputs, so untaped inference neither computes nor
 keeps it. This relies on no op's input being changed in place between its
 forward and its backward; the optimizer updates weights after backward. The
@@ -40,7 +44,6 @@ from .tensor import Tensor, apply_op
 __all__ = [
     "conv2d", "batch_norm", "softmax_spatial", "bilinear_resize",
     "pixel_shuffle", "concat_channels", "avg_pool2d",
-    "minmax_normalize",
 ]
 
 
@@ -55,6 +58,8 @@ def _require_4d(t, name):
 
 def _im2col(xp, kh, kw, sh, sw, ho, wo):
     n, c = xp.shape[:2]
+    if kh == kw == sh == sw == 1:
+        return xp.reshape(n, c, 1, 1, ho, wo)
     cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
     for u in range(kh):
         for v in range(kw):
@@ -63,6 +68,8 @@ def _im2col(xp, kh, kw, sh, sw, ho, wo):
 
 
 def _col2im(gcols, n, c, hp, wp, kh, kw, sh, sw, ho, wo, dtype):
+    if kh == kw == sh == sw == 1:
+        return gcols.reshape(n, c, hp, wp)
     dxp = np.zeros((n, c, hp, wp), dtype=dtype)
     for u in range(kh):
         for v in range(kw):
@@ -177,15 +184,17 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
     return out, grads
 
 
-def _weight_grad(gm, cm):
-    """sum over n of gm[n] @ cm[n].T for gm (N, C_out, P) and cm (N, K, P).
-    When N*P < C_out*K, as on small late-block maps, it is one GEMM over
-    the (N*P) axis; otherwise one GEMM per item, whose (N, C_out, K)
-    products are then summed."""
+def _weight_grad(gm, cm, out):
+    """Write the sum over n of gm[n] @ cm[n].T into out (C_out, K), for gm
+    (N, C_out, P) and cm (N, K, P). When N*P < C_out*K, as on small
+    late-block maps, it is one GEMM over the (N*P) axis; otherwise one GEMM
+    per item, whose (N, C_out, K) products are then summed."""
     n, cout, p = gm.shape
     if n * p < cout * cm.shape[1]:
-        return np.tensordot(gm, cm, axes=([0, 2], [0, 2]))
-    return np.matmul(gm, cm.transpose(0, 2, 1)).sum(0)
+        np.matmul(gm.transpose(1, 0, 2).reshape(cout, n * p),
+                  cm.transpose(0, 2, 1).reshape(n * p, -1), out=out)
+    else:
+        np.matmul(gm, cm.transpose(0, 2, 1)).sum(0, out=out)
 
 
 def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
@@ -216,57 +225,43 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
 
     xd, wd = x.data, weight.data
 
-    if kh == 1 and kw == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0) and groups == 1:
-        # pointwise fast path: per-pixel matrix multiply
-        xm = xd.reshape(n, cin, h * w)
-        out = np.matmul(wd.reshape(cout, cin), xm).reshape(n, cout, h, w)
-
-        def grads(g):
-            gm = g.reshape(n, cout, h * w)
-            dx = np.matmul(wd.reshape(cout, cin).T, gm).reshape(n, cin, h, w)
-            dw = _weight_grad(gm, xm).reshape(cout, cin, 1, 1)
-            return dx, dw
-
-    elif groups == cin and cout == cin:
+    if groups == cin == cout and (cin > 1 or (kh, kw, sh, sw, ph, pw) != (1, 1, 1, 1, 0, 0)):
         out, grads = _depthwise(xd, wd, sh, sw, ph, pw, ho, wo)
 
     else:
         xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
         hp, wp = xp.shape[2:]
         cols = _im2col(xp, kh, kw, sh, sw, ho, wo)
-        # one GEMM per group (one group when groups == 1), each written into
-        # its slice of out, dw and gcols, so no group needs a temporary
-        cg, og = cin // groups, cout // groups
-        spans = [(slice(i * og, (i + 1) * og), slice(i * cg, (i + 1) * cg))
-                 for i in range(groups)]
-
-        def cmat(a, ci):
-            # the column rows of input channels ci as an (n, cg*kh*kw, ho*wo)
-            # view; the backward writes gcols through it
-            return a[:, ci].reshape(n, cg * kh * kw, ho * wo)
-
-        out = np.empty((n, cout, ho * wo), dtype=np.result_type(xd, wd))
-        for co, ci in spans:
-            np.matmul(wd[co].reshape(og, -1), cmat(cols, ci), out=out[:, co])
+        # one GEMM per group i, on the group's weights wg[i] (C_out/groups,
+        # K) and columns cm[:, i] (N, K, ho*wo), each written straight into
+        # the group's slice of out, dw and gcols, so no group needs a
+        # temporary
+        p = ho * wo
+        wg = wd.reshape(groups, cout // groups, -1)
+        cm = cols.reshape(n, groups, -1, p)
+        out = np.empty((n, groups, cout // groups, p), dtype=np.result_type(xd, wd))
+        for i in range(groups):
+            np.matmul(wg[i], cm[:, i], out=out[:, i])
         out = out.reshape(n, cout, ho, wo)
 
         def grads(g):
-            gm = g.reshape(n, cout, ho * wo)
-            dw = np.empty_like(wd)
-            gcols = np.empty_like(cols)
-            for co, ci in spans:
-                dw[co] = _weight_grad(gm[:, co], cmat(cols, ci)).reshape(og, cg, kh, kw)
-                np.matmul(wd[co].reshape(og, -1).T, gm[:, co], out=cmat(gcols, ci))
-            dxp = _col2im(gcols, n, cin, hp, wp, kh, kw, sh, sw, ho, wo, xd.dtype)
+            gm = g.reshape(n, groups, -1, p)
+            dw = np.empty(wg.shape, dtype=wd.dtype)
+            gcols = np.empty(cm.shape, dtype=cm.dtype)
+            for i in range(groups):
+                _weight_grad(gm[:, i], cm[:, i], dw[i])
+                np.matmul(wg[i].T, gm[:, i], out=gcols[:, i])
+            dxp = _col2im(gcols.reshape(cols.shape), n, cin, hp, wp, kh, kw, sh, sw, ho, wo,
+                          xd.dtype)
             dx = dxp[:, :, ph:ph + h, pw:pw + w] if (ph or pw) else dxp
-            return dx, dw
+            return dx, dw.reshape(wd.shape)
 
     def bwd(g):
         dx, dw = grads(g)
         return (dx, dw, _channel_sum(g)) if bias is not None else (dx, dw)
 
-    # the other branches' outputs are fresh contiguous buffers, so the bias
-    # goes on in place; the depthwise output is a cropped view of one, and
+    # the GEMM output is a fresh contiguous buffer, so the bias goes on in
+    # place; the depthwise output is a cropped view of one, and
     # the copy that makes it contiguous adds the bias
     if bias is None:
         return apply_op("conv2d", (x, weight), np.ascontiguousarray(out), bwd)
@@ -476,31 +471,3 @@ def avg_pool2d(x, k):
 
     return apply_op("avg_pool2d", (x,), out, bwd)
 
-
-def minmax_normalize(x):
-    """Per-item min-max scaling over all pixels to [0,1]; a constant item maps
-    to all zeros."""
-    _require_4d(x, "minmax_normalize input")
-    n = x.shape[0]
-    flat = x.data.reshape(n, -1)
-    lo = flat.min(axis=1)
-    hi = flat.max(axis=1)
-    rng = hi - lo
-    safe = np.where(rng > 0, rng, 1.0)
-    out = ((flat - lo[:, None]) / safe[:, None]) * (rng > 0)[:, None]
-
-    def bwd(g):
-        imin = flat.argmin(axis=1)
-        imax = flat.argmax(axis=1)
-        gf = g.reshape(n, -1).astype(x.dtype)
-        dx = gf / safe[:, None]
-        rows = np.arange(n)
-        # dependence through the attained min and max
-        dmin = -(gf.sum(axis=1) / safe) + (out * gf).sum(axis=1) / safe
-        dmax = -(out * gf).sum(axis=1) / safe
-        np.add.at(dx, (rows, imin), dmin)
-        np.add.at(dx, (rows, imax), dmax)
-        dx *= (rng > 0)[:, None]
-        return (dx.reshape(x.shape),)
-
-    return apply_op("minmax_normalize", (x,), out.reshape(x.shape), bwd)

@@ -29,9 +29,6 @@ class MetricReport:
     sim: float | None = None
     ig: float | None = None
 
-    def as_dict(self):
-        return {k: v for k, v in self.__dict__.items() if v is not None}
-
 
 def _as_map(pred):
     arr = np.asarray(pred, dtype=np.float64)

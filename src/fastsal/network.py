@@ -4,7 +4,11 @@ addition variants), weight serialization, and the graph passes: batch-norm
 folding (inference only), the collapse of the linear layers in front of the
 final conv, and the marking of the relu6 layers that may clip in place; the
 last two run for inference and training alike. Under a tape the collapse's
-composed weights are recorded functions of the original slots.
+composed weights are recorded functions of the original slots. Every pass
+has one form: it counts readers with NetworkGraph.readers(), shares each
+layer it does not rewrite with the input graph, builds the rewritten layers
+and the result graph with dataclasses.replace, and changes no LayerSpec, so
+its input graph stays as it was.
 
 A NetworkGraph is an ordered list of LayerSpec records executed top to bottom;
 every layer names its inputs, so shape inference and complexity accounting can
@@ -18,7 +22,8 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -85,6 +90,11 @@ class NetworkGraph:
             except (ShapeError, ConfigError) as e:
                 raise type(e)(f"layer '{l.name}': {e}") from e
         return shapes
+
+    def readers(self):
+        """How many layer inputs name each layer (or "input"); a name that
+        no layer reads counts 0."""
+        return Counter(i for l in self.layers for i in l.inputs)
 
     def run(self, store, x, training=False, want=None):
         """Execute the graph. Returns a dict with the final output under "out"
@@ -212,9 +222,7 @@ def _bn_slots(p, ins):
 
 
 def _relu6_run(p, xs, w, training):
-    if p.get("inplace"):
-        return tensor.relu6(xs[0], inplace=True)
-    return tensor.relu6(xs[0])
+    return tensor.relu6(xs[0], inplace=p.get("inplace", False))
 
 
 def _sigmoid_run(p, xs, w, training):
@@ -384,10 +392,6 @@ def build_backbone(input_shape, width=1.0):
                         input_shape=tuple(input_shape))
 
 
-# tap index ranges per spatial scale: H/2 (stem + block1), H/4, H/8, H/16, H/32
-_SCALE_GROUPS = [(0, 2), (2, 4), (4, 7), (7, 14), (14, 18)]
-
-
 def _grouping_layers(b, taps, tap_ch):
     """Merge 18 taps into 4 feature blocks. The two half-resolution taps are
     average-pooled down one scale and folded into the first block."""
@@ -503,11 +507,6 @@ class WeightStore:
         return WeightStore({k: Tensor(v.data.copy(), requires_grad=v.requires_grad)
                             for k, v in self.tensors.items()})
 
-    def scalar_count(self):
-        """Trainable scalars: every slot but the BN running statistics."""
-        return sum(v.size for k, v in self.tensors.items()
-                   if not k.endswith(RUNNING_STATS))
-
 
 def trainable_slots(store):
     """Slots updated by the optimizer: everything except BN running stats."""
@@ -622,26 +621,28 @@ def check_weights(graph, store):
 
 
 # ---------------------------------------------------------------------------
-# batch-norm folding
+# graph passes
 # ---------------------------------------------------------------------------
+
+def _with_inputs(l, inputs):
+    """Layer l reading inputs: l itself when they are its own inputs."""
+    return l if inputs == l.inputs else replace(l, inputs=inputs)
+
 
 def fold_batch_norm(graph, store):
     """Fuse conv+bn pairs for inference. Returns a new (graph, store); the
-    originals are untouched, and slots the pass does not rewrite share their
-    Tensor with the input store. A bn is fused only into a conv that it alone
-    reads and that is not a tap; any other bn is left unfused."""
-    consumers = {}
-    for l in graph.layers:
-        for i in l.inputs:
-            consumers.setdefault(i, []).append(l.name)
-
+    originals are untouched, and layers and slots the pass does not rewrite
+    are shared with the input graph and store. A bn is fused only into a
+    conv that it alone reads and that is not a tap; any other bn is left
+    unfused."""
+    readers = graph.readers()
     folded = {}   # bn name -> conv name
     new_layers = {}
     new_store = WeightStore(store.tensors)
     for l in graph.layers:
         conv = new_layers.get(l.inputs[0]) if l.kind == "bn" else None
         if (conv is not None and conv.kind == "conv"
-                and consumers[conv.name] == [l.name] and not conv.tap):
+                and readers[conv.name] == 1 and not conv.tap):
             g, bt, rm, rv = (new_store.get(l.name + s).data for s in _BN_INIT)
             scale = g / np.sqrt(rv + l.params.get("eps", BN_EPS))
             w = new_store.get(conv.name + ".w").data
@@ -652,18 +653,16 @@ def fold_batch_norm(graph, store):
             new_store.put(conv.name + ".b", Tensor(bt + (b0 - rm) * scale))
             for s in _BN_INIT:
                 del new_store.tensors[l.name + s]
-            # consumers of the bn now read the conv, which gains a bias and
+            # readers of the bn now read the conv, which gains a bias and
             # takes over the bn's tap flag
             folded[l.name] = conv.name
-            conv.params = dict(conv.params, bias=True)
-            conv.tap = l.tap
+            new_layers[conv.name] = replace(conv, params=dict(conv.params, bias=True),
+                                            tap=l.tap)
             continue
-        new_layers[l.name] = LayerSpec(l.name, l.kind, [folded.get(i, i) for i in l.inputs],
-                                       dict(l.params), l.tap)
+        new_layers[l.name] = _with_inputs(l, [folded.get(i, i) for i in l.inputs])
 
-    taps = [folded.get(t, t) for t in graph.taps]
-    return (NetworkGraph(list(new_layers.values()), taps=taps, variant=graph.variant,
-                         input_shape=graph.input_shape), new_store)
+    return (replace(graph, layers=list(new_layers.values()),
+                    taps=[folded.get(t, t) for t in graph.taps]), new_store)
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +680,8 @@ def collapse_linear_tail(graph, store):
     """Sink the graph's final 1x1 conv up through the linear layers in front
     of it, so that it runs where they are narrow. Returns a new (graph,
     store), or the inputs themselves when there is nothing to rewrite; the
-    originals are untouched, and slots the pass does not rewrite share their
-    Tensor with the input store.
+    originals are untouched, and layers and slots the pass does not rewrite
+    are shared with the input graph and store.
 
     The pending map is a 1x1 conv (w, b) on some layer's output. Through
     pixel-shuffle(r) it becomes a conv to out*r^2 channels in front of the
@@ -701,14 +700,11 @@ def collapse_linear_tail(graph, store):
     original graph, up to rounding, and training runs on this form."""
     last = graph.layers[-1]
     layers = {l.name: l for l in graph.layers}
-    consumers = {}
-    for l in graph.layers:
-        for i in l.inputs:
-            consumers[i] = consumers.get(i, 0) + 1
+    readers = graph.readers()
 
     def passable(name):
         l = layers.get(name)
-        return (l is not None and not l.tap and consumers[name] == 1
+        return (l is not None and not l.tap and readers[name] == 1
                 and (l.kind in ("resize", "pixel-shuffle", "concat")
                      or l.kind == "conv" and l.params.get("groups", 1) == 1))
 
@@ -719,12 +715,13 @@ def collapse_linear_tail(graph, store):
     new_layers = []      # inputs before their consumers
     passed = {last.name}
 
-    def conv(name, src, p, w, b):
+    def conv(name, src, like, w, b):
+        # a conv layer like the layer `like` (last or a composed conv)
         new_store.put(name + ".w", w)
         if b is not None:
             new_store.put(name + ".b", b)
-        new_layers.append(LayerSpec(name, "conv", [src], dict(
-            p, in_ch=channels[src], out_ch=w.shape[0], bias=b is not None)))
+        new_layers.append(replace(like, name=name, inputs=[src], params=dict(
+            like.params, in_ch=channels[src], out_ch=w.shape[0], bias=b is not None)))
         return name
 
     def sink(src, w, b, user, k):
@@ -732,7 +729,7 @@ def collapse_linear_tail(graph, store):
         output, where src is input k of layer user; w is a 2-D Tensor and b
         a Tensor or None."""
         if not passable(src):
-            return conv(f"{user}.in{k}", src, last.params,
+            return conv(f"{user}.in{k}", src, last,
                         tensor.reshape(w, w.shape + (1, 1)), b)
         l = layers[src]
         passed.add(src)
@@ -742,7 +739,7 @@ def collapse_linear_tail(graph, store):
                 b = wb if b is None else tensor.add(wb, b)
             wa = store.get(src + ".w")
             w = tensor.matmul(w, tensor.reshape(wa, (wa.shape[0], -1)))
-            return conv(src, l.inputs[0], l.params,
+            return conv(src, l.inputs[0], l,
                         tensor.reshape(w, w.shape[:1] + wa.shape[1:]), b)
         if l.kind == "concat":
             xs, off = [], 0
@@ -751,7 +748,7 @@ def collapse_linear_tail(graph, store):
                 xs.append(sink(i, tensor.columns(w, off, off + c),
                                b if j == 0 else None, src, j))
                 off += c
-            new_layers.append(LayerSpec(src, "add", xs))
+            new_layers.append(replace(l, kind="add", inputs=xs, params={}))
             return src
         if l.kind == "pixel-shuffle":
             # output channel o, sub-pixel s reads input channel c*r^2 + s:
@@ -764,8 +761,7 @@ def collapse_linear_tail(graph, store):
                                (o * rr, c * rr))
             if b is not None:
                 b = tensor.matmul(Tensor(np.repeat(np.eye(o, dtype=b.dtype), rr, axis=0)), b)
-        new_layers.append(LayerSpec(src, l.kind, [sink(l.inputs[0], w, b, src, 0)],
-                                    dict(l.params)))
+        new_layers.append(_with_inputs(l, [sink(l.inputs[0], w, b, src, 0)]))
         return src
 
     w = store.get(last.name + ".w")
@@ -776,10 +772,8 @@ def collapse_linear_tail(graph, store):
     del sink
     for s in (".w", ".b"):
         new_store.tensors.pop(last.name + s, None)
-    kept = [LayerSpec(l.name, l.kind, list(l.inputs), dict(l.params), l.tap)
-            for l in graph.layers if l.name not in passed]
-    return (NetworkGraph(kept + new_layers, taps=list(graph.taps), variant=graph.variant,
-                         input_shape=graph.input_shape), new_store)
+    kept = [l for l in graph.layers if l.name not in passed]
+    return replace(graph, layers=kept + new_layers, taps=list(graph.taps)), new_store
 
 
 def subgraph(graph, names):
@@ -790,9 +784,8 @@ def subgraph(graph, names):
     for l in reversed(graph.layers):
         if l.name in need:
             need.update(l.inputs)
-    return NetworkGraph([l for l in graph.layers if l.name in need],
-                        taps=[t for t in graph.taps if t in need],
-                        variant=graph.variant, input_shape=graph.input_shape)
+    return replace(graph, layers=[l for l in graph.layers if l.name in need],
+                   taps=[t for t in graph.taps if t in need])
 
 
 # layer kinds whose output buffer is fresh and whose backward does not read
@@ -808,10 +801,7 @@ def clip_in_place(graph, keep=()):
     new graph whose marked layers are new LayerSpecs; every other layer is
     shared with the input graph, which is not changed. The outputs and, under
     a tape, the gradients are bit for bit those of the input graph."""
-    readers = {}
-    for l in graph.layers:
-        for i in l.inputs:
-            readers[i] = readers.get(i, 0) + 1
+    readers = graph.readers()
     layers = {l.name: l for l in graph.layers}
     keep = set(keep)
 
@@ -821,11 +811,9 @@ def clip_in_place(graph, keep=()):
                 and readers[src.name] == 1 and not src.tap and src.name not in keep
                 and (src.kind != "add" or len(src.inputs) > 1))
 
-    return NetworkGraph([LayerSpec(l.name, l.kind, list(l.inputs),
-                                   dict(l.params, inplace=True), l.tap)
-                         if marked(l) else l for l in graph.layers],
-                        taps=list(graph.taps), variant=graph.variant,
-                        input_shape=graph.input_shape)
+    return replace(graph, layers=[replace(l, params=dict(l.params, inplace=True))
+                                  if marked(l) else l for l in graph.layers],
+                   taps=list(graph.taps))
 
 
 def prepare_inference(graph, store):

@@ -133,7 +133,6 @@ def _grad_cases(seed):
          x((1, 2, 4, 4))),
         ("concat_channels", lambda t: (K.concat_channels(
             [t, Tensor(np.ones((1, 1, 3, 4)))]) ** 2).sum(), x()),
-        ("minmax_normalize", lambda t: (K.minmax_normalize(t) ** 2).sum(), x()),
         ("hint_loss", lambda t: distill.hint_loss(
             [t * float(i + 1) for i in range(4)], teachers),
          x((1, 2, 3, 3))),

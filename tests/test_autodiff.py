@@ -331,12 +331,6 @@ class TestGradCheckKernels:
             lambda t: (K.concat_channels([t, other]) ** 2).sum(), x)
         assert rep.passed, rep.max_rel_err
 
-    @pytest.mark.parametrize("seed", RNG_SEEDS)
-    def test_minmax_normalize(self, seed):
-        x = Tensor(np.random.default_rng(seed).normal(size=(1, 1, 3, 4)))
-        rep = grad_check(lambda t: (K.minmax_normalize(t) ** 2).sum(), x)
-        assert rep.passed, rep.max_rel_err
-
 
 class TestGradCheckLosses:
     @pytest.mark.parametrize("seed", RNG_SEEDS)

@@ -13,7 +13,7 @@ class TestPnmParsing:
         arr = np.arange(12, dtype=np.uint8).reshape(3, 4) * 20
         path = tmp_path / "a.pgm"
         write_pgm(path, arr)
-        out = data_io.load_pnm(str(path))
+        out = data_io._load_resized(str(path), None)
         assert out.shape == (3, 4, 1)
         np.testing.assert_allclose(out[:, :, 0], arr / 255.0, atol=1e-7)
 
@@ -22,51 +22,51 @@ class TestPnmParsing:
         arr = rng.integers(0, 256, (5, 6, 3)).astype(np.uint8)
         path = tmp_path / "a.ppm"
         write_ppm(path, arr)
-        out = data_io.load_pnm(str(path))
+        out = data_io._load_resized(str(path), None)
         np.testing.assert_allclose(out, arr / 255.0, atol=1e-7)
 
     def test_comments_and_whitespace(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5 # magic\n# a comment line\n 2 \t2\n255\n" + bytes(4))
-        out = data_io.load_pnm(str(path))
+        out = data_io._load_resized(str(path), None)
         assert out.shape == (2, 2, 1)
 
     def test_maxval_scaling(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n2 1\n100\n" + bytes([50, 100]))
-        out = data_io.load_pnm(str(path))
+        out = data_io._load_resized(str(path), None)
         np.testing.assert_allclose(out[0, :, 0], [0.5, 1.0])
 
     def test_bad_magic_offset_zero(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P3\n1 1\n255\n0")
         with pytest.raises(ParseError) as e:
-            data_io.load_pnm(str(path))
+            data_io._load_resized(str(path), None)
         assert e.value.offset == 0
 
     def test_sixteen_bit_rejected(self, tmp_path):
         path = tmp_path / "deep.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(ParseError, match="16-bit"):
-            data_io.load_pnm(str(path))
+            data_io._load_resized(str(path), None)
 
     def test_truncated_pixels(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
         with pytest.raises(ParseError, match="truncated"):
-            data_io.load_pnm(str(path))
+            data_io._load_resized(str(path), None)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes(6))
         with pytest.raises(ParseError, match="trailing"):
-            data_io.load_pnm(str(path))
+            data_io._load_resized(str(path), None)
 
     def test_missing_dimension(self, tmp_path):
         path = tmp_path / "d.pgm"
         path.write_bytes(b"P5\n2\n")
         with pytest.raises(ParseError, match="height"):
-            data_io.load_pnm(str(path))
+            data_io._load_resized(str(path), None)
 
 
 class TestImageLoading:
@@ -83,9 +83,11 @@ class TestImageLoading:
     def test_grayscale_broadcast(self, tmp_path):
         path = tmp_path / "g.pgm"
         write_pgm(path, np.full((3, 3), 100, dtype=np.uint8))
-        t = data_io.load_image(str(path), normalize=False)
+        t = data_io.load_image(str(path))
         assert t.shape == (1, 3, 3, 3)
-        np.testing.assert_allclose(t.data[0, 0], t.data[0, 2])
+        raw = (t.data[0] * np.array(data_io.IMAGENET_STD).reshape(3, 1, 1)
+               + np.array(data_io.IMAGENET_MEAN).reshape(3, 1, 1))
+        np.testing.assert_allclose(raw[0], raw[2], atol=1e-6)
 
     def test_resize_to_target(self, tmp_path):
         path = tmp_path / "r.ppm"
@@ -153,10 +155,10 @@ class TestResizeOnLoad:
         path = tmp_path / "img.pnm"
         _write_pnm(path, pixels, maxval)
         ref = _reference(pixels, maxval, size)
+        raw = data_io._load_resized(str(path), size).transpose(2, 0, 1)
+        assert raw.dtype == np.float32 and raw.shape == ref.shape
+        np.testing.assert_allclose(raw, ref, rtol=0, atol=2e-6)
         ref = np.broadcast_to(ref, (3,) + ref.shape[1:])
-        raw = data_io.load_image(str(path), size=size, normalize=False).data
-        assert raw.dtype == np.float32 and raw.shape == (1,) + ref.shape
-        np.testing.assert_allclose(raw[0], ref, rtol=0, atol=2e-6)
         mean = np.array(data_io.IMAGENET_MEAN).reshape(3, 1, 1)
         std = np.array(data_io.IMAGENET_STD).reshape(3, 1, 1)
         x = data_io.load_image(str(path), size=size).data
@@ -179,9 +181,8 @@ class TestResizeOnLoad:
         pixels = rng.integers(0, 256, (6, 9, 3)).astype(np.uint8)
         path = tmp_path / "n.ppm"
         write_ppm(path, pixels)
-        x = data_io.load_image(str(path), size=(6, 9), normalize=False).data
-        np.testing.assert_array_equal(
-            x[0], pixels.transpose(2, 0, 1).astype(np.float32) / np.float32(255))
+        x = data_io._load_resized(str(path), (6, 9))
+        np.testing.assert_array_equal(x, pixels.astype(np.float32) / np.float32(255))
 
 
 class TestSaveMap:
@@ -189,14 +190,14 @@ class TestSaveMap:
         sal = np.linspace(-2, 5, 12).reshape(1, 1, 3, 4)
         path = tmp_path / "out.pgm"
         data_io.save_map(Tensor(sal), str(path))
-        back = data_io.load_pnm(str(path))[:, :, 0]
+        back = data_io._load_resized(str(path), None)[:, :, 0]
         expect = (sal[0, 0] - sal.min()) / (sal.max() - sal.min())
         np.testing.assert_allclose(back, expect, atol=1 / 255.0)
 
     def test_constant_map_writes_zeros(self, tmp_path):
         path = tmp_path / "flat.pgm"
         data_io.save_map(np.full((2, 2), 3.0), str(path))
-        back = data_io.load_pnm(str(path))
+        back = data_io._load_resized(str(path), None)
         np.testing.assert_array_equal(back, np.zeros((2, 2, 1)))
 
 
@@ -269,7 +270,7 @@ class TestManifest:
         write_ppm(img, np.zeros((2, 2, 3), dtype=np.uint8))
         path = tmp_path / "m.jsonl"
         path.write_text('{"image": "a.ppm"}\n')
-        rec = data_io.load_manifest(str(path)).records[0]
+        rec = data_io.load_manifest(str(path))[0]
         assert rec.gt is None and rec.fix is None and rec.teacher is None
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fastsal.distill as D
+import fastsal.kernels as K
 from fastsal.errors import ContractError, NumericDomainError, ShapeError
 from fastsal.tensor import Tape, Tensor
 
@@ -131,16 +132,16 @@ class TestSalganLoss:
 class TestConversions:
     def test_to_distribution_sums_to_one(self):
         rng = np.random.default_rng(4)
-        d = D.to_distribution(t(rng.normal(size=(3, 1, 4, 5))))
+        d = K.softmax_spatial(t(rng.normal(size=(3, 1, 4, 5))))
         np.testing.assert_allclose(d.data.reshape(3, -1).sum(axis=1), 1.0,
                                    atol=1e-9)
 
     def test_distribution_to_map_bounded(self):
         rng = np.random.default_rng(5)
         d = rng.uniform(0.1, 1.0, (2, 1, 4, 4))
-        m = D.distribution_to_map(Tensor(d / d.reshape(2, -1).sum(1)[:, None, None, None]))
-        assert m.data.min() == pytest.approx(0.0)
-        assert m.data.max() == pytest.approx(1.0)
+        m = D._minmax(d / d.reshape(2, -1).sum(1)[:, None, None, None])
+        assert m.min() == pytest.approx(0.0)
+        assert m.max() == pytest.approx(1.0)
 
 
 def deepgaze_oracle(logits, dist):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -228,7 +229,7 @@ class TestEvaluate:
         rep = M.evaluate(pred, gt_density=gt, fixations=[(1, 1), (3, 4)],
                          negative_fixations=[(0, 0), (5, 5)],
                          baseline=np.ones((6, 6)))
-        d = rep.as_dict()
+        d = dataclasses.asdict(rep)
         assert set(d) == {"auc", "sauc", "nss", "cc", "kldiv", "sim", "ig"}
         assert all(np.isfinite(v) for v in d.values())
 

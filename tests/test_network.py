@@ -1,5 +1,7 @@
 import copy
 import gc
+import importlib.util
+import os
 import weakref
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from conftest import randomize_weights
 from fastsal import network as net
-from fastsal import analyzer, distill, tensor
+from fastsal import analyzer, distill, kernels, tensor
 from fastsal.errors import ConfigError, ParseError, ShapeError, WeightStoreError
 from fastsal.network import (LayerSpec, NetworkGraph, WeightStore,
                              build_backbone, build_fastsal, check_weights,
@@ -15,6 +17,7 @@ from fastsal.network import (LayerSpec, NetworkGraph, WeightStore,
                              load_weights, prepare_inference, save_weights,
                              trainable_slots)
 from fastsal.tensor import Tape, Tensor
+from fastsal.trainer import ADAPT_LAYERS
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +57,7 @@ class TestBackboneStructure:
     def test_parameter_count(self):
         graph = build_backbone((1, 3, 192, 256))
         store = init_weights(graph)
-        assert store.scalar_count() == 1_811_712
+        assert sum(store.get(k).size for k in net.trainable_slots(store)) == 1_811_712
 
     def test_rejects_bad_size(self):
         with pytest.raises(ConfigError):
@@ -208,7 +211,8 @@ class TestModifiedInvertedResidual:
         # expand 64*128+128, dw 9*128+128, project 128*64+64, bn 2*(128+128+64)
         graph = mir_graph(64, 64, (1, 64, 6, 6))
         assert analyzer.analyze(graph).total_params == 18_496
-        assert init_weights(graph).scalar_count() == 18_496
+        store = init_weights(graph)
+        assert sum(store.get(k).size for k in net.trainable_slots(store)) == 18_496
 
 
 class TestRunLiveness:
@@ -226,9 +230,9 @@ class TestRunLiveness:
         outs, seen = [], []
         relu6 = tensor.relu6
 
-        def recording(x):
+        def recording(x, **kwargs):
             seen.append(sum(r() is not None for r in outs[:-1]))
-            y = relu6(x)
+            y = relu6(x, **kwargs)
             outs.append(weakref.ref(y.data))
             return y
 
@@ -457,6 +461,14 @@ def _input(shape, seed=7):
     return Tensor(np.random.default_rng(seed).normal(size=shape).astype(np.float32))
 
 
+def _assert_no_one_channel_conv_is_trained(graph, store):
+    # the paper graph's decoder.out has one output channel; the graphs that
+    # training runs, the fine-tune collapse and the hint subgraph, have none
+    assert graph.layers[-1].params["out_ch"] == 1
+    for g in (collapse_linear_tail(graph, store)[0], net.subgraph(graph, ADAPT_LAYERS)):
+        assert all(l.params["out_ch"] > 1 for l in g.layers if l.kind == "conv")
+
+
 class TestLinearTailCollapse:
     @pytest.mark.parametrize("shape", [(1, 3, 48, 64), (2, 3, 64, 96)])
     @pytest.mark.parametrize("variant", ["C", "A"])
@@ -514,6 +526,7 @@ class TestLinearTailCollapse:
         assert [l.name for l in decoder if l.kind == "conv"] == [
             f"decoder.adapt{i}" for i in range(1, 5)]
         assert not any(k.startswith("decoder.out.") for k in rs.names())
+        _assert_no_one_channel_conv_is_trained(graph, store)
 
     def test_a_tail_is_post_then_shuffle(self):
         graph, store = _random_model("A", (1, 3, 48, 64))
@@ -522,6 +535,7 @@ class TestLinearTailCollapse:
         assert (post.name, post.kind, post.params["out_ch"]) == ("decoder.post", "conv", 4)
         assert (shuffle.name, shuffle.inputs) == ("decoder.shuffle2", ["decoder.post"])
         assert rg.infer_shapes()["decoder.shuffle2"] == (1, 1, 48, 64)
+        _assert_no_one_channel_conv_is_trained(graph, store)
 
     @pytest.mark.parametrize("how", ["tap", "second consumer"])
     def test_stops_at_tap_or_shared_layer(self, how):
@@ -764,3 +778,45 @@ class TestClipInPlace:
         net.clip_in_place(graph).run(store, _input((1, 1, 4, 4)))
         graph.run(store, _input((1, 1, 4, 4)))
         assert seen == [True, False]
+
+
+def _benchmark_tracer():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("width", [0.25, 1.0])
+@pytest.mark.parametrize("variant", ["C", "A"])
+def test_conv_paths_match_benchmark_labels(variant, width, monkeypatch):
+    # perfbench's tracer labels each conv2d call from its arguments; every
+    # conv of the paper, prepared, fine-tune and hint graphs must run
+    # _depthwise exactly when that label is "depthwise"
+    conv_path = _benchmark_tracer().conv_path
+    seen = []
+    conv2d, depthwise = kernels.conv2d, kernels._depthwise
+
+    def recording_conv2d(*args, **kwargs):
+        seen.append([conv_path(*args, **kwargs), False])
+        return conv2d(*args, **kwargs)
+
+    def recording_depthwise(*args):
+        seen[-1][1] = True
+        return depthwise(*args)
+
+    monkeypatch.setattr(kernels, "conv2d", recording_conv2d)
+    monkeypatch.setattr(kernels, "_depthwise", recording_depthwise)
+    shape = (1, 3, 32, 32)
+    graph = build_fastsal(variant, shape, width=width)
+    store = init_weights(graph)
+    x = _input(shape)
+    for g, s in ((graph, store), prepare_inference(graph, store),
+                 collapse_linear_tail(graph, store),
+                 (net.subgraph(graph, ADAPT_LAYERS), store)):
+        g.run(s, x, want=ADAPT_LAYERS)
+    assert {label for label, _ in seen} == {"pointwise", "depthwise", "general"}
+    for label, took_depthwise in seen:
+        assert took_depthwise == (label == "depthwise"), label

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fastsal.kernels as K
+from fastsal.distill import _minmax
 from fastsal.errors import ConfigError, ShapeError
 from fastsal.tensor import Tape, Tensor, relu6, sigmoid
 
@@ -77,18 +78,26 @@ def naive_conv_dx(g, w, x_shape, stride, padding, groups):
     return dxp[:, :, ph:ph + h, pw:pw + wd]
 
 
-# (cin, cout, k, stride, padding, groups) over the pointwise, im2col and
-# grouped paths of conv2d
+# (cin, cout, k, stride, padding, groups) over both paths of conv2d: 1x1
+# convs (whose im2col matrix is a view of the input), im2col, grouped and
+# depthwise, and the one-channel convs that meet both paths' rules
 CONV_CASES = pytest.mark.parametrize("cin,cout,k,stride,padding,groups", [
     (5, 4, 1, (1, 1), (0, 0), 1),     # pointwise, one GEMM per item
     (24, 32, 1, (1, 1), (0, 0), 1),   # pointwise, one GEMM over N*P < C_out*C_in
+    (5, 4, 1, (1, 1), (1, 2), 1),     # 1x1 on the padded input
+    (5, 4, 1, (2, 2), (0, 0), 1),     # 1x1 at stride 2 goes through im2col
+    (6, 4, 1, (1, 1), (0, 0), 2),     # 1x1 grouped
+    (4, 4, 1, (1, 1), (0, 0), 4),     # 1x1 depthwise
+    (1, 1, 1, (1, 1), (0, 0), 1),     # one channel, 1x1: GEMM
+    (1, 1, 3, (1, 1), (1, 1), 1),     # one channel, 3x3: depthwise
     (3, 4, 3, (1, 1), (1, 1), 1),     # im2col
     (3, 4, 3, (2, 2), (1, 1), 1),
     (3, 2, 3, (2, 1), (0, 2), 1),
     (6, 4, 3, (1, 1), (1, 1), 2),     # grouped loop
     (6, 9, 3, (2, 2), (1, 0), 3),
-], ids=["pointwise", "pointwise-one-gemm", "general", "general-s2", "general-s21-p02",
-        "grouped", "grouped-s2"])
+], ids=["pointwise", "pointwise-one-gemm", "pointwise-padded", "pointwise-s2",
+        "pointwise-grouped", "pointwise-depthwise", "one-channel-1x1", "one-channel-3x3",
+        "general", "general-s2", "general-s21-p02", "grouped", "grouped-s2"])
 
 
 class TestConv2d:
@@ -123,6 +132,23 @@ class TestConv2d:
         out = K.conv2d(x, w)
         expect = np.einsum("oc,nchw->nohw", w.data[:, :, 0, 0], x.data)
         np.testing.assert_allclose(out.data, expect, rtol=1e-12)
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_pointwise_on_channels_last_view(self, groups):
+        # a 1x1 stride-1 conv takes its input itself as the im2col matrix,
+        # here a view whose channels are innermost in memory
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(2, 5, 6, 4)).transpose(0, 3, 1, 2), requires_grad=True)
+        w = rng.normal(size=(6, 4 // groups, 1, 1))
+        with Tape() as tape:
+            out = K.conv2d(x, Tensor(w), groups=groups)
+            g = rng.normal(size=out.shape)
+            loss = (out * Tensor(g)).sum()
+        dx = tape.gradients(loss, [x])[0]
+        ref = naive_conv(x.data, w, np.zeros(6), (1, 1), (0, 0), groups)
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        ref = naive_conv_dx(g, w, x.shape, (1, 1), (0, 0), groups)
+        np.testing.assert_allclose(dx, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
     def test_depthwise_equals_per_channel(self):
         rng = np.random.default_rng(2)
@@ -427,22 +453,24 @@ class TestConcatAdd:
 
 
 class TestMinMax:
+    """distill._minmax, the deepgaze loss's teacher-map scaling."""
+
     def test_hand_scaling(self):
-        out = K.minmax_normalize(t(np.array([2.0, 4.0, 6.0]).reshape(1, 1, 1, 3)))
-        np.testing.assert_allclose(out.data.reshape(-1), [0, 0.5, 1.0])
+        out = _minmax(np.array([2.0, 4.0, 6.0]).reshape(1, 1, 1, 3))
+        np.testing.assert_allclose(out.reshape(-1), [0, 0.5, 1.0])
 
     def test_constant_maps_to_zero(self):
-        out = K.minmax_normalize(t(np.full((2, 1, 3, 3), 5.0)))
-        np.testing.assert_allclose(out.data, 0.0)
+        out = _minmax(np.full((2, 1, 3, 3), 5.0))
+        np.testing.assert_allclose(out, 0.0)
 
     def test_unit_range_fixed_point(self):
-        x = t(np.array([0.0, 0.3, 1.0]).reshape(1, 1, 1, 3))
-        np.testing.assert_allclose(K.minmax_normalize(x).data, x.data)
+        x = np.array([0.0, 0.3, 1.0]).reshape(1, 1, 1, 3)
+        np.testing.assert_allclose(_minmax(x), x)
 
     def test_per_item(self):
-        x = t(np.array([[0.0, 2.0], [10.0, 30.0]]).reshape(2, 1, 1, 2))
-        out = K.minmax_normalize(x)
-        np.testing.assert_allclose(out.data.reshape(2, 2), [[0, 1], [0, 1]])
+        x = np.array([[0.0, 2.0], [10.0, 30.0]]).reshape(2, 1, 1, 2)
+        out = _minmax(x)
+        np.testing.assert_allclose(out.reshape(2, 2), [[0, 1], [0, 1]])
 
 
 class TestAvgPool:
@@ -462,7 +490,6 @@ def test_forward_ops_finite_on_finite_input():
         sigmoid(x),
         K.bilinear_resize(x, 5, 11),
         K.pixel_shuffle(x, 2),
-        K.minmax_normalize(x),
         K.avg_pool2d(x, 2),
     ]
     for out in outs:

@@ -4,6 +4,19 @@
 thread count. `main` first sets glibc's malloc, once per process, to keep
 freed memory in the heap (_keep_freed_pages), so that repeated requests in
 one process do not page-fault their activations in again; it adds no flag.
+
+`predict` and `eval --model` take the model from _prepared_model, which
+memoises one prepared (graph, store) per process: the paper graph is built,
+the file loaded and checked against it, and prepare_inference run once, and
+later requests for the same model reuse them. The key is the model path with
+its os.stat identity (st_dev, st_ino, st_size, st_mtime_ns), the variant, the
+parsed size and the width; a new key replaces the one model held. A file
+rewritten in place with the same size within one mtime tick keeps the old
+key, so such a rewrite is missed. Failures are not cached: a bad file raises
+the same error on every request. A process that serves one request, such as
+a one-shot `fastsal predict`, gains nothing. The flag parser is likewise
+built once per process; each handler is looked up by name when it runs.
+
 Exit codes: 0 success, 1 validation error (bad flags, such as a width that
 is not positive and finite, a size that is not a positive multiple of 32, an
 epoch, batch or step count below 1 or a negative seed; malformed input),
@@ -15,6 +28,7 @@ import argparse
 import ctypes
 import dataclasses
 import functools
+import os
 import sys
 
 import numpy as np
@@ -69,9 +83,31 @@ def _store(args, graph):
     return store
 
 
+@functools.lru_cache(maxsize=1)
+def _prepared_model(path, identity, variant, size, width):
+    """The prepared (graph, store) of the model file at path, whose os.stat
+    identity is given so that a rewritten file misses the memo. Every hit
+    returns the same objects, so callers only run them and never change them."""
+    graph = build_fastsal(variant, (1, 3, *size), width=width)
+    store = load_weights(path)
+    check_weights(graph, store)
+    return prepare_inference(graph, store)
+
+
+def _prepared(args):
+    """The graph and store predict and eval run: the memoised model file when
+    --model is given, else fresh weights from --seed."""
+    if not args.model:
+        graph = _graph(args)
+        return prepare_inference(graph, _store(args, graph))
+    size = _parse_size(args.size)
+    st = os.stat(args.model)
+    identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+    return _prepared_model(args.model, identity, args.variant, size, args.width)
+
+
 def _cmd_predict(args):
-    graph = _graph(args)
-    graph, store = prepare_inference(graph, _store(args, graph))
+    graph, store = _prepared(args)
     h, w = graph.input_shape[2:]
     x = data_io.load_image(args.image, size=(h, w))
     logits = graph.run(store, x)["out"]
@@ -108,8 +144,7 @@ def _cmd_bench(args):
 
 
 def _cmd_eval(args):
-    graph = _graph(args)
-    graph, store = prepare_inference(graph, _store(args, graph))
+    graph, store = _prepared(args)
     h, w = graph.input_shape[2:]
     manifest = data_io.load_manifest(args.manifest)
     rows = []
@@ -200,6 +235,7 @@ def _common_model_flags(p, model_required=False):
     p.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="fastsal",
                                      description="Efficient saliency engine")
@@ -209,7 +245,7 @@ def build_parser():
     _common_model_flags(p, model_required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True, help="output P5 map path")
-    p.set_defaults(fn=_cmd_predict)
+    p.set_defaults(fn="_cmd_predict")
 
     p = sub.add_parser("analyze", help="parameter and FLOP accounting")
     _common_model_flags(p)
@@ -217,20 +253,20 @@ def build_parser():
     p.add_argument("--table", action="store_true", help="human-readable table")
     p.add_argument("--convention", action="store_true",
                    help="print the counting convention")
-    p.set_defaults(fn=_cmd_analyze)
+    p.set_defaults(fn="_cmd_analyze")
 
     p = sub.add_parser("bench", help="wall-clock inference benchmark")
     _common_model_flags(p)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--warmup", type=int, default=10)
     p.add_argument("--csv")
-    p.set_defaults(fn=_cmd_bench)
+    p.set_defaults(fn="_cmd_bench")
 
     p = sub.add_parser("eval", help="metric suite over a manifest")
     _common_model_flags(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--csv")
-    p.set_defaults(fn=_cmd_eval)
+    p.set_defaults(fn="_cmd_eval")
 
     p = sub.add_parser("train", help="toy-scale training")
     _common_model_flags(p)
@@ -246,12 +282,12 @@ def build_parser():
                    help="log NSS/CC on the training manifest per epoch")
     p.add_argument("--out", required=True, help="final weight file")
     p.add_argument("--log", help="per-epoch CSV log")
-    p.set_defaults(fn=_cmd_train)
+    p.set_defaults(fn="_cmd_train")
 
     p = sub.add_parser("grad-check", help="finite-difference gradient checks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.set_defaults(fn=_cmd_grad_check)
+    p.set_defaults(fn="_cmd_grad_check")
 
     return parser
 
@@ -266,7 +302,8 @@ def main(argv=None):
     try:
         if args.seed < 0:  # every subcommand takes --seed
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.fn(args)
+        # by name, so that a handler replaced after the parser was built runs
+        return globals()[args.fn](args)
     except (ConfigError, ContractError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

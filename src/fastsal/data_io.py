@@ -59,6 +59,8 @@ def _parse_pnm(blob):
     pos = 2
     width = read_int("width")
     height = read_int("height")
+    if width < 1 or height < 1:
+        raise ParseError(f"empty image ({width}x{height})", offset=pos)
     maxval = read_int("maxval")
     if maxval > 255:
         raise ParseError(f"16-bit samples (maxval {maxval}) unsupported", offset=pos)
@@ -86,7 +88,8 @@ def _read_pnm(path):
     try:
         return _parse_pnm(blob)
     except ParseError as e:
-        raise ParseError(f"{path}: {e}", offset=e.offset) from None
+        e.args = (f"{path}: {e}",)  # the message already ends with the offset
+        raise
 
 
 def _lerp(arr, axis, taps, scale):
@@ -205,38 +208,52 @@ class ManifestRecord:
 
 def load_manifest(path):
     """JSON-lines manifest as a list of ManifestRecords, with paths made
-    absolute; every referenced path must exist and image paths must be
-    unique."""
+    absolute. Each line must be UTF-8 and hold one JSON object whose image,
+    and gt, fix and teacher when present and not null, are non-empty
+    strings; other content raises ParseError naming the line. Every
+    referenced path must exist and image paths must be unique."""
     base = os.path.dirname(os.path.abspath(path))
     records = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line:
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: byte {e.start} of the line is not valid UTF-8",
+                             line=lineno) from None
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"{path}: invalid JSON ({getattr(e, 'msg', e)})",
+                             line=lineno) from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}: record is not a JSON object", line=lineno)
+        if "image" not in obj:
+            raise ParseError(f"{path}: record missing 'image' key", line=lineno)
+        rec = ManifestRecord(image=obj["image"], gt=obj.get("gt"),
+                             fix=obj.get("fix"), teacher=obj.get("teacher"))
+        for key in ("image", "gt", "fix", "teacher"):
+            p = getattr(rec, key)
+            if p is None and key != "image":
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: invalid JSON ({e.msg})", line=lineno) from None
-            if "image" not in obj:
-                raise ParseError(f"{path}: record missing 'image' key", line=lineno)
-            rec = ManifestRecord(image=obj["image"], gt=obj.get("gt"),
-                                 fix=obj.get("fix"), teacher=obj.get("teacher"))
-            if rec.image in seen:
+            if not (isinstance(p, str) and p):
+                got = "null" if p is None else "''" if p == "" else type(p).__name__
+                raise ParseError(f"{path}: '{key}' must be a non-empty path string, "
+                                 f"got {got}", line=lineno)
+            full = p if os.path.isabs(p) else os.path.join(base, p)
+            if not os.path.exists(full):
                 raise ContractError(
-                    f"{path}: duplicate image path '{rec.image}' (line {lineno})")
-            seen.add(rec.image)
-            for key in ("image", "gt", "fix", "teacher"):
-                p = getattr(rec, key)
-                if p is None:
-                    continue
-                full = p if os.path.isabs(p) else os.path.join(base, p)
-                if not os.path.exists(full):
-                    raise ContractError(
-                        f"{path} line {lineno}: {key} file not found: {p}")
-                setattr(rec, key, full)
-            records.append(rec)
+                    f"{path} line {lineno}: {key} file not found: {p}")
+            setattr(rec, key, full)
+        if rec.image in seen:
+            raise ContractError(
+                f"{path}: duplicate image path '{rec.image}' (line {lineno})")
+        seen.add(rec.image)
+        records.append(rec)
     return records
 
 

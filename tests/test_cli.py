@@ -167,6 +167,90 @@ class TestPredict:
         assert "error" in capsys.readouterr().err
 
 
+class TestPreparedModelMemo:
+    """predict and eval --model prepare a model file once per process and
+    reuse it while the path, its stat identity, variant, size and width
+    stay the same."""
+
+    @pytest.fixture(autouse=True)
+    def loads(self, monkeypatch):
+        cli._prepared_model.cache_clear()
+        calls = []
+        real = cli.load_weights
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_weights", counting)
+        yield calls
+        cli._prepared_model.cache_clear()
+
+    @staticmethod
+    def _predict(model, image, out, *flags):
+        return cli.main(["predict", "--model", model, "--image", image,
+                         "--out", str(out)] + list(flags or SMALL))
+
+    def test_second_predict_reuses_model(self, capsys, loads, random_models,
+                                         image_file, tmp_path):
+        path = random_models["C"][2]
+        assert self._predict(path, image_file, tmp_path / "a.pgm") == 0
+        assert self._predict(path, image_file, tmp_path / "b.pgm") == 0
+        capsys.readouterr()
+        assert loads == [path]
+        assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+
+    def test_rewritten_file_is_reloaded(self, capsys, loads, random_models,
+                                        image_file, tmp_path):
+        graph, store, _ = random_models["C"]
+        path = str(tmp_path / "m.fsal")
+        save_weights(store, path)
+        assert self._predict(path, image_file, tmp_path / "a.pgm") == 0
+        before = os.stat(path)
+        save_weights(randomize_weights(store.copy(), seed=9), path)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10 ** 9))
+        assert os.stat(path).st_size == before.st_size
+        assert self._predict(path, image_file, tmp_path / "b.pgm") == 0
+        capsys.readouterr()
+        assert loads == [path, path]
+        assert (tmp_path / "a.pgm").read_bytes() != (tmp_path / "b.pgm").read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ["--variant", "A", "--size", "64x64", "--width", "0.25"],
+        ["--size", "96x64", "--width", "0.25"],
+        ["--size", "64x64", "--width", "0.5"],
+    ], ids=["variant", "size", "width"])
+    def test_other_variant_size_or_width_misses(self, capsys, loads, weights_file,
+                                                image_file, tmp_path, flags):
+        assert self._predict(weights_file, image_file, tmp_path / "a.pgm") == 0
+        # a C file checked against an A or wider graph fails the slot check
+        rc = self._predict(weights_file, image_file, tmp_path / "b.pgm", *flags)
+        assert rc == (0 if "96x64" in flags else 2), capsys.readouterr().err
+        assert loads == [weights_file, weights_file]
+
+    def test_failures_are_not_cached(self, capsys, loads, weights_file, image_file,
+                                     tmp_path):
+        bad = str(tmp_path / "bad.fsal")
+        Path(bad).write_bytes(b"garbage")
+        for _ in range(2):
+            assert self._predict(bad, image_file, tmp_path / "o.pgm") == 1
+            assert "error: " in capsys.readouterr().err
+        assert self._predict(weights_file, image_file, tmp_path / "o.pgm") == 0
+        capsys.readouterr()
+        assert loads == [bad, bad, weights_file]
+
+    def test_eval_reuses_model(self, capsys, loads, random_models, tmp_path):
+        path = random_models["C"][2]
+        manifest = build_synthetic_dataset(str(tmp_path / "d"), n=2, size=(64, 64))
+        outs = [str(tmp_path / f"m{i}.csv") for i in range(2)]
+        for out in outs:
+            assert cli.main(["eval", "--manifest", manifest, "--model", path,
+                             "--csv", out] + SMALL) == 0
+        capsys.readouterr()
+        assert loads == [path]
+        assert Path(outs[0]).read_text() == Path(outs[1]).read_text()
+
+
 def _glibc():
     try:
         return os.confstr("CS_GNU_LIBC_VERSION") is not None
@@ -293,6 +377,17 @@ class TestEval:
         rc = cli.main(["eval", "--manifest", str(bad)] + SMALL)
         assert rc == 1
         capsys.readouterr()
+
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_undecodable_manifest_is_input_error(self, capsys, tmp_path, command):
+        bad = tmp_path / "m.jsonl"
+        bad.write_bytes(b'{"image": "\xff.ppm"}\n')
+        argv = [command, "--manifest", str(bad)] + SMALL
+        if command == "train":
+            argv += ["--out", str(tmp_path / "o.fsal")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: byte 11 ")
 
 
 class TestTrain:

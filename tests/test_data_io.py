@@ -62,6 +62,15 @@ class TestPnmParsing:
         with pytest.raises(ParseError, match="trailing"):
             data_io._load_resized(str(path), None)
 
+    @pytest.mark.parametrize("dims", [b"0 4", b"4 0", b"0 0"])
+    @pytest.mark.parametrize("size", [None, (8, 8)])
+    def test_empty_image_rejected(self, tmp_path, dims, size):
+        path = tmp_path / "e.pgm"
+        path.write_bytes(b"P5\n" + dims + b"\n255\n")
+        with pytest.raises(ParseError, match="empty image") as e:
+            data_io.load_image(str(path), size=size)
+        assert str(e.value).count("byte offset") == 1
+
     def test_missing_dimension(self, tmp_path):
         path = tmp_path / "d.pgm"
         path.write_bytes(b"P5\n2\n")
@@ -264,6 +273,36 @@ class TestManifest:
         path.write_text('{"gt": "a.pgm"}\n')
         with pytest.raises(ParseError, match="image"):
             data_io.load_manifest(str(path))
+
+    @pytest.mark.parametrize("content, match", [
+        (b'{"image": "a\xff.ppm"}\n', "UTF-8"),
+        (b"5\n", "not a JSON object"),
+        (b'"an image"\n', "not a JSON object"),
+        (b'["image"]\n', "not a JSON object"),
+        (b'{"image": 5}\n', "got int"),
+        (b'{"image": null}\n', "got null"),
+        (b'{"image": ["a"]}\n', "got list"),
+        (b'{"image": ""}\n', "got ''"),
+        (b'{"image": "a.ppm", "gt": {}}\n', "'gt' must be"),
+        (b"[" * 100000 + b"\n", "invalid JSON"),
+        (b"1" * 5000 + b"\n", "invalid JSON"),
+    ], ids=["non-utf8", "number", "string", "list", "int-path", "null-path",
+            "list-path", "empty-path", "object-gt", "deep-nesting", "long-int"])
+    def test_malformed_record_names_its_line(self, tmp_path, content, match):
+        for name in ("a.ppm", "b.ppm"):
+            write_ppm(tmp_path / name, np.zeros((2, 2, 3), dtype=np.uint8))
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b'{"image": "a.ppm"}\n' + content.replace(b"a.ppm", b"b.ppm"))
+        with pytest.raises(ParseError, match=match) as e:
+            data_io.load_manifest(str(path))
+        assert e.value.line == 2
+
+    def test_null_optional_path_is_absent(self, tmp_path):
+        write_ppm(tmp_path / "a.ppm", np.zeros((2, 2, 3), dtype=np.uint8))
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"image": "a.ppm", "gt": null}\r\n')
+        rec = data_io.load_manifest(str(path))[0]
+        assert rec.image == str(tmp_path / "a.ppm") and rec.gt is None
 
     def test_optional_fields_default_none(self, tmp_path):
         img = tmp_path / "a.ppm"

@@ -1,11 +1,12 @@
-"""Seeded fuzzing of the weight container: random truncations and byte flips
-of a saved width-0.25 C store and of a teacher bundle must fail with a typed
-engine error, never a raw Python or numpy one. Plain numpy loops, so that
-the suite needs nothing beyond numpy and pytest."""
+"""Seeded fuzzing of the input files: random truncations and byte flips of a
+saved width-0.25 C store, a teacher bundle, P5/P6 images and a manifest must
+fail with a typed engine error, never a raw Python or numpy one. Plain numpy
+loops, so that the suite needs nothing beyond numpy and pytest."""
 
 import numpy as np
 import pytest
 
+from conftest import build_synthetic_dataset
 from fastsal import data_io
 from fastsal.distill import TeacherBundle
 from fastsal.errors import ContractError, NumericDomainError, ParseError, WeightStoreError
@@ -88,3 +89,52 @@ def test_teacher_bundle_mutations_raise_typed_errors(tmp_path):
     # value breaks its unit sum
     _fuzz(tmp_path, path.read_bytes(), data_io.load_teacher_bundle,
           (NumericDomainError, ContractError), seed=2)
+
+
+def _mutants(blob, seed):
+    """CASES seeded truncations and CASES single-byte flips of blob."""
+    rng = np.random.default_rng(seed)
+    for cut in rng.integers(0, len(blob), CASES):
+        yield blob[:cut]
+    for pos in rng.integers(0, len(blob), CASES):
+        yield _flip(blob, pos, rng)
+
+
+def _pnm(magic, h, w, maxval, rng):
+    channels = 3 if magic == "P6" else 1
+    dtype = ">u2" if maxval > 255 else np.uint8
+    pixels = rng.integers(0, maxval + 1, (h, w, channels)).astype(dtype)
+    return f"{magic}\n# fuzz\n{w} {h}\n{maxval}\n".encode() + pixels.tobytes()
+
+
+@pytest.mark.parametrize("maxval", [255, 100, 65535])
+@pytest.mark.parametrize("magic", ["P5", "P6"])
+def test_pnm_mutations_raise_typed_errors(tmp_path, magic, maxval):
+    """Images and maps, read at their own size and resized: every mutant
+    either loads or raises one of TYPED. 16-bit files never load."""
+    rng = np.random.default_rng(maxval)
+    blob = _pnm(magic, 6, 9, maxval, rng)
+    path = tmp_path / "fuzz.pnm"
+    loaders = [data_io.load_image, lambda p: data_io.load_image(p, size=(8, 4)),
+               data_io.load_map, lambda p: data_io.load_map(p, size=(3, 12))]
+    for i, mutant in enumerate(_mutants(blob, seed=maxval + (magic == "P6"))):
+        path.write_bytes(mutant)
+        try:
+            loaders[i % len(loaders)](str(path))
+        except TYPED:
+            continue
+        assert maxval <= 255, mutant[:24]
+
+
+def test_manifest_mutations_raise_typed_errors(tmp_path):
+    path = build_synthetic_dataset(str(tmp_path / "d"), n=3)
+    with open(path, "rb") as f:
+        blob = f.read()
+    data_io.load_manifest(path)
+    for mutant in _mutants(blob, seed=3):
+        with open(path, "wb") as f:
+            f.write(mutant)
+        try:
+            data_io.load_manifest(path)
+        except TYPED:
+            pass

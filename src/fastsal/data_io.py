@@ -170,28 +170,39 @@ def save_map(saliency, path):
         f.write(data.tobytes())
 
 
+def _text_lines(path):
+    """(line number, stripped text) of each non-blank line of path. A line
+    that is not UTF-8 raises ParseError naming it."""
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: byte {e.start} of the line is not valid UTF-8",
+                             line=lineno) from None
+        if line:
+            yield lineno, line
+
+
 def load_fixations(path, bounds=None):
-    """Fixation file: one "row col" 0-indexed pair per line."""
+    """Fixation file: one "row col" 0-indexed pair per UTF-8 line."""
     fixations = []
     bad_lines = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line:
+    for lineno, line in _text_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"{path}: expected 'row col'", line=lineno)
+        try:
+            r, c = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"{path}: non-integer coordinate", line=lineno) from None
+        if bounds is not None:
+            h, w = bounds
+            if not (0 <= r < h and 0 <= c < w):
+                bad_lines.append(lineno)
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}: expected 'row col'", line=lineno)
-            try:
-                r, c = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}: non-integer coordinate", line=lineno) from None
-            if bounds is not None:
-                h, w = bounds
-                if not (0 <= r < h and 0 <= c < w):
-                    bad_lines.append(lineno)
-                    continue
-            fixations.append((r, c))
+        fixations.append((r, c))
     if bad_lines:
         raise ContractError(
             f"{path}: fixation coordinates out of range on lines {bad_lines}")
@@ -215,16 +226,7 @@ def load_manifest(path):
     base = os.path.dirname(os.path.abspath(path))
     records = []
     seen = set()
-    with open(path, "rb") as f:
-        lines = f.read().splitlines()
-    for lineno, raw in enumerate(lines, 1):
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError as e:
-            raise ParseError(f"{path}: byte {e.start} of the line is not valid UTF-8",
-                             line=lineno) from None
-        if not line:
-            continue
+    for lineno, line in _text_lines(path):
         try:
             obj = json.loads(line)
         except (ValueError, RecursionError) as e:

@@ -3,26 +3,39 @@ resampling, and channel rearrangement, each with a taped backward pass.
 
 Convolution uses the cross-correlation convention (no kernel flip) with zero
 padding and takes one of two paths. Depthwise convolutions (groups ==
-in_channels == out_channels), forward and backward, accumulate the k_h*k_w
-taps as multiply-adds of contiguous flat slices of the padded input's
-stride-phase planes, at a fixed offset per tap (see _depthwise); they keep
-those planes, about the size of the input, for backward. Their buffers are
-pixel-major (the n*c item-channel rows innermost) when those rows outnumber
-the wide span ho*w2 of one row, as on the late blocks' small maps, and
-row-major otherwise (_pixel_major); the output is the same in both. Every
-other convolution goes through im2col and one GEMM per group, each written
-straight into its slice of the output (GEMM-lowered convolution, as in
-cuDNN, Chetlur et al. 2014). For a 1x1 stride-1 kernel the im2col matrix is
-the (padded) input itself, taken as a view, and col2im is a reshape. A
+in_channels == out_channels) run one of two algorithms, chosen from the
+shape inside _depthwise. On tiny maps, where h*w*ho*wo <= 576
+(_operator_path: the late blocks' 2x2, 3x4 and stride-2 6x8 maps at the
+4x3x48x64 training size, none at 1x3x192x256), they are per-channel GEMMs
+with a cached 0/1 spatial operator that folds in the padding and stride
+(_depthwise_operator). There, with four items, they are 1.4-6x faster,
+forward and backward, than the tap loop, whose ~25 numpy calls per layer cost more than the bytes
+they touch (crossovers in _operator_path). Elsewhere, forward and backward
+accumulate the k_h*k_w taps as multiply-adds of contiguous flat slices of
+the padded input's stride-phase planes, at a fixed offset per tap (see
+_depthwise), and keep those planes, about the size of the input, for
+backward. Those buffers are pixel-major (the n*c item-channel rows
+innermost) when the rows outnumber the wide span ho*w2 of one row, and
+row-major otherwise (_pixel_major, with its measured crossovers); the
+output is the same in both. The two algorithms compute the same sums in
+different orders. The operator GEMMs run over all h*w input pixels of each
+output pixel, not its k_h*k_w taps, and first build their operator; traces
+count the paper's FLOPs, so a depthwise GFLOP/s figure is paper FLOPs over
+time, whichever algorithm ran.
+
+Every other convolution goes through im2col and one GEMM per group, each
+written straight into its slice of the output (GEMM-lowered convolution, as
+in cuDNN, Chetlur et al. 2014). For a 1x1 stride-1 kernel the im2col matrix
+is the (padded) input itself, taken as a view, and col2im is a reshape. A
 one-channel conv (groups = in = out = 1) meets both rules: it takes the
 depthwise path, except when it is an unpadded 1x1 stride-1 conv, which
 takes the GEMM path as every groups=1 1x1 conv does. Weight gradients are
 GEMMs: one over the (N*pixels) axis when that is shorter than C_out*K, else
-one per item, summed over the batch (_weight_grad). The GEMM path adds the
-bias in place on its fresh output, the depthwise path in the copy that
-crops its wide output. Batch norm keeps the centred input for backward; its
-per-channel sums, and those of the conv bias gradient, are einsum
-reductions (_channel_sum).
+one per item, summed over the batch (_weight_grad). The GEMM path and the
+depthwise operator add the bias in place on their fresh output, the
+depthwise tap loop in the copy that crops its wide output. Batch norm keeps
+the centred input for backward; its per-channel sums, and those of the conv
+bias gradient, are einsum reductions (_channel_sum).
 
 Backward-only state (such as the relu6 mask) is worked out inside the backward
 function from the retained inputs, so untaped inference neither computes nor
@@ -35,6 +48,8 @@ clipped values.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -95,26 +110,113 @@ def _pixel_major(rows, span):
     return rows > span
 
 
+def _operator_path(p, q):
+    """The depthwise algorithm rule: a map of p = h*w input and q = ho*wo
+    output pixels takes the spatial-operator GEMMs (_depthwise_operator)
+    when p*q <= 576, the tap loop otherwise. Timed per call, float32, 3x3,
+    one BLAS thread, forward / backward: on the late blocks at the 4x3x48x64
+    training size the operator took 85/182 us against 501/892 at 960x2x2,
+    46/88 against 251/449 at 576x3x4 stride 2 and 88/181 against 150/254
+    at 192x6x8 stride 2. Its cost grows with c*p*q, the tap loop's with
+    n*c*q, so the crossover falls with n. With one item the forward took
+    57 against 118-162 us at 576x3x4, tied at p*q = 576 (384x4x6), was 1.2x
+    slower at 900 (384x5x6), 2.5x at 1296 (576x6x6) and 4-5x at 2304 (576
+    and 960 channels on 6x8, the smallest map at 1x3x192x256, which so
+    stays on the tap loop), while with four items on 96 channels it was
+    still 1.4-1.6x faster at 2304. With one item the backward loses from
+    p*q = 144 (266 against 211 us at 576x3x4) to 576 (2.2-3.3x), as dM =
+    x^T @ g is then c*p*q outer products; no benchmark workload trains
+    with one item."""
+    return p * q <= 576
+
+
+@functools.lru_cache(maxsize=64)
+def _spatial_operator(h, w, kh, kw, sh, sw, ph, pw, dtype):
+    """The 0/1 spatial operator of a depthwise conv, in both pixel orders:
+    S (kh*kw, h*w*ho*wo), whose [t, i*ho*wo + j] is 1 when tap t of output
+    pixel j reads input pixel i, with the zero padding and the stride folded
+    in (a tap on the padding reads no pixel), and its (kh*kw, ho*wo*h*w)
+    transpose S' per tap. Both are read-only, as the cache shares them."""
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (w + 2 * pw - kw) // sw + 1
+    u, v, a, b = np.meshgrid(np.arange(kh), np.arange(kw), np.arange(ho), np.arange(wo),
+                             indexing="ij")
+    y, x = a * sh + u - ph, b * sw + v - pw
+    ok = (y >= 0) & (y < h) & (x >= 0) & (x < w)
+    s = np.zeros((kh * kw, h * w, ho * wo), dtype=dtype)
+    s[(u * kw + v)[ok], (y * w + x)[ok], (a * wo + b)[ok]] = 1
+    st = np.ascontiguousarray(s.transpose(0, 2, 1))
+    for op in (s, st):
+        op.flags.writeable = False
+    return s.reshape(kh * kw, -1), st.reshape(kh * kw, -1)
+
+
+def _depthwise_operator(xd, wd, sh, sw, ph, pw, ho, wo):
+    """Depthwise convolution on a tiny map as per-channel GEMMs with its
+    spatial operator M (c, p, q) = w (c, kh*kw) @ S: out[:, ch] = x[:, ch] @
+    M[ch] over the (n, p) item pixels of each channel, one batched matmul
+    written into a fresh contiguous output. Backward keeps the weights, a
+    view of the input and the cached S and S', not M: it rebuilds M^T =
+    w @ S' on each call for dx = g @ M^T, and dw = dM (c, p*q) @ S^T with
+    dM = x^T @ g."""
+    n, c, h, w = xd.shape
+    kh, kw = wd.shape[2:]
+    p, q = h * w, ho * wo
+    s, st = _spatial_operator(h, w, kh, kw, sh, sw, ph, pw, wd.dtype)
+    wr = wd.reshape(c, kh * kw)
+    m = (wr @ s).reshape(c, p, q)
+    xc = xd.reshape(n, c, p).transpose(1, 0, 2)
+    out = np.empty((n, c, q), dtype=np.result_type(xd, wd))
+    np.matmul(xc, m, out=out.transpose(1, 0, 2))
+
+    def grads(g):
+        gc = g.reshape(n, c, q).transpose(1, 0, 2)
+        dx = np.empty((n, c, p), dtype=xd.dtype)
+        # M^T is built from S' as M was from S: matmul runs 2-4x slower on a
+        # transposed view of M, and a copy of it costs more than the GEMM
+        np.matmul(gc, (wr @ st).reshape(c, q, p), out=dx.transpose(1, 0, 2))
+        dm = np.matmul(xc.transpose(0, 2, 1), gc)
+        dw = np.matmul(dm.reshape(c, p * q), s.T)
+        return dx.reshape(n, c, h, w), dw.astype(wd.dtype, copy=False).reshape(c, 1, kh, kw)
+
+    return out.reshape(n, c, ho, wo), grads
+
+
+def _phase(size, pad, stride, a):
+    """Stride phase a of a zero-padded axis holds padded index i*stride + a
+    at index i. Returns (i0:i0+k, y0::stride): the span of phase indices that
+    hold the unpadded axis's indices y0, y0 + stride, ... (k of them)."""
+    i0 = max(0, -(-(pad - a) // stride))
+    y0 = i0 * stride + a - pad
+    return slice(i0, i0 + len(range(y0, size, stride))), slice(y0, size, stride)
+
+
 def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
-    """Depthwise convolution as k_h*k_w multiply-adds of flat slices.
+    """Depthwise convolution: on tiny maps, where _operator_path says so
+    from h*w and ho*wo, as per-channel GEMMs (_depthwise_operator);
+    otherwise as k_h*k_w multiply-adds of flat slices, as follows.
 
     The zero-padded input is split into its s_h*s_w phase planes of w2
-    columns each (one plane when the stride is 1), with one spare row. Output
-    pixel (i, j) of tap (u, v) reads plane (u % s_h, v % s_w) at row
-    i + u // s_h, column j + v // s_w, so over a "wide" output of ho rows by
-    w2 columns every tap is one contiguous slice of its plane. The columns
-    past wo read into the next row (the spare row keeps the last one in
-    bounds) and are cropped once at the end.
+    columns each (one plane when the stride is 1), with one spare row; the
+    input pixels of each phase are copied straight into its zeroed plane,
+    and backward copies dx straight out of the planes' gradient, one strided
+    copy per phase (_phase). Output pixel (i, j) of tap (u, v) reads plane
+    (u % s_h, v % s_w) at row i + u // s_h, column j + v // s_w, so over a
+    "wide" output of ho rows by w2 columns every tap is one contiguous slice
+    of its plane. The columns past wo read into the next row (the spare row
+    keeps the last one in bounds) and are cropped once at the end.
 
     Every buffer is indexed (n*c rows, ...). It is row-major or, when
-    _pixel_major says so from the shape (as on the small maps of the late
-    blocks), pixel-major: rows innermost in memory, so that each multiply-add
-    runs over long contiguous rows, not over many short ones. The tap loop
-    and its order, and so the output, are the same in both layouts.
-    Row-major rows run in blocks of about _BLOCK_BYTES. Returns the output,
-    as a cropped view of the wide buffer, and the backward function, which
-    keeps the phase planes and works on the same slices."""
+    _pixel_major says so from the shape (as on small maps), pixel-major:
+    rows innermost in memory, so that each multiply-add runs over long
+    contiguous rows, not over many short ones. The tap loop and its order,
+    and so the output, are the same in both layouts. Row-major rows run in
+    blocks of about _BLOCK_BYTES. Returns the output, as a cropped view of
+    the wide buffer, and the backward function, which keeps the phase
+    planes and works on the same slices."""
     n, c, h, w = xd.shape
+    if _operator_path(h * w, ho * wo):
+        return _depthwise_operator(xd, wd, sh, sw, ph, pw, ho, wo)
     kh, kw = wd.shape[2:]
     rows = n * c
     h2 = -(-(h + 2 * ph) // sh) + 1     # rows per phase plane, plus the spare
@@ -130,14 +232,12 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
             return alloc(shape, dtype=dt)
         return np.moveaxis(alloc(shape[1:] + shape[:1], dtype=dt), -1, 0)
 
-    xp = buffer((rows, h2 * sh, w2 * sw), xd.dtype, zero=True)
-    xp[:, ph:ph + h, pw:pw + w] = xd.reshape(rows, h, w)
-    if sh == sw == 1:
-        planes = xp.reshape(rows, 1, 1, h2 * w2)
-    else:
-        planes = buffer((rows, sh, sw, h2 * w2), xd.dtype)
-        planes.reshape(rows, sh, sw, h2, w2)[...] = (
-            xp.reshape(rows, h2, sh, w2, sw).transpose(0, 2, 4, 1, 3))
+    phases = [(a, b) + _phase(h, ph, sh, a) + _phase(w, pw, sw, b)
+              for a in range(sh) for b in range(sw)]
+    planes = buffer((rows, sh, sw, h2 * w2), xd.dtype, zero=True)
+    x3, p5 = xd.reshape(rows, h, w), planes.reshape(rows, sh, sw, h2, w2)
+    for a, b, pi, yi, pj, xj in phases:
+        p5[:, a, b, pi, pj] = x3[:, yi, xj]
     wr = buffer((rows, kh, kw), wd.dtype)
     wr.reshape(n, c, kh, kw)[...] = wd[:, 0]
     taps = [(u, v, u % sh, v % sw, (u // sh) * w2 + v // sw)
@@ -176,10 +276,12 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
                     dwr[r, u, v] = np.einsum("rl,rl->r", planes[r, a, b, off:off + span], gb)
                 np.multiply(gb, wr[r, u, v, None], out=tb)
                 dplanes[r, a, b, off:off + span] += tb
-        dxp = (dplanes.reshape(rows, sh, sw, h2, w2).transpose(0, 3, 1, 4, 2)
-               .reshape(n, c, h2 * sh, w2 * sw))
-        dw = dwr.reshape(n, c, 1, kh, kw).sum(axis=0, dtype=wd.dtype)
-        return np.ascontiguousarray(dxp[:, :, ph:ph + h, pw:pw + w]), dw
+        # the phases cover each input pixel once, and the padding not at all
+        dx = np.empty((n, c, h, w), dtype=planes.dtype)
+        d3, d5 = dx.reshape(rows, h, w), dplanes.reshape(rows, sh, sw, h2, w2)
+        for a, b, pi, yi, pj, xj in phases:
+            d3[:, yi, xj] = d5[:, a, b, pi, pj]
+        return dx, dwr.reshape(n, c, 1, kh, kw).sum(axis=0, dtype=wd.dtype)
 
     return out, grads
 
@@ -260,9 +362,9 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
         dx, dw = grads(g)
         return (dx, dw, _channel_sum(g)) if bias is not None else (dx, dw)
 
-    # the GEMM output is a fresh contiguous buffer, so the bias goes on in
-    # place; the depthwise output is a cropped view of one, and
-    # the copy that makes it contiguous adds the bias
+    # the GEMM and depthwise-operator outputs are fresh contiguous buffers,
+    # so the bias goes on in place; the tap loop's output is a cropped view
+    # of one, and the copy that makes it contiguous adds the bias
     if bias is None:
         return apply_op("conv2d", (x, weight), np.ascontiguousarray(out), bwd)
     b = bias.data.reshape(1, cout, 1, 1)

@@ -70,7 +70,10 @@ def _roc_auc(positives, negatives):
 
 def auc_judd(pred, fixations):
     """ROC area with prediction values at fixations as positives and all
-    non-fixated pixels as negatives."""
+    non-fixated pixels as negatives. Convention: the positives are the
+    fixations, not the fixated pixels, so a fixation repeated on one pixel
+    counts as two positives (the MIT benchmark's AUC-Judd counts the pixel
+    once); the negatives leave out every fixated pixel once."""
     p = _as_map(pred)
     pos = _fix_values(p, fixations)
     mask = np.zeros(p.shape, dtype=bool)
@@ -93,8 +96,10 @@ def auc_shuffled(pred, fixations, negative_fixations):
 
 
 def nss(pred, fixations):
-    """Mean z-scored prediction value at fixation points (population std).
-    A constant prediction scores 0."""
+    """Mean z-scored prediction value at fixation points. A constant
+    prediction scores 0. Convention: the z-score divides by the population
+    std (over N pixels); MATLAB's std in the MIT benchmark code divides by
+    N-1, which scales the score by sqrt((N-1)/N)."""
     p = _as_map(pred)
     _ = _fix_values(p, fixations)
     std = p.std()
@@ -124,7 +129,9 @@ def _normalized(m):
 
 def sim(pred, gt_density):
     """Histogram intersection of the two sum-normalized maps; 1 for identical,
-    0 for disjoint support."""
+    0 for disjoint support. Convention: each map is only divided by its sum;
+    the MIT benchmark code min-max normalises each map first, which gives a
+    different value for maps with negative values."""
     p = _normalized(_as_map(pred))
     q = _normalized(_as_map(gt_density))
     if p.shape != q.shape:
@@ -134,7 +141,9 @@ def sim(pred, gt_density):
 
 def kldiv(pred, gt_density):
     """KL divergence of the prediction from the ground truth: sum over pixels
-    of Q*ln(Q/(P+eps)) with Q the normalized ground truth."""
+    of Q*ln(Q/(P+eps)) with Q the normalized ground truth. Convention: eps
+    is added to the denominator only, and pixels with Q = 0 add nothing; the
+    MIT benchmark code also adds it inside the log, Q*ln(eps + Q/(P+eps))."""
     p = _normalized(_as_map(pred))
     q = _normalized(_as_map(gt_density))
     if p.shape != q.shape:

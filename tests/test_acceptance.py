@@ -13,7 +13,7 @@ import fastsal.distill as distill
 import fastsal.kernels as K
 import fastsal.metrics as M
 import fastsal.tensor as T
-from conftest import build_synthetic_dataset
+from conftest import build_synthetic_dataset, randomize_weights
 from fastsal import analyzer, bench, trainer
 from fastsal.data_io import load_manifest
 from fastsal.errors import ParseError
@@ -42,6 +42,29 @@ def test_criterion_01_shape_conformance(capsys):
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0
     announce(capsys, 1, "shape conformance (192x256 in, 192x256x1 out, <5s)", ok)
+
+
+# a second size and batch for criteria 01 and 07, to catch code that assumes
+# 192x256 or one item; at 64x96 the late blocks' 2x3 and 4x6 maps take the
+# depthwise spatial-operator GEMMs at inference
+OTHER_SHAPES = pytest.mark.parametrize(
+    "shape", [(3, 3, 224, 320), (2, 3, 64, 96)], ids=["3x3x224x320", "2x3x64x96"])
+
+
+@OTHER_SHAPES
+def test_criterion_01_shape_conformance_other_sizes(capsys, shape):
+    n, _, h, w = shape
+    ok = True
+    for variant in ("C", "A"):
+        graph = build_fastsal(variant, shape)
+        store = init_weights(graph, seed=0)
+        x = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
+        out = graph.run(store, Tensor(x))["out"].data
+        ok = ok and out.shape == (n, 1, h, w) and bool(np.all(np.isfinite(out)))
+        # each item's map is the one it gets on its own
+        last = build_fastsal(variant, (1, 3, h, w)).run(store, Tensor(x[-1:]))["out"].data
+        ok = ok and np.abs(out[-1:] - last).max() <= 1e-5 * np.abs(last).max()
+    announce(capsys, 1, f"shape conformance ({n}x3x{h}x{w} in, {n}x1x{h}x{w} out)", ok)
 
 
 def test_criterion_02_complexity_consistency(capsys):
@@ -242,6 +265,22 @@ def test_criterion_07_bn_folding_equivalence(capsys):
         rel = np.abs(out - ref).max() / (np.abs(ref).max() + 1e-12)
         ok = ok and rel < 1e-5
     announce(capsys, 7, "bn folding equivalent on 20 random inputs", ok)
+
+
+@OTHER_SHAPES
+def test_criterion_07_bn_folding_equivalence_other_sizes(capsys, shape):
+    rng = np.random.default_rng(2)
+    ok = True
+    for variant in ("C", "A"):
+        graph = build_fastsal(variant, shape)
+        store = randomize_weights(init_weights(graph, seed=0), seed=3)
+        folded_graph, folded_store = fold_batch_norm(graph, store)
+        x = Tensor(rng.standard_normal(shape).astype(np.float32))
+        ref = graph.run(store, x)["out"].data
+        out = folded_graph.run(folded_store, x)["out"].data
+        ok = ok and np.abs(out - ref).max() / (np.abs(ref).max() + 1e-12) < 1e-5
+    announce(capsys, 7, f"bn folding equivalent on C and A at {'x'.join(map(str, shape))}",
+             ok)
 
 
 def test_criterion_08_benchmark_protocol(capsys):

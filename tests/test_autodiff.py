@@ -246,8 +246,9 @@ class TestGradCheckKernels:
 
     @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)])
     def test_conv2d_depthwise_pixel_major(self, stride, monkeypatch):
-        # dx, dw and db of _depthwise's pixel-major layout (rows innermost
+        # dx, dw and db of the tap loop's pixel-major layout (rows innermost
         # in memory) on a late-block-like shape: 48 channels on a 3x4 map
+        monkeypatch.setattr(K, "_operator_path", lambda p, q: False)
         monkeypatch.setattr(K, "_pixel_major", lambda rows, span: True)
         rng = np.random.default_rng(sum(stride))
         x = Tensor(rng.normal(size=(1, 48, 3, 4)))
@@ -256,6 +257,46 @@ class TestGradCheckKernels:
 
         def conv(xt, wt, bt):
             return (K.conv2d(xt, wt, bt, stride=stride, padding=(1, 1), groups=48) ** 2).sum()
+
+        for rep in (grad_check(lambda t: conv(t, w, b), x),
+                    grad_check(lambda t: conv(x, t, b), w),
+                    grad_check(lambda t: conv(x, w, t), b)):
+            assert rep.passed, rep.max_rel_err
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [(2, 2), (2, 1)])
+    def test_conv2d_depthwise_tap_loop_strided(self, stride, padding, monkeypatch):
+        # dx, dw and db of the strided tap loop in its own layout choice,
+        # where each stride phase is copied to and from the input (_phase)
+        monkeypatch.setattr(K, "_operator_path", lambda p, q: False)
+        rng = np.random.default_rng(10 * padding + sum(stride))
+        x = Tensor(rng.normal(size=(2, 3, 7, 6)))
+        w = Tensor(rng.normal(size=(3, 1, 3, 3)))
+        b = Tensor(rng.normal(size=3))
+        pad = (padding, padding)
+
+        def conv(xt, wt, bt):
+            return (K.conv2d(xt, wt, bt, stride=stride, padding=pad, groups=3) ** 2).sum()
+
+        for rep in (grad_check(lambda t: conv(t, w, b), x),
+                    grad_check(lambda t: conv(x, t, b), w),
+                    grad_check(lambda t: conv(x, w, t), b)):
+            assert rep.passed, rep.max_rel_err
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)])
+    def test_conv2d_depthwise_operator(self, stride, n, monkeypatch):
+        # dx, dw and db of the spatial-operator GEMMs on the late blocks'
+        # 3x4 map, with one item and with several
+        monkeypatch.setattr(K, "_operator_path", lambda p, q: True)
+        rng = np.random.default_rng(10 * n + sum(stride))
+        c = 48 // n
+        x = Tensor(rng.normal(size=(n, c, 3, 4)))
+        w = Tensor(rng.normal(size=(c, 1, 3, 3)))
+        b = Tensor(rng.normal(size=c))
+
+        def conv(xt, wt, bt):
+            return (K.conv2d(xt, wt, bt, stride=stride, padding=(1, 1), groups=c) ** 2).sum()
 
         for rep in (grad_check(lambda t: conv(t, w, b), x),
                     grad_check(lambda t: conv(x, t, b), w),

@@ -378,6 +378,12 @@ class TestEval:
         assert rc == 1
         capsys.readouterr()
 
+    def test_undecodable_fixation_file_is_input_error(self, capsys, tmp_path):
+        manifest = build_synthetic_dataset(str(tmp_path / "d"), n=1, size=(64, 64))
+        (tmp_path / "d" / "fix00.txt").write_bytes(b"1 2\n\xff 3\n")
+        assert cli.main(["eval", "--manifest", manifest] + SMALL) == 1
+        assert "fix00.txt: byte 0 of the line is not valid UTF-8" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("command", ["eval", "train"])
     def test_undecodable_manifest_is_input_error(self, capsys, tmp_path, command):

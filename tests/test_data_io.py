@@ -235,6 +235,20 @@ class TestFixations:
         with pytest.raises(ParseError):
             data_io.load_fixations(str(path))
 
+    def test_undecodable_line_is_named(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"1 2\n\xff 3\n")
+        with pytest.raises(ParseError, match="byte 0 of the line is not valid UTF-8") as e:
+            data_io.load_fixations(str(path))
+        assert e.value.line == 2
+
+    def test_crlf_and_cr_lines_are_numbered_as_text(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"1 2\r\n3 4\r5 x\n")
+        with pytest.raises(ParseError) as e:
+            data_io.load_fixations(str(path))
+        assert e.value.line == 3
+
 
 class TestManifest:
     def test_loads_and_resolves_paths(self, tmp_path):

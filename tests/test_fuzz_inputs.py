@@ -1,6 +1,6 @@
 """Seeded fuzzing of the input files: random truncations and byte flips of a
-saved width-0.25 C store, a teacher bundle, P5/P6 images and a manifest must
-fail with a typed engine error, never a raw Python or numpy one. Plain numpy
+saved width-0.25 C store, a teacher bundle, P5/P6 images, a manifest and a
+fixation file must fail with a typed engine error, never a raw Python or numpy one. Plain numpy
 loops, so that the suite needs nothing beyond numpy and pytest."""
 
 import numpy as np
@@ -136,5 +136,18 @@ def test_manifest_mutations_raise_typed_errors(tmp_path):
             f.write(mutant)
         try:
             data_io.load_manifest(path)
+        except TYPED:
+            pass
+
+
+def test_fixation_mutations_raise_typed_errors(tmp_path):
+    path = tmp_path / "fix.txt"
+    blob = b"".join(b"%d %d\n" % (r, c) for r, c in ((3, 17), (40, 2), (0, 63), (47, 9)))
+    path.write_bytes(blob)
+    assert len(data_io.load_fixations(str(path), bounds=(48, 64))) == 4
+    for mutant in _mutants(blob, seed=4):
+        path.write_bytes(mutant)
+        try:
+            data_io.load_fixations(str(path), bounds=(48, 64))
         except TYPED:
             pass

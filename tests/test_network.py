@@ -820,3 +820,26 @@ def test_conv_paths_match_benchmark_labels(variant, width, monkeypatch):
     assert {label for label, _ in seen} == {"pointwise", "depthwise", "general"}
     for label, took_depthwise in seen:
         assert took_depthwise == (label == "depthwise"), label
+
+
+@pytest.mark.parametrize("variant", ["C", "A"])
+def test_predict_size_keeps_depthwise_on_the_tap_loop(variant, monkeypatch):
+    # the spatial-operator GEMMs are for tiny maps only: at 1x3x192x256 no
+    # depthwise layer of the paper or prepared graph takes them, so predict
+    # maps do not depend on them; at the 4x3x48x64 training size the late
+    # blocks do
+    taken = []
+    operator = kernels._depthwise_operator
+
+    def recording(xd, *args):
+        taken.append(xd.shape)
+        return operator(xd, *args)
+
+    monkeypatch.setattr(kernels, "_depthwise_operator", recording)
+    graph = build_fastsal(variant, (1, 3, 192, 256))
+    store = randomize_weights(init_weights(graph), seed=5)
+    for g, s in ((graph, store), prepare_inference(graph, store)):
+        g.run(s, _input((1, 3, 192, 256)))
+    assert taken == []
+    build_fastsal(variant, (4, 3, 48, 64)).run(store, _input((4, 3, 48, 64)))
+    assert {shape[2:] for shape in taken} == {(2, 2), (3, 4), (6, 8)}

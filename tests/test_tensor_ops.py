@@ -27,6 +27,18 @@ def naive_depthwise(x, w, b, stride, padding):
     return out
 
 
+def assert_depthwise_matches_naive(x, wt, b, stride, padding):
+    """conv2d's depthwise output, with bias b or none, against the naive
+    loop, to 1e-12 (float64) or 1e-5 (float32) of its largest magnitude."""
+    out = K.conv2d(Tensor(x), Tensor(wt), None if b is None else Tensor(b),
+                   stride=stride, padding=padding, groups=x.shape[1])
+    ref = naive_depthwise(x, wt, b, stride, padding)
+    assert out.shape == ref.shape
+    assert out.dtype == x.dtype and out.data.flags.c_contiguous
+    tol = 1e-12 if x.dtype == np.float64 else 1e-5
+    np.testing.assert_allclose(out.data, ref, rtol=0, atol=tol * np.abs(ref).max())
+
+
 def naive_conv_dw(x, g, w_shape, stride, padding, groups):
     """Weight gradient of a convolution, in float64, one tap at a time:
     dw[o, c, u, v] is the sum over items and output pixels of g[n, o] times
@@ -163,27 +175,24 @@ class TestConv2d:
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)], ids=lambda s: "%dx%d" % s)
-    def test_depthwise_matches_naive_loop(self, stride, k, padding):
-        # with stride 2, one of 7 and 10 leaves h + 2p - k indivisible by it
+    def test_depthwise_matches_naive_loop(self, stride, k, padding, monkeypatch):
+        # the tap loop; with stride 2, one of 7 and 10 leaves h + 2p - k
+        # indivisible by it
+        monkeypatch.setattr(K, "_operator_path", lambda p, q: False)
         rng = np.random.default_rng(10 * k + padding)
         for (h, w), n, dtype, with_bias in itertools.product(
                 [(7, 10), (10, 9)], [1, 2], [np.float32, np.float64], [False, True]):
             x = rng.normal(size=(n, 3, h, w)).astype(dtype)
             wt = rng.normal(size=(3, 1, k, k)).astype(dtype)
             b = rng.normal(size=3).astype(dtype) if with_bias else None
-            out = K.conv2d(Tensor(x), Tensor(wt), None if b is None else Tensor(b),
-                           stride=stride, padding=(padding, padding), groups=3)
-            ref = naive_depthwise(x, wt, b, stride, (padding, padding))
-            assert out.shape == ref.shape
-            assert out.dtype == dtype and out.data.flags.c_contiguous
-            tol = 1e-12 if dtype == np.float64 else 1e-5
-            np.testing.assert_allclose(out.data, ref, rtol=0, atol=tol * np.abs(ref).max())
+            assert_depthwise_matches_naive(x, wt, b, stride, (padding, padding))
 
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)], ids=lambda s: "%dx%d" % s)
     def test_depthwise_pixel_major_matches_naive_loop(self, stride, k, monkeypatch):
         # 48-96 channels on small maps, the shapes of the late blocks, in
-        # _depthwise's pixel-major layout (rows innermost in memory)
+        # the tap loop's pixel-major layout (rows innermost in memory)
+        monkeypatch.setattr(K, "_operator_path", lambda p, q: False)
         monkeypatch.setattr(K, "_pixel_major", lambda rows, span: True)
         rng = np.random.default_rng(100 * k + 10 * stride[0] + stride[1])
         pad = k // 2
@@ -193,20 +202,16 @@ class TestConv2d:
             x = rng.normal(size=(n, c, h, w)).astype(dtype)
             wt = rng.normal(size=(c, 1, k, k)).astype(dtype)
             b = rng.normal(size=c).astype(dtype) if with_bias else None
-            out = K.conv2d(Tensor(x), Tensor(wt), None if b is None else Tensor(b),
-                           stride=stride, padding=pad, groups=c)
-            ref = naive_depthwise(x, wt, b, stride, (pad, pad))
-            assert out.shape == ref.shape
-            assert out.dtype == dtype and out.data.flags.c_contiguous
-            tol = 1e-12 if dtype == np.float64 else 1e-5
-            np.testing.assert_allclose(out.data, ref, rtol=0, atol=tol * np.abs(ref).max())
+            assert_depthwise_matches_naive(x, wt, b, stride, (pad, pad))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)], ids=lambda s: "%dx%d" % s)
     def test_depthwise_layouts_agree(self, stride, k, dtype, monkeypatch):
-        # both memory layouts run the same taps in the same order, so the
-        # forward is bit-identical; the dw reductions differ in order only
+        # both memory layouts of the tap loop run the same taps in the same
+        # order, so the forward is bit-identical; the dw reductions differ in
+        # order only
+        monkeypatch.setattr(K, "_operator_path", lambda p, q: False)
         rng = np.random.default_rng(7 * k + stride[1])
         pad = k // 2
         for (h, w), n, c in itertools.product([(2, 2), (3, 5), (7, 10)], [1, 4], [3, 64]):
@@ -225,6 +230,59 @@ class TestConv2d:
             for got, ref in ((dx1, dx0), (dw1, dw0)):
                 assert got.dtype == ref.dtype and got.shape == ref.shape
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)], ids=lambda s: "%dx%d" % s)
+    def test_depthwise_operator_matches_naive_loop(self, stride, k, padding, monkeypatch):
+        # the spatial-operator GEMMs, forced on maps that their rule would
+        # leave to the tap loop too (5x7 at stride 1)
+        monkeypatch.setattr(K, "_operator_path", lambda p, q: True)
+        rng = np.random.default_rng(1000 + 10 * k + padding)
+        for (h, w), n, dtype, with_bias in itertools.product(
+                [(2, 3), (3, 4), (5, 7)], [1, 4], [np.float32, np.float64], [False, True]):
+            if min(h, w) + 2 * padding < k:
+                continue
+            c = int(rng.integers(2, 49))
+            x = rng.normal(size=(n, c, h, w)).astype(dtype)
+            wt = rng.normal(size=(c, 1, k, k)).astype(dtype)
+            b = rng.normal(size=c).astype(dtype) if with_bias else None
+            assert_depthwise_matches_naive(x, wt, b, stride, (padding, padding))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)], ids=lambda s: "%dx%d" % s)
+    def test_depthwise_algorithms_agree(self, stride, k, dtype, monkeypatch):
+        # the spatial operator and the tap loop sum the taps in different
+        # orders: output, dx and dw agree to rounding
+        rng = np.random.default_rng(31 * k + stride[1])
+        pad = k // 2
+        for (h, w), n, c in itertools.product([(2, 2), (3, 4), (6, 8)], [1, 4], [3, 64]):
+            x = rng.normal(size=(n, c, h, w)).astype(dtype)
+            wt = rng.normal(size=(c, 1, k, k)).astype(dtype)
+            ho = (h + 2 * pad - k) // stride[0] + 1
+            wo = (w + 2 * pad - k) // stride[1] + 1
+            g = rng.normal(size=(n, c, ho, wo)).astype(dtype)
+            runs = []
+            for operator in (False, True):
+                monkeypatch.setattr(K, "_operator_path", lambda p, q: operator)
+                out, grads = K._depthwise(x, wt, *stride, pad, pad, ho, wo)
+                runs.append((np.ascontiguousarray(out),) + grads(g))
+            tol = 1e-12 if dtype == np.float64 else 1e-5
+            for got, ref in zip(runs[1], runs[0]):
+                assert got.dtype == ref.dtype == dtype and got.shape == ref.shape
+                np.testing.assert_allclose(got, ref, rtol=0, atol=tol * np.abs(ref).max())
+
+    def test_spatial_operator_cache_is_read_only_and_bounded(self):
+        for op in K._spatial_operator(3, 4, 3, 3, 2, 1, 1, 1, np.dtype(np.float32)):
+            assert op.dtype == np.float32 and not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 1
+        maxsize = K._spatial_operator.cache_info().maxsize
+        assert maxsize is not None
+        for h in range(1, maxsize + 10):
+            K._spatial_operator(h, 2, 1, 1, 1, 1, 0, 0, np.dtype(np.float64))
+        assert K._spatial_operator.cache_info().currsize == maxsize
 
     @CONV_CASES
     def test_weight_gradient_matches_naive_loop(self, cin, cout, k, stride, padding, groups):

@@ -5,7 +5,9 @@ lightweight decoders (channel concatenation or top-down addition) to produce a
 full-resolution saliency map. The package also provides the distillation
 losses used to train the model from teacher pseudo-labels, a saliency metric
 suite, a parameter/FLOP analyzer, and a latency benchmark. Gradients come
-from `Tape.gradients(loss, leaves)`.
+from `Tape.gradients(loss, leaves)`; `run(want=graph.taps)` returns the taps by
+name, a conv's weight shape comes from its input, and `analyze(graph)` counts
+at the graph's own input shape.
 """
 
 from .tensor import Tensor, Tape, grad_check

@@ -17,7 +17,6 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .errors import ContractError
 from .network import RUNNING_STATS, op_for
 
 CONVENTION = ("MAC=2FLOPs; conv=2*Cout*(Cin/g)*Kh*Kw*Hout*Wout; "
@@ -77,12 +76,10 @@ def layer_flops(layer, in_shapes, out_shape):
     return op_for(layer.kind).flops(layer.params, in_shapes, out_shape)
 
 
-def analyze(graph, input_shape=None):
-    """Per-layer and total parameter/FLOP counts for a shape-resolved graph."""
-    shape = tuple(input_shape or graph.input_shape)
-    if not shape:
-        raise ContractError("graph has no input shape; pass input_shape")
-    shapes = graph.infer_shapes(shape)
+def analyze(graph):
+    """Per-layer and total parameter/FLOP counts of a graph at its input
+    shape."""
+    shapes = graph.infer_shapes()
     report = ComplexityReport()
     for l in graph.layers:
         ins = [shapes[i] for i in l.inputs]

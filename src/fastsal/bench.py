@@ -89,13 +89,11 @@ def build_vgg16_reference(input_shape):
     widths = [(64, 2), (128, 2), (256, 3), (512, 3), (512, 3)]
     b = _Builder()
     prev = "input"
-    cin = input_shape[1]
     idx = 0
     for stage, (c, reps) in enumerate(widths, 1):
         for _ in range(reps):
             idx += 1
-            prev = b.conv(f"vgg.conv{idx}", prev, cin, c, 3, 1, 1, bias=True)
-            cin = c
+            prev = b.conv(f"vgg.conv{idx}", prev, c, 3, 1, 1, bias=True)
         if stage < len(widths):
             prev = b.emit(f"vgg.pool{stage}", "avg-pool", [prev], k=2)
     return NetworkGraph(b.layers, variant="vgg16-reference",

@@ -25,9 +25,11 @@ epoch, batch or step count below 1 or a negative seed; malformed input),
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import dataclasses
 import functools
+import io
 import os
 import sys
 
@@ -156,12 +158,13 @@ def _cmd_eval(args):
         report = metrics_mod.evaluate(pred, gt_density=gt, fixations=fix)
         rows.append((rec.image, report))
     cols = [f.name for f in dataclasses.fields(metrics_mod.MetricReport)]
-    lines = ["image," + ",".join(cols)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["image"] + cols)
     for image, rep in rows:
         vals = [getattr(rep, c) for c in cols]
-        lines.append(image + "," + ",".join(
-            "" if v is None else f"{v:.5f}" for v in vals))
-    out = "\n".join(lines) + "\n"
+        writer.writerow([image] + ["" if v is None else f"{v:.5f}" for v in vals])
+    out = buf.getvalue()
     if args.csv:
         with open(args.csv, "w") as f:
             f.write(out)

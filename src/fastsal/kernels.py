@@ -299,6 +299,12 @@ def _weight_grad(gm, cm, out):
         np.matmul(gm, cm.transpose(0, 2, 1)).sum(0, out=out)
 
 
+def check_groups(cin, cout, groups):
+    if groups < 1 or cin % groups or cout % groups:
+        raise ConfigError(f"groups={groups} must be positive and divide "
+                          f"in_channels={cin} and out_channels={cout}")
+
+
 def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
     """2-D cross-correlation. weight is (C_out, C_in/groups, K_h, K_w); bias,
     when present, is a length-C_out vector."""
@@ -309,11 +315,7 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
     ph, pw = _pair(padding)
     n, cin, h, w = x.shape
     cout, cin_g, kh, kw = weight.shape
-    if groups < 1:
-        raise ConfigError(f"groups must be positive, got {groups}")
-    if cin % groups or cout % groups:
-        raise ConfigError(
-            f"groups={groups} must divide in_channels={cin} and out_channels={cout}")
+    check_groups(cin, cout, groups)
     if cin_g != cin // groups:
         raise ShapeError(
             f"weight channel axis is {cin_g}, expected in_channels/groups = {cin // groups}")

@@ -12,7 +12,9 @@ its input graph stays as it was.
 
 A NetworkGraph is an ordered list of LayerSpec records executed top to bottom;
 every layer names its inputs, so shape inference and complexity accounting can
-run without weights. OPS is the one place a layer kind is described: its
+run without weights. graph.taps is derived from the layers' tap flags, and
+run(want=graph.taps) returns their values by name; a conv's weight shape comes
+from its input shape. OPS is the one place a layer kind is described: its
 output shape, how it runs, its FLOPs and its weight slots. Shape inference,
 execution, weight init and checking, and the analyzer all read that table.
 """
@@ -29,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels, tensor
-from .errors import ConfigError, ParseError, ShapeError, WeightStoreError
+from .errors import ConfigError, ContractError, ParseError, ShapeError, WeightStoreError
 from .tensor import Tensor
 
 BN_EPS = 1e-5
@@ -76,13 +78,20 @@ class LayerSpec:
 @dataclass
 class NetworkGraph:
     layers: list
-    taps: list = field(default_factory=list)
     variant: str = ""
     input_shape: tuple = ()
 
-    def infer_shapes(self, input_shape=None):
-        """Shape of every layer output as a pure function of the input shape."""
-        shapes = {"input": tuple(input_shape or self.input_shape)}
+    @property
+    def taps(self):
+        """Names of the tapped layers, in layer order."""
+        return [l.name for l in self.layers if l.tap]
+
+    def infer_shapes(self):
+        """Shape of every layer output as a pure function of the input shape;
+        ContractError when the graph has no 4-D input shape."""
+        if len(self.input_shape) != 4:
+            raise ContractError(f"graph input shape must be 4-D, got {self.input_shape}")
+        shapes = {"input": tuple(self.input_shape)}
         for l in self.layers:
             ins = [shapes[i] for i in l.inputs]
             try:
@@ -98,14 +107,12 @@ class NetworkGraph:
 
     def run(self, store, x, training=False, want=None):
         """Execute the graph. Returns a dict with the final output under "out"
-        plus any layer names requested in `want` (use "taps" to collect all
-        tapped layers). Each activation is dropped once its last reader has
+        plus any layer names requested in `want` (want=graph.taps gives every
+        tapped layer). Each activation is dropped once its last reader has
         run; under a tape, the tape still holds what backward needs."""
         want = set(want or ())
-        collect_taps = "taps" in want
         acts = {"input": x}
         results = {}
-        tap_values = []
         last_reader = {i: k for k, l in enumerate(self.layers) for i in l.inputs}
         for k, l in enumerate(self.layers):
             xs = [acts[i] for i in l.inputs]
@@ -120,13 +127,9 @@ class NetworkGraph:
             except (ShapeError, ConfigError) as e:
                 raise type(e)(f"layer '{l.name}': {e}") from e
             acts[l.name] = y
-            if l.tap and collect_taps:
-                tap_values.append(y)
             if l.name in want:
                 results[l.name] = y
         results["out"] = acts[self.layers[-1].name]
-        if collect_taps:
-            results["taps"] = tap_values
         return results
 
 
@@ -180,13 +183,14 @@ class Op:
     slots: Callable = _no_slots
 
 
-def _conv_weight_shape(p):
+def _conv_weight_shape(p, ins):
     kh, kw = p["kernel"]
-    return (p["out_ch"], p["in_ch"] // p.get("groups", 1), kh, kw)
+    return (p["out_ch"], ins[0][1] // p.get("groups", 1), kh, kw)
 
 
 def _conv_shape(p, ins):
-    n, _, h, w = ins[0]
+    n, cin, h, w = ins[0]
+    kernels.check_groups(cin, p["out_ch"], p.get("groups", 1))
     (kh, kw), (sh, sw), (ph, pw) = p["kernel"], p["stride"], p["padding"]
     return (n, p["out_ch"], (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1)
 
@@ -198,11 +202,11 @@ def _conv_run(p, xs, w, training):
 
 def _conv_flops(p, ins, out):
     n, _, h, w = out
-    return 2 * math.prod(_conv_weight_shape(p)) * n * h * w
+    return 2 * math.prod(_conv_weight_shape(p, ins)) * n * h * w
 
 
 def _conv_slots(p, ins):
-    slots = {".w": (_conv_weight_shape(p), _fan_in_uniform)}
+    slots = {".w": (_conv_weight_shape(p, ins), _fan_in_uniform)}
     if p.get("bias", False):
         slots[".b"] = ((p["out_ch"],), _zeros)
     return slots
@@ -320,17 +324,17 @@ class _Builder:
         self.layers.append(LayerSpec(name, kind, list(inputs), params, tap))
         return name
 
-    def conv(self, name, inp, in_ch, out_ch, kernel=1, stride=1, padding=0,
-             groups=1, bias=False, tap=False):
+    def conv(self, name, inp, out_ch, kernel=1, stride=1, padding=0,
+             groups=1, bias=False):
         k = (kernel, kernel) if isinstance(kernel, int) else kernel
         s = (stride, stride) if isinstance(stride, int) else stride
         p = (padding, padding) if isinstance(padding, int) else padding
-        return self.emit(name, "conv", [inp], tap=tap, in_ch=in_ch, out_ch=out_ch,
-                         kernel=k, stride=s, padding=p, groups=groups, bias=bias)
+        return self.emit(name, "conv", [inp], out_ch=out_ch, kernel=k, stride=s,
+                         padding=p, groups=groups, bias=bias)
 
-    def conv_bn_relu(self, prefix, inp, in_ch, out_ch, kernel, stride, groups=1):
+    def conv_bn_relu(self, prefix, inp, out_ch, kernel, stride, groups=1):
         pad = (kernel - 1) // 2
-        c = self.conv(prefix + ".conv", inp, in_ch, out_ch, kernel, stride, pad, groups)
+        c = self.conv(prefix + ".conv", inp, out_ch, kernel, stride, pad, groups)
         b = self.emit(prefix + ".bn", "bn", [c])
         return self.emit(prefix + ".relu", "relu6", [b])
 
@@ -339,9 +343,9 @@ def _inverted_residual(b, prefix, inp, in_ch, out_ch, stride, expand):
     hidden = in_ch * expand
     x = inp
     if expand != 1:
-        x = b.conv_bn_relu(prefix + ".expand", x, in_ch, hidden, 1, 1)
-    x = b.conv_bn_relu(prefix + ".dw", x, hidden, hidden, 3, stride, groups=hidden)
-    x = b.conv(prefix + ".project.conv", x, hidden, out_ch, 1, 1, 0)
+        x = b.conv_bn_relu(prefix + ".expand", x, hidden, 1, 1)
+    x = b.conv_bn_relu(prefix + ".dw", x, hidden, 3, stride, groups=hidden)
+    x = b.conv(prefix + ".project.conv", x, out_ch)
     x = b.emit(prefix + ".project.bn", "bn", [x])
     if stride == 1 and in_ch == out_ch:
         x = b.emit(prefix + ".add", "add", [x, inp])
@@ -349,15 +353,12 @@ def _inverted_residual(b, prefix, inp, in_ch, out_ch, stride, expand):
 
 
 def _backbone_layers(b, width=1.0):
-    """Stem plus 17 inverted residual blocks; marks the 18 taps. Returns
-    (tap names, tap channels)."""
-    taps = []
-    tap_ch = []
+    """Stem plus 17 inverted residual blocks; marks the 18 taps and returns
+    their names."""
     c_in = _make_divisible(32 * width)
-    x = b.conv_bn_relu("backbone.stem", "input", 3, c_in, 3, 2)
+    x = b.conv_bn_relu("backbone.stem", "input", c_in, 3, 2)
     b.layers[-1].tap = True
-    taps.append(x)
-    tap_ch.append(c_in)
+    taps = [x]
     idx = 0
     for t, c, n, s in _MOBILENETV2_CFG:
         c_out = _make_divisible(c * width)
@@ -367,9 +368,8 @@ def _backbone_layers(b, width=1.0):
                                    c_out, s if i == 0 else 1, t)
             b.layers[-1].tap = True
             taps.append(x)
-            tap_ch.append(c_out)
             c_in = c_out
-    return taps, tap_ch
+    return taps
 
 
 def _check_build(input_shape, width):
@@ -387,12 +387,11 @@ def build_backbone(input_shape, width=1.0):
     of the 17 inverted residual blocks."""
     _check_build(input_shape, width)
     b = _Builder()
-    taps, _ = _backbone_layers(b, width)
-    return NetworkGraph(b.layers, taps=taps, variant="backbone",
-                        input_shape=tuple(input_shape))
+    _backbone_layers(b, width)
+    return NetworkGraph(b.layers, variant="backbone", input_shape=tuple(input_shape))
 
 
-def _grouping_layers(b, taps, tap_ch):
+def _grouping_layers(b, taps):
     """Merge 18 taps into 4 feature blocks. The two half-resolution taps are
     average-pooled down one scale and folded into the first block."""
     p0 = b.emit("blocks.pool0", "avg-pool", [taps[0]], k=2)
@@ -401,45 +400,43 @@ def _grouping_layers(b, taps, tap_ch):
     b2 = b.emit("blocks.b2", "concat", taps[4:7])
     b3 = b.emit("blocks.b3", "concat", taps[7:14])
     b4 = b.emit("blocks.b4", "concat", taps[14:18])
-    ch = [tap_ch[0] + tap_ch[1] + tap_ch[2] + tap_ch[3],
-          sum(tap_ch[4:7]), sum(tap_ch[7:14]), sum(tap_ch[14:18])]
-    return [b1, b2, b3, b4], ch
+    return [b1, b2, b3, b4]
 
 
-def _decoder_concat_layers(b, blocks, block_ch, h, w, width):
+def _decoder_concat_layers(b, blocks, h, w, width):
     adapt_ch = [_make_divisible(a * width) for a in CONCAT_ADAPT]
     ups = []
-    for i, (blk, cin, cout) in enumerate(zip(blocks, block_ch, adapt_ch), 1):
-        a = b.conv(f"decoder.adapt{i}", blk, cin, cout, bias=True)
+    for i, (blk, cout) in enumerate(zip(blocks, adapt_ch), 1):
+        a = b.conv(f"decoder.adapt{i}", blk, cout, bias=True)
         ups.append(b.emit(f"decoder.up{i}", "resize", [a], out_h=h // 2, out_w=w // 2))
     cat = b.emit("decoder.concat", "concat", ups)
     shuf = b.emit("decoder.shuffle", "pixel-shuffle", [cat], r=2)
-    b.conv("decoder.out", shuf, sum(adapt_ch) // 4, 1, bias=True)
+    b.conv("decoder.out", shuf, 1, bias=True)
 
 
 def _mir_layers(b, prefix, inp, din, dout):
     """Inverted residual with expansion 2; residual skip only when the channel
     count is preserved."""
     hidden = 2 * din
-    x = b.conv(prefix + ".expand.conv", inp, din, hidden, 1, bias=True)
+    x = b.conv(prefix + ".expand.conv", inp, hidden, bias=True)
     x = b.emit(prefix + ".expand.bn", "bn", [x])
     x = b.emit(prefix + ".expand.relu", "relu6", [x])
-    x = b.conv(prefix + ".dw.conv", x, hidden, hidden, 3, 1, 1, groups=hidden, bias=True)
+    x = b.conv(prefix + ".dw.conv", x, hidden, 3, 1, 1, groups=hidden, bias=True)
     x = b.emit(prefix + ".dw.bn", "bn", [x])
     x = b.emit(prefix + ".dw.relu", "relu6", [x])
-    x = b.conv(prefix + ".project.conv", x, hidden, dout, 1, bias=True)
+    x = b.conv(prefix + ".project.conv", x, dout, bias=True)
     x = b.emit(prefix + ".project.bn", "bn", [x])
     if din == dout:
         x = b.emit(prefix + ".add", "add", [x, inp])
     return x
 
 
-def _decoder_add_layers(b, blocks, block_ch, h, w, width):
+def _decoder_add_layers(b, blocks, h, w, width):
     adapt_ch = [_make_divisible(a * width) for a in ADD_ADAPT]
     if adapt_ch[0] % 16:
         adapt_ch[0] = _make_divisible(adapt_ch[0], 16)
-    adapted = [b.conv(f"decoder.adapt{i}", blk, cin, cout, bias=True)
-               for i, (blk, cin, cout) in enumerate(zip(blocks, block_ch, adapt_ch), 1)]
+    adapted = [b.conv(f"decoder.adapt{i}", blk, cout, bias=True)
+               for i, (blk, cout) in enumerate(zip(blocks, adapt_ch), 1)]
     scales = [(h // 4, w // 4), (h // 8, w // 8), (h // 16, w // 16), (h // 32, w // 32)]
     # top-down: coarsest block first, each level fused with the resized
     # previous output before its inverted residual
@@ -452,9 +449,9 @@ def _decoder_add_layers(b, blocks, block_ch, h, w, width):
         prev = _mir_layers(b, f"decoder.mir{i}", s, adapt_ch[i - 1], dout)
     x = b.emit("decoder.shuffle1", "pixel-shuffle", [prev], r=2)
     c = adapt_ch[0] // 4
-    x = b.conv("decoder.post", x, c, c, bias=True)
+    x = b.conv("decoder.post", x, c, bias=True)
     x = b.emit("decoder.shuffle2", "pixel-shuffle", [x], r=2)
-    b.conv("decoder.out", x, c // 4, 1, bias=True)
+    b.conv("decoder.out", x, 1, bias=True)
 
 
 def build_fastsal(variant, input_shape, width=1.0):
@@ -465,14 +462,12 @@ def build_fastsal(variant, input_shape, width=1.0):
     _check_build(input_shape, width)
     h, w = input_shape[2:]
     b = _Builder()
-    taps, tap_ch = _backbone_layers(b, width)
-    blocks, block_ch = _grouping_layers(b, taps, tap_ch)
+    blocks = _grouping_layers(b, _backbone_layers(b, width))
     if variant == "C":
-        _decoder_concat_layers(b, blocks, block_ch, h, w, width)
+        _decoder_concat_layers(b, blocks, h, w, width)
     else:
-        _decoder_add_layers(b, blocks, block_ch, h, w, width)
-    return NetworkGraph(b.layers, taps=taps, variant=variant,
-                        input_shape=tuple(input_shape))
+        _decoder_add_layers(b, blocks, h, w, width)
+    return NetworkGraph(b.layers, variant=variant, input_shape=tuple(input_shape))
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +656,7 @@ def fold_batch_norm(graph, store):
             continue
         new_layers[l.name] = _with_inputs(l, [folded.get(i, i) for i in l.inputs])
 
-    return (replace(graph, layers=list(new_layers.values()),
-                    taps=[folded.get(t, t) for t in graph.taps]), new_store)
+    return replace(graph, layers=list(new_layers.values())), new_store
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +715,7 @@ def collapse_linear_tail(graph, store):
         if b is not None:
             new_store.put(name + ".b", b)
         new_layers.append(replace(like, name=name, inputs=[src], params=dict(
-            like.params, in_ch=channels[src], out_ch=w.shape[0], bias=b is not None)))
+            like.params, out_ch=w.shape[0], bias=b is not None)))
         return name
 
     def sink(src, w, b, user, k):
@@ -773,19 +767,18 @@ def collapse_linear_tail(graph, store):
     for s in (".w", ".b"):
         new_store.tensors.pop(last.name + s, None)
     kept = [l for l in graph.layers if l.name not in passed]
-    return replace(graph, layers=kept + new_layers, taps=list(graph.taps)), new_store
+    return replace(graph, layers=kept + new_layers), new_store
 
 
 def subgraph(graph, names):
     """The graph of the layers that the named layers' outputs depend on, in
     their order, so that it ends with the last of them. Layers are shared
-    with the input graph; taps outside the subgraph are dropped."""
+    with the input graph; its taps are those of the kept layers."""
     need = set(names)
     for l in reversed(graph.layers):
         if l.name in need:
             need.update(l.inputs)
-    return replace(graph, layers=[l for l in graph.layers if l.name in need],
-                   taps=[t for t in graph.taps if t in need])
+    return replace(graph, layers=[l for l in graph.layers if l.name in need])
 
 
 # layer kinds whose output buffer is fresh and whose backward does not read
@@ -812,8 +805,7 @@ def clip_in_place(graph, keep=()):
                 and (src.kind != "add" or len(src.inputs) > 1))
 
     return replace(graph, layers=[replace(l, params=dict(l.params, inplace=True))
-                                  if marked(l) else l for l in graph.layers],
-                   taps=list(graph.taps))
+                                  if marked(l) else l for l in graph.layers])
 
 
 def prepare_inference(graph, store):

@@ -1,12 +1,13 @@
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fastsal import analyzer
 from fastsal.bench import build_vgg16_reference
-from fastsal.errors import ContractError
+from fastsal.errors import ConfigError, ContractError
 from fastsal.network import (LayerSpec, NetworkGraph, build_backbone,
                              build_fastsal, init_weights, trainable_slots)
 
@@ -19,21 +20,21 @@ class TestLayerFixtures:
     def test_pointwise_conv_params(self):
         # 1x1, 96 -> 128 with bias: 96*128 + 128 = 12416
         l = LayerSpec("c", "conv", ["input"],
-                      {"in_ch": 96, "out_ch": 128, "kernel": (1, 1),
+                      {"out_ch": 128, "kernel": (1, 1),
                        "stride": (1, 1), "padding": (0, 0), "bias": True})
         assert analyzer.layer_params(l, [(1, 96, 8, 8)]) == 12_416
 
     def test_depthwise_conv_params(self):
         # 3x3 depthwise over 128 channels, no bias: 128*1*9 = 1152
         l = LayerSpec("c", "conv", ["input"],
-                      {"in_ch": 128, "out_ch": 128, "kernel": (3, 3),
+                      {"out_ch": 128, "kernel": (3, 3),
                        "stride": (1, 1), "padding": (1, 1), "groups": 128})
         assert analyzer.layer_params(l, [(1, 128, 8, 8)]) == 1_152
 
     def test_conv_flop_fixture(self):
         # 2 * 128 * 96 * 1 * 1 * 48 * 64 = 75,497,472
         l = LayerSpec("c", "conv", ["input"],
-                      {"in_ch": 96, "out_ch": 128, "kernel": (1, 1),
+                      {"out_ch": 128, "kernel": (1, 1),
                        "stride": (1, 1), "padding": (0, 0), "bias": True})
         flops = analyzer.layer_flops(l, [(1, 96, 48, 64)], (1, 128, 48, 64))
         assert flops == 75_497_472
@@ -85,6 +86,31 @@ class TestModelTotals:
         store = init_weights(graph)
         assert report.total_params == sum(store.get(k).size for k in trainable_slots(store))
 
+    @pytest.mark.parametrize("variant,width,params,flops", [
+        ("C", 1.0, 2_268_129, 985_445_376),
+        ("C", 0.5, 595_889, 308_636_160),
+        ("C", 0.25, 162_521, 111_138_048),
+        ("A", 1.0, 3_459_157, 1_077_728_256),
+        ("A", 0.5, 900_267, 315_161_088),
+        ("A", 0.25, 242_118, 105_676_032),
+    ])
+    def test_paper_graph_totals(self, variant, width, params, flops):
+        report = analyzer.analyze(build_fastsal(variant, (1, 3, 192, 256), width=width))
+        assert (report.total_params, report.total_flops) == (params, flops)
+
+    def test_conv_groups_must_divide_channels(self):
+        # a 3x3 conv with groups=2 over 5 input channels, or to 3 output
+        # channels, has no weight shape; shape inference names the layer
+        for cin, cout in ((5, 4), (4, 3)):
+            graph = single_layer_graph(
+                LayerSpec("g", "conv", ["input"],
+                          {"out_ch": cout, "kernel": (3, 3), "stride": (1, 1),
+                           "padding": (1, 1), "groups": 2}), (1, cin, 6, 6))
+            for call in (graph.infer_shapes, lambda: analyzer.analyze(graph),
+                         lambda: init_weights(graph)):
+                with pytest.raises(ConfigError, match="layer 'g': groups=2 must be positive and divide"):
+                    call()
+
     def test_flops_scale_with_resolution(self):
         # rounding at the coarsest scales makes the ratio slightly under 4
         g1 = build_fastsal("C", (1, 3, 96, 128), width=0.25)
@@ -125,7 +151,7 @@ class TestReportOutput:
         graph = NetworkGraph([LayerSpec("r", "relu6", ["input"], {})])
         with pytest.raises(ContractError):
             analyzer.analyze(graph)
-        rep = analyzer.analyze(graph, input_shape=(1, 2, 4, 4))
+        rep = analyzer.analyze(replace(graph, input_shape=(1, 2, 4, 4)))
         assert rep.total_flops == 64
 
 
@@ -138,7 +164,7 @@ def test_independent_conv_param_recount():
     for l in graph.layers:
         if l.kind == "conv":
             p = l.params
-            total += (p["out_ch"] * (p["in_ch"] // p.get("groups", 1))
+            total += (p["out_ch"] * (shapes[l.inputs[0]][1] // p.get("groups", 1))
                       * p["kernel"][0] * p["kernel"][1])
             if p.get("bias", False):
                 total += p["out_ch"]

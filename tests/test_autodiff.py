@@ -104,13 +104,13 @@ def _train_tiny(seed, barrier=None, steps=3):
     length and the gradients of every step."""
     conv = dict(stride=(1, 1), padding=(1, 1), groups=1, bias=True)
     graph = NetworkGraph([
-        LayerSpec("c1", "conv", ["input"], dict(conv, in_ch=3, out_ch=8, kernel=(3, 3),
+        LayerSpec("c1", "conv", ["input"], dict(conv, out_ch=8, kernel=(3, 3),
                                                 stride=(2, 2), bias=False)),
         LayerSpec("b1", "bn", ["c1"]),
         LayerSpec("r1", "relu6", ["b1"]),
-        LayerSpec("dw", "conv", ["r1"], dict(conv, in_ch=8, out_ch=8, kernel=(3, 3), groups=8)),
+        LayerSpec("dw", "conv", ["r1"], dict(conv, out_ch=8, kernel=(3, 3), groups=8)),
         LayerSpec("r2", "relu6", ["dw"]),
-        LayerSpec("out", "conv", ["r2"], dict(conv, in_ch=8, out_ch=1, kernel=(1, 1),
+        LayerSpec("out", "conv", ["r2"], dict(conv, out_ch=1, kernel=(1, 1),
                                               padding=(0, 0))),
     ], input_shape=(2, 3, 12, 16))
     store = init_weights(graph, seed=seed)

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_synthetic_dataset, randomize_weights, write_ppm
+from conftest import build_synthetic_dataset, randomize_weights, write_pgm, write_ppm
 from fastsal import cli, data_io, kernels, metrics, network, tensor
 from fastsal.network import build_fastsal, init_weights, save_weights
 from fastsal.tensor import Tensor, sigmoid
@@ -370,6 +371,27 @@ class TestEval:
                 fixations=data_io.load_fixations(rec.fix, bounds=(64, 64)))
             assert abs(float(row["nss"]) - ref.nss) <= 1e-5
             assert abs(float(row["cc"]) - ref.cc) <= 1e-5
+
+    def test_image_path_with_comma_and_quote(self, capsys, tmp_path):
+        # fields holding a comma or a quote are quoted; others are written
+        # as they are
+        d = tmp_path / "a,b"
+        d.mkdir()
+        images = [d / 'img "1".pgm', tmp_path / "plain.pgm"]
+        for path in images:
+            write_pgm(str(path), np.random.default_rng(0).uniform(0, 1, (64, 64)))
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(json.dumps({"image": str(p)}) + "\n" for p in images))
+        out = tmp_path / "metrics.csv"
+        rc = cli.main(["eval", "--manifest", str(manifest), "--csv", str(out)] + SMALL)
+        assert rc == 0, capsys.readouterr().err
+        text = out.read_text()
+        assert capsys.readouterr().out == text
+        header, *rows = csv.reader(text.splitlines())
+        assert len(header) == 8 and header[0] == "image"
+        assert [len(r) for r in rows] == [8, 8]
+        assert [r[0] for r in rows] == [str(p) for p in images]
+        assert text.splitlines()[2].startswith(str(images[1]) + ",")
 
     def test_bad_manifest_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "m.jsonl"

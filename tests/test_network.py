@@ -3,6 +3,7 @@ import gc
 import importlib.util
 import os
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from conftest import randomize_weights
 from fastsal import network as net
 from fastsal import analyzer, distill, kernels, tensor
-from fastsal.errors import ConfigError, ParseError, ShapeError, WeightStoreError
+from fastsal.errors import (ConfigError, ContractError, ParseError, ShapeError,
+                            WeightStoreError)
 from fastsal.network import (LayerSpec, NetworkGraph, WeightStore,
                              build_backbone, build_fastsal, check_weights,
                              collapse_linear_tail, fold_batch_norm, init_weights,
@@ -36,6 +38,16 @@ class TestBackboneStructure:
     def test_eighteen_taps(self):
         graph = build_backbone((1, 3, 192, 256))
         assert len(graph.taps) == 18
+
+    def test_tap_names(self):
+        # the stem, then each block's residual add where it has one and its
+        # projection bn otherwise
+        graph = build_fastsal("C", (1, 3, 192, 256))
+        with_add = {3, 5, 6, 8, 9, 10, 12, 13, 15, 16}
+        assert graph.taps == ["backbone.stem.relu"] + [
+            f"backbone.b{i}.add" if i in with_add else f"backbone.b{i}.project.bn"
+            for i in range(1, 18)]
+        assert graph.taps == [l.name for l in graph.layers if l.tap]
 
     def test_tap_scale_schedule(self):
         graph = build_backbone((1, 3, 192, 256))
@@ -67,9 +79,9 @@ class TestBackboneStructure:
         graph, store = backbone_small
         x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 48, 64))
                    .astype(np.float32))
-        res = graph.run(store, x, want=["taps"])
-        assert len(res["taps"]) == 18
-        assert all(np.all(np.isfinite(t.data)) for t in res["taps"])
+        res = graph.run(store, x, want=graph.taps)
+        assert len(graph.taps) == 18
+        assert all(np.all(np.isfinite(res[t].data)) for t in graph.taps)
 
     def test_run_shapes_match_inference(self):
         x = Tensor(np.zeros((1, 3, 48, 64), dtype=np.float32))
@@ -223,10 +235,14 @@ class TestRunLiveness:
     ])
     def test_activation_dropped_after_last_reader(self, want, alive, monkeypatch):
         # a chain r0 -> ... -> r4 with r1 tapped: when r_k runs, the outputs
-        # before its input are dead unless they were asked for
+        # before its input are dead unless they were asked for; ("taps",)
+        # stands for want=graph.taps
         layers = [LayerSpec(f"r{k}", "relu6", [f"r{k - 1}" if k else "input"], tap=k == 1)
                   for k in range(5)]
-        graph = NetworkGraph(layers, taps=["r1"], input_shape=(1, 2, 3, 3))
+        graph = NetworkGraph(layers, input_shape=(1, 2, 3, 3))
+        if want == ("taps",):
+            want = graph.taps
+            assert want == ["r1"]
         outs, seen = [], []
         relu6 = tensor.relu6
 
@@ -242,8 +258,7 @@ class TestRunLiveness:
         assert seen == alive
         np.testing.assert_array_equal(res["out"].data, np.clip(x.data, 0, 6))
         if want:
-            r1 = res["taps"][0] if want == ("taps",) else res["r1"]
-            np.testing.assert_array_equal(r1.data, np.clip(x.data, 0, 6))
+            np.testing.assert_array_equal(res["r1"].data, np.clip(x.data, 0, 6))
 
 
 class TestLayerKinds:
@@ -269,6 +284,18 @@ class TestLayerKinds:
                      lambda: analyzer.analyze(graph),
                      lambda: init_weights(graph)):
             with pytest.raises(ConfigError, match="layer 'odd'.*'frobnicate'"):
+                call()
+
+    @pytest.mark.parametrize("shape", [(), (1, 3, 64)])
+    def test_shape_passes_need_a_4d_input_shape(self, shape):
+        graph = build_fastsal("C", (1, 3, 64, 64), width=0.25)
+        store = init_weights(graph)
+        graph = replace(graph, input_shape=shape)
+        for call in (graph.infer_shapes, lambda: init_weights(graph),
+                     lambda: check_weights(graph, store),
+                     lambda: collapse_linear_tail(graph, store),
+                     lambda: analyzer.analyze(graph)):
+            with pytest.raises(ContractError, match="4-D"):
                 call()
 
 
@@ -439,13 +466,21 @@ class TestBatchNormFolding:
         rewritten = {k for k in fs.names() if fs.get(k) is not store.tensors.get(k)}
         assert rewritten == {c + s for c in absorbed for s in (".w", ".b")}
 
-    def test_taps_preserved(self, fastsal_small):
-        graph, store = fastsal_small
-        fg, fs = fold_batch_norm(graph, store)
+    def test_taps_preserved(self):
+        # a folded bn's tap moves onto its conv, in the conv's place; the
+        # tapped values stay those of the unrewritten graph
         x = Tensor(np.random.default_rng(8).normal(size=(1, 3, 48, 64))
                    .astype(np.float32))
-        taps = fg.run(fs, x, want=["taps"])["taps"]
-        assert len(taps) == 18
+        for variant in ("C", "A"):
+            graph, store = _random_model(variant, (1, 3, 48, 64))
+            renamed = [t.replace(".project.bn", ".project.conv") for t in graph.taps]
+            assert len(renamed) == 18 and renamed != graph.taps
+            ref = graph.run(store, x, want=graph.taps)
+            for rg, rs in (fold_batch_norm(graph, store), prepare_inference(graph, store)):
+                assert rg.taps == renamed
+                got = rg.run(rs, x, want=rg.taps)
+                for old, new in zip(graph.taps, rg.taps):
+                    assert _rel_err(got[new].data, ref[old].data) < 1e-5, new
 
 
 def _rel_err(out, ref):
@@ -545,8 +580,7 @@ class TestLinearTailCollapse:
         want = ["decoder.up2"]
         if how == "tap":
             up2.tap = True
-            graph.taps.append(up2.name)
-            want.append("taps")
+            want += graph.taps
         else:
             graph.layers.insert(-1, LayerSpec("probe", "relu6", ["decoder.up2"]))
             want.append("probe")
@@ -556,10 +590,8 @@ class TestLinearTailCollapse:
         got = rg.run(rs, x, want=want)
         assert _rel_err(got["out"].data, ref["out"].data) < 1e-5
         for k in want:
-            pairs = zip(got[k], ref[k]) if k == "taps" else [(got[k], ref[k])]
-            for a, b in pairs:
-                np.testing.assert_array_equal(a.data, b.data)
-        assert len(got.get("taps", ())) == len(ref.get("taps", ()))
+            np.testing.assert_array_equal(got[k].data, ref[k].data)
+        assert rg.taps == graph.taps
         layers = {l.name: l for l in rg.layers}
         assert layers["decoder.up2"] == up2
         assert layers["decoder.adapt2"].params["out_ch"] == 128
@@ -573,13 +605,13 @@ class TestLinearTailCollapse:
         conv = {"stride": (1, 1), "groups": 1}
         layers = [
             LayerSpec("b", "relu6", ["input"]),
-            LayerSpec("a", "conv", ["b"], dict(conv, in_ch=3, out_ch=3, kernel=(3, 3),
+            LayerSpec("a", "conv", ["b"], dict(conv, out_ch=3, kernel=(3, 3),
                                                padding=(1, 1), bias=True)),
-            LayerSpec("bb", "conv", ["b"], dict(conv, in_ch=3, out_ch=5, kernel=(1, 1),
+            LayerSpec("bb", "conv", ["b"], dict(conv, out_ch=5, kernel=(1, 1),
                                                 padding=(0, 0), bias=False)),
             LayerSpec("cat", "concat", ["a", "bb"]),
             LayerSpec("shuf", "pixel-shuffle", ["cat"], {"r": 2}),
-            LayerSpec("out", "conv", ["shuf"], dict(conv, in_ch=2, out_ch=2, kernel=(1, 1),
+            LayerSpec("out", "conv", ["shuf"], dict(conv, out_ch=2, kernel=(1, 1),
                                                     padding=(0, 0), bias=True)),
         ]
         graph = NetworkGraph(layers, input_shape=(2, 3, 4, 6))
@@ -672,8 +704,7 @@ def _unmarked(graph):
     return NetworkGraph([LayerSpec(l.name, l.kind, list(l.inputs),
                                    {k: v for k, v in l.params.items() if k != "inplace"},
                                    l.tap) for l in graph.layers],
-                        taps=list(graph.taps), variant=graph.variant,
-                        input_shape=graph.input_shape)
+                        variant=graph.variant, input_shape=graph.input_shape)
 
 
 def _marked(graph):
@@ -685,7 +716,7 @@ def _clip_case(case):
     case changes p's kind or gives it a tap, a second reader or no layer at
     all (r reads the graph input). Returns (graph, names run() is asked for,
     keep)."""
-    conv = dict(in_ch=1, out_ch=1, kernel=(1, 1), stride=(1, 1), padding=(0, 0),
+    conv = dict(out_ch=1, kernel=(1, 1), stride=(1, 1), padding=(0, 0),
                 groups=1, bias=True)
     producers = {
         "conv": LayerSpec("p", "conv", ["input"], dict(conv)),
@@ -704,13 +735,14 @@ def _clip_case(case):
     want, keep = ["out"], ()
     if case == "tap":
         p.tap = True
-        want = ["taps"]
     elif case == "second reader":
         layers.append(LayerSpec("sum", "add", ["out", "p"]))
     elif case == "keep":
         want = keep = ("p",)
-    taps = ["p"] if p.tap else []
-    return NetworkGraph(layers, taps=taps, input_shape=(1, 1, 4, 4)), want, keep
+    graph = NetworkGraph(layers, input_shape=(1, 1, 4, 4))
+    if case == "tap":
+        want = graph.taps
+    return graph, want, keep
 
 
 class TestClipInPlace:
@@ -737,7 +769,7 @@ class TestClipInPlace:
         assert not _marked(fg)
         for old, new in zip(fg.layers, cg.layers):
             assert (new is old) == (new.name not in _marked(cg)), new.name
-        assert cg.taps == fg.taps and cg.taps is not fg.taps
+        assert cg.taps == fg.taps
 
     @pytest.mark.parametrize("case,marked", [
         ("conv", True), ("bn", True), ("add", True),
@@ -758,10 +790,9 @@ class TestClipInPlace:
         x = _input((1, 1, 4, 4))
         x.data *= 8
         got, ref = cg.run(store, x, want=want), graph.run(store, x, want=want)
-        for k in set(got) | set(ref):
-            pairs = zip(got[k], ref[k]) if k == "taps" else [(got[k], ref[k])]
-            for a, b in pairs:
-                np.testing.assert_array_equal(a.data, b.data)
+        assert set(got) == set(ref)
+        for k in ref:
+            np.testing.assert_array_equal(got[k].data, ref[k].data)
 
     def test_marked_relu6_writes_into_its_input(self, monkeypatch):
         graph, _, _ = _clip_case("conv")

@@ -41,10 +41,13 @@ Backward-only state (such as the relu6 mask) is worked out inside the backward
 function from the retained inputs, so untaped inference neither computes nor
 keeps it. This relies on no op's input being changed in place between its
 forward and its backward; the optimizer updates weights after backward. The
-one exception is a relu6 that network.clip_in_place marks: it clips the
-fresh output of a conv2d, batch_norm or tensor.add in place. None of their
-backwards reads its own output, and the relu6 mask reads the same from
-clipped values.
+two exceptions are the relu6 and batch_norm layers that
+network.write_in_place marks. Each writes into the fresh output of a conv2d,
+batch_norm or tensor.add that it alone reads, and none of those producers'
+backwards reads its own output. A marked relu6 clips that output in place,
+and its mask reads the same from clipped values. A marked batch_norm centres
+it in place and keeps it as the centred input, which is all that its
+backward reads of x.
 """
 
 from __future__ import annotations
@@ -388,10 +391,13 @@ def _channel_sum(a, b=None):
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
-               momentum=0.1, training=False):
+               momentum=0.1, training=False, inplace=False):
     """Per-channel normalize, scale, shift. Training mode normalizes with batch
     statistics and updates the running buffers in place (momentum-weighted);
-    eval mode uses the running buffers."""
+    eval mode uses the running buffers. With inplace=True the centred input
+    is written into x's own buffer, so x reads as centred from then on; the
+    caller must be the only reader of x. (Statistics of another dtype than
+    x's leave x as it is, as writing into x would round the centred input.)"""
     _require_4d(x, "batch_norm input")
     c = x.shape[1]
     for name, v in (("gamma", gamma), ("beta", beta),
@@ -403,17 +409,16 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
     xd = x.data
     shape = (1, c, 1, 1)
     m = xd.shape[0] * xd.shape[2] * xd.shape[3]
+    mean = _channel_sum(xd) / m if training else running_mean.data
+    # backward keeps the centred x, xc; xhat = xc * inv is never stored
+    xc = np.subtract(xd, mean.reshape(shape),
+                     out=xd if inplace and mean.dtype == xd.dtype else None)
     if training:
-        # backward keeps the centred x, xc; xhat = xc * inv is never stored
-        mean = _channel_sum(xd) / m
-        xc = xd - mean.reshape(shape)
         var = _channel_sum(xc, xc) / m
         running_mean.data[:] = (1 - momentum) * running_mean.data + momentum * mean
         running_var.data[:] = (1 - momentum) * running_var.data + momentum * var
     else:
-        mean = running_mean.data
         var = running_var.data
-        xc = xd - mean.reshape(shape)
     if np.any(var + eps <= 0):
         raise NumericDomainError("batch_norm: var + eps <= 0")
     inv = 1.0 / np.sqrt(var + eps)

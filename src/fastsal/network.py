@@ -2,13 +2,14 @@
 the 4-block feature grouping, and the two FastSal decoders (concatenation and
 addition variants), weight serialization, and the graph passes: batch-norm
 folding (inference only), the collapse of the linear layers in front of the
-final conv, and the marking of the relu6 layers that may clip in place; the
-last two run for inference and training alike. Under a tape the collapse's
-composed weights are recorded functions of the original slots. Every pass
-has one form: it counts readers with NetworkGraph.readers(), shares each
-layer it does not rewrite with the input graph, builds the rewritten layers
-and the result graph with dataclasses.replace, and changes no LayerSpec, so
-its input graph stays as it was.
+final conv, and the marking of the relu6 and bn layers that may write into
+their input's buffer (write_in_place); the last two run for inference and
+training alike. Under a tape the collapse's composed weights are recorded
+functions of the original slots. Every pass has one form: it counts readers
+with NetworkGraph.readers(), shares each layer it does not rewrite with the
+input graph, builds the rewritten layers and the result graph with
+dataclasses.replace, and changes no LayerSpec, so its input graph stays as it
+was.
 
 A NetworkGraph is an ordered list of LayerSpec records executed top to bottom;
 every layer names its inputs, so shape inference and complexity accounting can
@@ -218,7 +219,8 @@ _BN_INIT = {".gamma": _ones, ".beta": _zeros, ".rmean": _zeros, ".rvar": _ones}
 def _bn_run(p, xs, w, training):
     return kernels.batch_norm(xs[0], w[".gamma"], w[".beta"], w[".rmean"], w[".rvar"],
                               eps=p.get("eps", BN_EPS),
-                              momentum=p.get("momentum", BN_MOMENTUM), training=training)
+                              momentum=p.get("momentum", BN_MOMENTUM), training=training,
+                              inplace=p.get("inplace", False))
 
 
 def _bn_slots(p, ins):
@@ -782,25 +784,28 @@ def subgraph(graph, names):
 
 
 # layer kinds whose output buffer is fresh and whose backward does not read
-# that output, so a relu6 may clip it in place
-_CLIP_PRODUCERS = ("conv", "bn", "add")
+# that output, so a relu6 may clip it, or a bn centre it, in place
+_FRESH_PRODUCERS = ("conv", "bn", "add")
 
 
-def clip_in_place(graph, keep=()):
-    """Mark the relu6 layers that may clip their input in place, with
-    params["inplace"]: those whose input is the output of a conv, bn or
-    (two or more input) add layer that has no other reader, is not a tap and
-    is not named in keep (pass the names a caller asks run() for). Returns a
-    new graph whose marked layers are new LayerSpecs; every other layer is
-    shared with the input graph, which is not changed. The outputs and, under
-    a tape, the gradients are bit for bit those of the input graph."""
+def write_in_place(graph, keep=()):
+    """Mark the relu6 and bn layers that may write into their input's buffer,
+    with params["inplace"]: a relu6 then clips its input in place, a bn
+    centres it in place (the centred input is what its backward keeps).
+    Marked are those whose input is the output of a conv, bn or (two or more
+    input) add layer that has no other reader, is not a tap and is not named
+    in keep (pass the names a caller asks run() for). Returns a new graph
+    whose marked layers are new LayerSpecs; every other layer is shared with
+    the input graph, which is not changed. The outputs and, under a tape, the
+    gradients and the updated BN running statistics are bit for bit those of
+    the input graph."""
     readers = graph.readers()
     layers = {l.name: l for l in graph.layers}
     keep = set(keep)
 
     def marked(l):
-        src = layers.get(l.inputs[0]) if l.kind == "relu6" else None
-        return (src is not None and src.kind in _CLIP_PRODUCERS
+        src = layers.get(l.inputs[0]) if l.kind in ("relu6", "bn") else None
+        return (src is not None and src.kind in _FRESH_PRODUCERS
                 and readers[src.name] == 1 and not src.tap and src.name not in keep
                 and (src.kind != "add" or len(src.inputs) > 1))
 
@@ -812,7 +817,8 @@ def prepare_inference(graph, store):
     """The graph and store to run for inference: batch norm folded into its
     convs, then the final 1x1 conv sunk through the linear layers before it
     (collapse_linear_tail), then each relu6 that may do so marked to clip its
-    producer's output in place (clip_in_place). All three passes are exact
-    rewrites; the originals are untouched."""
+    producer's output in place (write_in_place; the folded graph has no bn
+    left to mark). All three passes are exact rewrites; the originals are
+    untouched."""
     graph, store = collapse_linear_tail(*fold_batch_norm(graph, store))
-    return clip_in_place(graph), store
+    return write_in_place(graph), store

@@ -3,7 +3,9 @@
 Tensors wrap contiguous numpy arrays (logical N,C,H,W order for feature maps,
 arbitrary rank allowed for parameter vectors and scalar losses). Operations
 executed while a Tape is active are recorded and can be replayed in reverse to
-produce gradients; the active tape is per thread and per asyncio task.
+produce gradients, once: the replay frees each node as it goes, so a saved
+activation lives only until the backward no longer needs it. The active tape
+is per thread and per asyncio task.
 Inference without an active tape records nothing and allocates no gradient
 state: ops whose backward needs a mask work it out in the backward function.
 """
@@ -115,7 +117,11 @@ class Tape:
 
     Usable as a context manager; ops executed inside are appended in execution
     order, so replaying the node list reversed visits each consumer before its
-    producers. Gradients accumulate additively when a tensor fans out.
+    producers. Gradients accumulate additively when a tensor fans out. A tape
+    replays once: gradients() frees each node as it replays it, so every
+    activation, backward closure and input reference is released as soon as
+    the backward no longer needs it, and the list keeps its length with None
+    in each replayed slot.
     """
 
     def __init__(self):
@@ -134,11 +140,22 @@ class Tape:
 
     def gradients(self, loss, leaves):
         """Gradient of a scalar loss w.r.t. each leaf, by replaying the nodes
-        in reverse; zeros for leaves the loss does not depend on."""
+        in reverse; zeros for leaves the loss does not depend on. Frees each
+        node after replaying it; a second call raises ContractError."""
         if loss.data.size != 1:
             raise ContractError(f"gradients need a scalar loss, got shape {loss.shape}")
+        nodes = self.nodes
+        if nodes and nodes[-1] is None:
+            raise ContractError("this tape has already been replayed; record a new one")
+        # grads is keyed by id(). An entry is popped when its producer node
+        # replays, and that node holds the tensor until then; an entry that
+        # no node produced is the loss's or a leaf's, which the caller holds.
+        # So every id in grads belongs to a live tensor, and as no backward
+        # closure creates a Tensor, no other tensor can take that id.
         grads = {id(loss): np.ones_like(loss.data)}
-        for node in reversed(self.nodes):
+        for k in reversed(range(len(nodes))):
+            node = nodes[k]
+            nodes[k] = None
             gout = grads.pop(id(node.output), None)
             if gout is None:
                 continue
@@ -148,8 +165,6 @@ class Tape:
                     continue
                 acc = grads.get(id(tensor))
                 grads[id(tensor)] = gin if acc is None else acc + gin
-            # keep a reference so id() stays unique while grads are alive
-            grads.setdefault(("done", id(node.output)), node.output)
         out = []
         for leaf in leaves:
             g = grads.get(id(leaf))

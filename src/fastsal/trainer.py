@@ -18,9 +18,9 @@ import numpy as np
 
 from . import distill, metrics
 from .data_io import load_image, load_map, load_teacher_bundle, load_fixations
-from .errors import ConfigError, NumericDomainError
-from .network import (clip_in_place, collapse_linear_tail, prepare_inference, subgraph,
-                      trainable_slots)
+from .errors import ConfigError, ContractError, NumericDomainError
+from .network import (collapse_linear_tail, prepare_inference, subgraph, trainable_slots,
+                      write_in_place)
 from .tensor import Tape, Tensor
 
 ADAPT_LAYERS = tuple(f"decoder.adapt{i}" for i in range(1, 5))
@@ -76,12 +76,21 @@ def _all_finite(a):
 def sgd_step(params, grads, lr, momentum_state, momentum=0.9):
     """Classical momentum: v <- mu*v + g; w <- w - lr*v. params is a list of
     (slot name, Tensor); the weights and the momentum buffers are updated in
-    place. A non-finite gradient aborts the step before any slot changes,
-    naming the first such slot. The first step stores a copy of grad, so the
-    caller's gradient arrays are never changed. lr*v goes through one scratch
-    buffer per dtype, the size of the largest gradient."""
+    place. A missing gradient or one whose shape is not its slot's raises
+    ContractError, and a non-finite gradient NumericDomainError, before any
+    slot changes, naming the first such slot. The first step stores a copy
+    of grad, so the caller's gradient arrays are never changed. lr*v goes
+    through one scratch buffer per dtype, the size of the largest gradient."""
+    if len(grads) != len(params):
+        first = (f"no gradient for '{params[len(grads)][0]}'" if len(grads) < len(params)
+                 else "more gradients than slots")
+        raise ContractError(f"{len(grads)} gradients for {len(params)} slots, "
+                            f"{first}; step aborted")
     with np.errstate(over="ignore"):
-        for (slot, _), grad in zip(params, grads):
+        for (slot, tensor), grad in zip(params, grads):
+            if grad.shape != tensor.shape:
+                raise ContractError(f"gradient for '{slot}' has shape {grad.shape}, "
+                                    f"the slot {tensor.shape}; step aborted")
             if not _all_finite(grad):
                 raise NumericDomainError(f"non-finite gradient for '{slot}'; step aborted")
     scratch = {}
@@ -189,17 +198,19 @@ def _train_step(graph, store, batch, config, params, lr, momentum_state):
     that collapse_linear_tail makes from the live store inside the tape, so
     the gradients reach the paper slots through the composed weights. A hint
     forward runs only the layers that the decoder.adapt* outputs depend on,
-    the only ones its loss reads. Either graph runs with its relu6 layers
-    clipping in place where clip_in_place allows, so the tape keeps one
-    buffer for each such relu6 and its producer. The tape and its
-    activations are freed on return, before anything else (validation)
-    runs."""
+    the only ones its loss reads. Either graph runs with its relu6 and bn
+    layers writing into their input's buffer where write_in_place allows, so
+    the tape keeps two buffers for a conv, its bn and their relu6: the
+    centred conv output and the clipped bn output. The backward frees each
+    tape node as it replays it, so only the weight gradients are left when
+    sgd_step runs; the rest is freed on return, before anything else
+    (validation) runs."""
     with Tape() as tape:
         if config.loss == "hint":
             step_graph, step_store, keep = subgraph(graph, ADAPT_LAYERS), store, ADAPT_LAYERS
         else:
             (step_graph, step_store), keep = collapse_linear_tail(graph, store), ()
-        loss = _batch_loss(clip_in_place(step_graph, keep), step_store, batch, config,
+        loss = _batch_loss(write_in_place(step_graph, keep), step_store, batch, config,
                            training=bool(params))
     if params:
         grads = tape.gradients(loss, [t for _, t in params])

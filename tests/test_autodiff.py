@@ -1,5 +1,6 @@
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -69,6 +70,42 @@ class TestTapeBasics:
         with Tape() as tape:
             y = (x.detach() * x).sum()
         assert tape.gradients(y, [x])[0][0] == pytest.approx(3.0)
+
+    def test_replay_frees_each_node_as_it_goes(self):
+        # the conv output is saved by the relu6 backward and held only by the
+        # tape; it is freed once the relu6 and conv nodes have replayed, so
+        # before the earlier probe node replays, and the node list keeps its
+        # length
+        rng = np.random.default_rng(3)
+        x = leaf(rng.normal(size=(1, 2, 5, 5)))
+        w = leaf(rng.normal(size=(3, 2, 3, 3)))
+        seen = []
+
+        def probe(t):
+            def bwd(g):
+                seen.append(saved() is None)
+                return (g,)
+            return T.apply_op("probe", (t,), t.data.copy(), bwd)
+
+        with Tape() as tape:
+            y = K.conv2d(probe(x), w, padding=(1, 1))
+            saved = weakref.ref(y.data)
+            loss = (T.relu6(y) * 0.5).sum()
+        del y
+        n = len(tape.nodes)
+        assert saved() is not None
+        gx, gw = tape.gradients(loss, [x, w])
+        assert seen == [True] and saved() is None
+        assert len(tape.nodes) == n and gx.shape == x.shape and gw.shape == w.shape
+
+    def test_second_replay_is_refused(self):
+        x = leaf([1.0, 2.0])
+        with Tape() as tape:
+            y = (x * 3.0).sum()
+        assert tape.gradients(y, [x])[0][0] == 3.0
+        with pytest.raises(ContractError, match="already been replayed"):
+            tape.gradients(y, [x])
+        assert len(tape.nodes) == 2
 
     def test_nested_tapes_are_independent(self):
         x = leaf([1.0])

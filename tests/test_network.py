@@ -700,7 +700,7 @@ class TestTapedCollapse:
 
 
 def _unmarked(graph):
-    """The graph with every relu6 clip_in_place mark taken off."""
+    """The graph with every relu6 write_in_place mark taken off."""
     return NetworkGraph([LayerSpec(l.name, l.kind, list(l.inputs),
                                    {k: v for k, v in l.params.items() if k != "inplace"},
                                    l.tap) for l in graph.layers],
@@ -764,7 +764,7 @@ class TestClipInPlace:
         graph, _ = _random_model("A", (1, 3, 48, 64))
         fg = fold_batch_norm(graph, init_weights(graph))[0]
         before = copy.deepcopy(fg)
-        cg = net.clip_in_place(fg)
+        cg = net.write_in_place(fg)
         assert fg == before
         assert not _marked(fg)
         for old, new in zip(fg.layers, cg.layers):
@@ -785,7 +785,7 @@ class TestClipInPlace:
         # unmarked graph's either way
         graph, want, keep = _clip_case(case)
         store = randomize_weights(init_weights(graph, seed=1), seed=2)
-        cg = net.clip_in_place(graph, keep=keep)
+        cg = net.write_in_place(graph, keep=keep)
         assert _marked(cg) == (["r"] if marked else [])
         x = _input((1, 1, 4, 4))
         x.data *= 8
@@ -793,6 +793,37 @@ class TestClipInPlace:
         assert set(got) == set(ref)
         for k in ref:
             np.testing.assert_array_equal(got[k].data, ref[k].data)
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("case,marked", [
+        ("conv", True), ("bn", True), ("add", True),
+        ("tap", False), ("second reader", False), ("keep", False),
+        ("graph input", False), ("one-input add", False), ("sigmoid", False),
+        ("softmax-spatial", False), ("resize", False), ("avg-pool", False),
+        ("concat", False),
+    ])
+    def test_bn_guards(self, case, marked, training):
+        # the relu6 guards, with a bn in the relu6's place: it may centre its
+        # producer's output in place under the same conditions, and what
+        # run() returns, and in training the running statistics, are the
+        # unmarked graph's either way
+        graph, want, keep = _clip_case(case)
+        graph = replace(graph, layers=[replace(l, kind="bn") if l.name == "r" else l
+                                       for l in graph.layers])
+        cg = net.write_in_place(graph, keep=keep)
+        assert _marked(cg) == (["r"] if marked else [])
+        x = _input((1, 1, 4, 4))
+        runs = []
+        for g in (cg, graph):
+            store = randomize_weights(init_weights(graph, seed=1), seed=2)
+            res = g.run(store, Tensor(x.data.copy()), training=training, want=want)
+            runs.append((res, store))
+        (got, got_store), (ref, ref_store) = runs
+        assert set(got) == set(ref)
+        for k in ref:
+            np.testing.assert_array_equal(got[k].data, ref[k].data)
+        for k in ref_store.names():
+            np.testing.assert_array_equal(got_store.get(k).data, ref_store.get(k).data)
 
     def test_marked_relu6_writes_into_its_input(self, monkeypatch):
         graph, _, _ = _clip_case("conv")
@@ -806,7 +837,7 @@ class TestClipInPlace:
             return y
 
         monkeypatch.setattr(tensor, "relu6", recording)
-        net.clip_in_place(graph).run(store, _input((1, 1, 4, 4)))
+        net.write_in_place(graph).run(store, _input((1, 1, 4, 4)))
         graph.run(store, _input((1, 1, 4, 4)))
         assert seen == [True, False]
 

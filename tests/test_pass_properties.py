@@ -1,7 +1,7 @@
 """Seeded random checks of the graph passes over random variants, widths,
 input shapes, taps, BN statistics and conv biases. fold_batch_norm and
 collapse_linear_tail keep the outputs and taps within 1e-5 relative;
-clip_in_place and subgraph keep them bit for bit; under a tape, the
+write_in_place and subgraph keep them bit for bit; under a tape, the
 float64 gradients on the paper slots stay within 1e-5 relative; and no
 pass changes its input graph or copies a layer it does not rewrite.
 
@@ -16,10 +16,10 @@ import pytest
 
 from conftest import randomize_weights
 from fastsal import distill
-from fastsal.network import (build_fastsal, clip_in_place, collapse_linear_tail,
-                             fold_batch_norm, init_weights, prepare_inference, subgraph,
-                             trainable_slots)
-from fastsal.tensor import Tape, Tensor
+from fastsal.network import (RUNNING_STATS, LayerSpec, NetworkGraph, build_fastsal,
+                             collapse_linear_tail, fold_batch_norm, init_weights,
+                             prepare_inference, subgraph, trainable_slots, write_in_place)
+from fastsal.tensor import Tape, Tensor, grad_check
 from fastsal.trainer import ADAPT_LAYERS
 
 WIDTHS = (0.25, 0.35, 0.5, 0.75, 1.0)
@@ -102,7 +102,7 @@ def test_clip_and_subgraph_keep_outputs_bit_for_bit(seed, shape):
     for g, s in (collapse_linear_tail(*fold_batch_norm(graph, store)), (graph, store)):
         ref = _outputs(g, s, x, want)
         for keep in ((), want):
-            cg = _checked(clip_in_place, g, keep)
+            cg = _checked(write_in_place, g, keep)
             # a caller passes what it asks run() for as keep; the output and
             # the taps are never clipped
             got = _outputs(cg, s, x, keep)
@@ -122,11 +122,11 @@ def _paper(graph, store):
 
 def _fine_tune(graph, store):
     cg, cs = collapse_linear_tail(graph, store)
-    return clip_in_place(cg), cs
+    return write_in_place(cg), cs
 
 
 def _hint(graph, store):
-    return clip_in_place(subgraph(graph, ADAPT_LAYERS), ADAPT_LAYERS), store
+    return write_in_place(subgraph(graph, ADAPT_LAYERS), ADAPT_LAYERS), store
 
 
 def _taped(rewrite, graph, store, x, loss_fn, want=()):
@@ -171,7 +171,80 @@ def test_taped_gradients_match_paper_graph(seed):
         return distill.hint_loss([res[n] for n in ADAPT_LAYERS], teacher)
 
     paper = _taped(_paper, graph, store(), x, salgan)
-    for rewrite in (lambda g, s: (clip_in_place(g), s), _fine_tune):
+    for rewrite in (lambda g, s: (write_in_place(g), s), _fine_tune):
         _same_grads(paper, _taped(rewrite, graph, store(), x, salgan))
     paper = _taped(_paper, graph, store(), x, hint, ADAPT_LAYERS)
     _same_grads(paper, _taped(_hint, graph, store(), x, hint, ADAPT_LAYERS))
+
+
+def _stripped(graph):
+    """The graph with every write_in_place mark taken off."""
+    return replace(graph, layers=[
+        replace(l, params={k: v for k, v in l.params.items() if k != "inplace"})
+        for l in graph.layers])
+
+
+TRAIN_CASES = [pytest.param(seed, variant, shape, id=f"{variant}-{'x'.join(map(str, shape))}")
+               for seed, (variant, shape) in enumerate(
+                   (v, s) for v in "CA" for s in ((4, 3, 48, 64), (2, 3, 64, 96)))]
+
+
+@pytest.mark.parametrize("seed,variant,shape", TRAIN_CASES)
+def test_bn_in_place_keeps_training_step_bit_for_bit(seed, variant, shape):
+    # float32 training graphs (fine-tune and hint) with random BN statistics
+    # and biases: with their bn layers centring the conv output in place,
+    # the loss, every taped gradient and the updated BN running statistics
+    # are those of the graph with the marks stripped
+    rng = np.random.default_rng(200 + seed)
+    graph = build_fastsal(variant, shape, width=float(rng.choice(WIDTHS)))
+    x = Tensor(rng.normal(size=shape).astype(np.float32))
+    gt, pseudo = (Tensor(rng.uniform(0.05, 0.95, (shape[0], 1) + shape[2:]).astype(np.float32))
+                  for _ in "ab")
+    shapes = graph.infer_shapes()
+    teacher = [Tensor(rng.normal(size=shapes[n]).astype(np.float32)) for n in ADAPT_LAYERS]
+
+    def salgan(res):
+        return distill.salgan_loss(res["out"], gt=gt, pseudo=pseudo)
+
+    def hint(res):
+        return distill.hint_loss([res[n] for n in ADAPT_LAYERS], teacher)
+
+    for rewrite, loss_fn, want in ((_fine_tune, salgan, ()), (_hint, hint, ADAPT_LAYERS)):
+        runs = []
+        for strip in (False, True):
+            store = randomize_weights(init_weights(graph, seed=seed), seed=seed + 1)
+
+            def marked(g, s):
+                rg, rs = rewrite(g, s)
+                bns = [l for l in rg.layers if l.kind == "bn"]
+                assert bns and all(l.params.get("inplace") for l in bns)
+                return (_stripped(rg) if strip else rg), rs
+
+            loss, grads = _taped(marked, graph, store, x, loss_fn, want)
+            stats = [store.get(k).data for k in store.names() if k.endswith(RUNNING_STATS)]
+            runs.append((loss, grads, stats))
+        (loss0, grads0, stats0), (loss1, grads1, stats1) = runs
+        np.testing.assert_array_equal(loss0, loss1)
+        assert len(grads0) == len(grads1) and len(stats0) == len(stats1) > 0
+        for a, b in zip(grads0 + stats0, grads1 + stats1):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_grad_check_through_marked_conv_bn_relu6():
+    # float64: conv -> bn -> relu6 -> 1x1 conv with the bn centring the conv
+    # output in place and the relu6 clipping the bn output in place
+    conv = dict(stride=(1, 1), padding=(1, 1), groups=1, bias=True)
+    graph = NetworkGraph([
+        LayerSpec("c", "conv", ["input"], dict(conv, out_ch=4, kernel=(3, 3))),
+        LayerSpec("b", "bn", ["c"]),
+        LayerSpec("r", "relu6", ["b"]),
+        LayerSpec("out", "conv", ["r"], dict(conv, out_ch=1, kernel=(1, 1), padding=(0, 0))),
+    ], input_shape=(2, 2, 4, 5))
+    marked = write_in_place(graph)
+    assert [l.name for l in marked.layers if l.params.get("inplace")] == ["b", "r"]
+    store = randomize_weights(init_weights(graph, seed=1, dtype=np.float64), seed=2)
+    store.get("b.gamma").data[:] *= 3.0
+    x = Tensor(np.random.default_rng(3).normal(size=graph.input_shape))
+    rep = grad_check(lambda t: (marked.run(store, t, training=True)["out"] ** 2).mean(), x,
+                     step=1e-6, tolerance=1e-6)
+    assert rep.passed, rep.max_rel_err

@@ -7,7 +7,7 @@ import pytest
 from conftest import build_synthetic_dataset, randomize_weights
 from fastsal import kernels, metrics, network, trainer
 from fastsal.data_io import load_manifest
-from fastsal.errors import ConfigError, NumericDomainError
+from fastsal.errors import ConfigError, ContractError, NumericDomainError
 from fastsal.network import build_fastsal, init_weights
 from fastsal.tensor import Tape, TapeNode, Tensor
 from fastsal.trainer import TrainConfig, lr_schedule, sgd_step
@@ -130,6 +130,34 @@ class TestSgdStep:
                      momentum_state={}, momentum=0.9)
         assert not (a.data.any() or b.data.any() or c.data.any())
 
+    def test_missing_gradient_aborts(self):
+        # zip would leave the slot without a gradient silently un-updated
+        a, b = Tensor(np.zeros(2)), Tensor(np.zeros(2))
+        state = {}
+        with pytest.raises(ContractError, match="'b'"):
+            sgd_step([("a", a), ("b", b)], [np.ones(2)], lr=0.1, momentum_state=state)
+        assert not (a.data.any() or b.data.any()) and state == {}
+
+    def test_broadcastable_gradient_aborts(self):
+        # a (1,) gradient would broadcast into the (2, 3) weights and be kept
+        # as a (1,) momentum buffer
+        a, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))
+        state = {}
+        with pytest.raises(ContractError, match=r"'b'.*\(1,\)"):
+            sgd_step([("a", a), ("b", b)], [np.ones((2, 3)), np.ones(1)], lr=0.1,
+                     momentum_state=state)
+        assert not (a.data.any() or b.data.any()) and state == {}
+
+    def test_mismatched_gradient_shape_aborts(self):
+        # a (3, 2) gradient for a (2, 3) slot is a ContractError naming the
+        # slot, not numpy's broadcast ValueError
+        a, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))
+        state = {}
+        with pytest.raises(ContractError, match=r"'b'.*\(3, 2\)"):
+            sgd_step([("a", a), ("b", b)], [np.ones((2, 3)), np.ones((3, 2))], lr=0.1,
+                     momentum_state=state)
+        assert not (a.data.any() or b.data.any()) and state == {}
+
 
 class TestTraining:
     def test_salgan_loss_decreases(self, rich_dataset):
@@ -230,6 +258,30 @@ class TestTraining:
             gc.enable()
         assert alive == [0, 0]
 
+    def test_step_peak_memory(self):
+        # the backward frees each tape node as it replays it, and training bn
+        # centres its conv's output in place: one salgan step on C at
+        # 4x3x48x64 peaks at 23 MiB of traced allocations, against 44 with
+        # neither, 28 with the freeing alone and 38 with the bn alone
+        import tracemalloc
+
+        graph = build_fastsal("C", (4, 3, 48, 64))
+        store = randomize_weights(init_weights(graph, seed=3), seed=4)
+        rng = np.random.default_rng(5)
+        batch = [{k: Tensor(rng.uniform(0.05, 0.95, (1, c, 48, 64)).astype(np.float32))
+                  for k, c in (("image", 3), ("gt", 1), ("pseudo", 1))} for _ in range(4)]
+        cfg = TrainConfig(loss="salgan")
+        params = trainer._trainable_params(graph, store, cfg)
+        for _, t in params:
+            t.requires_grad = True
+        tracemalloc.start()
+        try:
+            trainer._train_step(graph, store, batch, cfg, params, 0.01, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2 ** 20
+
     def test_salgan_step_shuffles_only_the_collapsed_tail(self, rich_dataset, monkeypatch):
         # the step trains the collapsed C decoder: no 1408-channel concat is
         # shuffled, only the 4 channels in front of the final shuffle
@@ -295,7 +347,7 @@ class TestTraining:
         graph = small_graph()
         cfg = TrainConfig(loss=loss)
         batch = trainer._load_records(rich_dataset, cfg, (48, 64))[:2]
-        real = trainer.clip_in_place
+        real = trainer.write_in_place
         runs = []
         for on in (True, False):
             store = randomize_weights(init_weights(graph, seed=0), seed=9)
@@ -313,7 +365,7 @@ class TestTraining:
                 got["grads"] = [g.copy() for g in grads]
                 return sgd_step(params, grads, *args)
 
-            monkeypatch.setattr(trainer, "clip_in_place", clip)
+            monkeypatch.setattr(trainer, "write_in_place", clip)
             monkeypatch.setattr(trainer, "sgd_step", record)
             got["loss"] = trainer._train_step(graph, store, batch, cfg, params, 0.01, {})
             got["store"] = store
@@ -335,8 +387,8 @@ class TestTraining:
         logs = []
         for on in (True, False):
             if not on:
-                monkeypatch.setattr(trainer, "clip_in_place", lambda g, keep=(): g)
-                monkeypatch.setattr(network, "clip_in_place", lambda g, keep=(): g)
+                monkeypatch.setattr(trainer, "write_in_place", lambda g, keep=(): g)
+                monkeypatch.setattr(network, "write_in_place", lambda g, keep=(): g)
             store = randomize_weights(init_weights(graph, seed=0), seed=9)
             logs.append(trainer.train(rich_dataset, cfg, graph, store).rows)
         assert logs[0] == logs[1]

@@ -13,10 +13,10 @@ forward and backward, than the tap loop, whose ~25 numpy calls per layer cost mo
 they touch (crossovers in _operator_path). Elsewhere, forward and backward
 accumulate the k_h*k_w taps as multiply-adds of contiguous flat slices of
 the padded input's stride-phase planes, at a fixed offset per tap (see
-_depthwise), and keep those planes, about the size of the input, for
-backward. Those buffers are pixel-major (the n*c item-channel rows
-innermost) when the rows outnumber the wide span ho*w2 of one row, and
-row-major otherwise (_pixel_major, with its measured crossovers); the
+_depthwise); backward rebuilds the planes from the input it keeps, so a
+taped forward holds no copy of them. Those buffers are pixel-major (the n*c
+item-channel rows innermost) when the rows outnumber the wide span ho*w2 of
+one row, and row-major otherwise (_pixel_major, with its measured crossovers); the
 output is the same in both. The two algorithms compute the same sums in
 different orders. The operator GEMMs run over all h*w input pixels of each
 output pixel, not its k_h*k_w taps, and first build their operator; traces
@@ -37,12 +37,14 @@ depthwise tap loop in the copy that crops its wide output. Batch norm keeps
 the centred input for backward; its per-channel sums, and those of the conv
 bias gradient, are einsum reductions (_channel_sum).
 
-Backward-only state (such as the relu6 mask) is worked out inside the backward
-function from the retained inputs, so untaped inference neither computes nor
-keeps it. This relies on no op's input being changed in place between its
-forward and its backward; the optimizer updates weights after backward. The
-two exceptions are the relu6 and batch_norm layers that
-network.write_in_place marks. Each writes into the fresh output of a conv2d,
+Backward-only state (such as the relu6 mask and the depthwise tap loop's
+phase planes) is worked out inside the backward function from the retained
+inputs, so untaped inference neither computes nor keeps it, and a taped
+forward keeps nothing but those inputs. This relies on no op's input being
+changed in place between its forward and its backward; the optimizer folds
+gradients into its momentum buffers during backward, which no op reads, and
+updates the weights after it. The two exceptions are the relu6 and
+batch_norm layers that network.write_in_place marks. Each writes into the fresh output of a conv2d,
 batch_norm or tensor.add that it alone reads, and none of those producers'
 backwards reads its own output. A marked relu6 clips that output in place,
 and its mask reads the same from clipped values. A marked batch_norm centres
@@ -215,8 +217,12 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
     contiguous rows, not over many short ones. The tap loop and its order,
     and so the output, are the same in both layouts. Row-major rows run in
     blocks of about _BLOCK_BYTES. Returns the output, as a cropped view of
-    the wide buffer, and the backward function, which keeps the phase
-    planes and works on the same slices."""
+    the wide buffer, and the backward function, which keeps xd, not the
+    phase planes: it rebuilds them (one zeroed copy of about the input's
+    size, per backward call) and works on the same slices. So between the
+    forward and the backward a tap-loop layer holds no buffer but its
+    output, as xd is held by the tape in any case and is not written in
+    place before backward (see the module docstring)."""
     n, c, h, w = xd.shape
     if _operator_path(h * w, ho * wo):
         return _depthwise_operator(xd, wd, sh, sw, ph, pw, ho, wo)
@@ -237,10 +243,15 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
 
     phases = [(a, b) + _phase(h, ph, sh, a) + _phase(w, pw, sw, b)
               for a in range(sh) for b in range(sw)]
-    planes = buffer((rows, sh, sw, h2 * w2), xd.dtype, zero=True)
-    x3, p5 = xd.reshape(rows, h, w), planes.reshape(rows, sh, sw, h2, w2)
-    for a, b, pi, yi, pj, xj in phases:
-        p5[:, a, b, pi, pj] = x3[:, yi, xj]
+
+    def phase_planes():
+        planes = buffer((rows, sh, sw, h2 * w2), xd.dtype, zero=True)
+        x3, p5 = xd.reshape(rows, h, w), planes.reshape(rows, sh, sw, h2, w2)
+        for a, b, pi, yi, pj, xj in phases:
+            p5[:, a, b, pi, pj] = x3[:, yi, xj]
+        return planes
+
+    planes = phase_planes()
     wr = buffer((rows, kh, kw), wd.dtype)
     wr.reshape(n, c, kh, kw)[...] = wd[:, 0]
     taps = [(u, v, u % sh, v % sw, (u // sh) * w2 + v // sw)
@@ -262,6 +273,7 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
     out = wide.reshape(n, c, ho, w2)[:, :, :, :wo]
 
     def grads(g):
+        planes = phase_planes()
         gw = buffer((rows, ho, w2), g.dtype, zero=True)
         gw[:, :, :wo] = g.reshape(rows, ho, wo)
         gw = gw.reshape(rows, span)

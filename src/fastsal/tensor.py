@@ -4,8 +4,9 @@ Tensors wrap contiguous numpy arrays (logical N,C,H,W order for feature maps,
 arbitrary rank allowed for parameter vectors and scalar losses). Operations
 executed while a Tape is active are recorded and can be replayed in reverse to
 produce gradients, once: the replay frees each node as it goes, so a saved
-activation lives only until the backward no longer needs it. The active tape
-is per thread and per asyncio task.
+activation lives only until the backward no longer needs it, and a tape's
+on_gradient hook gets each leaf's gradient as soon as it is final. The active
+tape is per thread and per asyncio task.
 Inference without an active tape records nothing and allocates no gradient
 state: ops whose backward needs a mask work it out in the backward function.
 """
@@ -122,10 +123,19 @@ class Tape:
     activation, backward closure and input reference is released as soon as
     the backward no longer needs it, and the list keeps its length with None
     in each replayed slot.
+
+    on_gradient, when given, is called as on_gradient(i, grad) with each
+    leaf's gradient as soon as it is final, that is, once the last node that
+    reads leaves[i] has replayed, and gradients() then returns None for that
+    leaf. A caller can so fold each gradient into its own state while the
+    backward runs and drop it, instead of holding all of them at the end.
+    The hook must not write into grad; an exception it raises ends the
+    replay.
     """
 
-    def __init__(self):
+    def __init__(self, on_gradient=None):
         self.nodes: list[TapeNode] = []
+        self.on_gradient = on_gradient
 
     def __enter__(self):
         _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
@@ -140,8 +150,14 @@ class Tape:
 
     def gradients(self, loss, leaves):
         """Gradient of a scalar loss w.r.t. each leaf, by replaying the nodes
-        in reverse; zeros for leaves the loss does not depend on. Frees each
-        node after replaying it; a second call raises ContractError."""
+        in reverse; zeros for leaves the loss does not depend on. A leaf's
+        gradient is final once the last node that reads it has replayed
+        (whether or not that node's output got a gradient), or before the
+        replay for a leaf no node reads. Then it goes to the tape's
+        on_gradient hook, if any, and the returned list holds None in its
+        place. A leaf that is also an op's output gets its gradient all the
+        same, and still passes it on to the op that made it. Frees each node
+        after replaying it; a second call raises ContractError."""
         if loss.data.size != 1:
             raise ContractError(f"gradients need a scalar loss, got shape {loss.shape}")
         nodes = self.nodes
@@ -153,22 +169,50 @@ class Tape:
         # So every id in grads belongs to a live tensor, and as no backward
         # closure creates a Tensor, no other tensor can take that id.
         grads = {id(loss): np.ones_like(loss.data)}
+        hook = self.on_gradient
+        out = [None] * len(leaves)
+        slots = {}
+        for i, leaf in enumerate(leaves):
+            slots.setdefault(id(leaf), []).append(i)
+        # readers[id] counts the node inputs that are that leaf; produced
+        # holds the leaves that are also an op's output
+        readers, produced = dict.fromkeys(slots, 0), set()
+        for node in nodes:
+            for tensor in node.inputs:
+                if id(tensor) in readers:
+                    readers[id(tensor)] += 1
+            if id(node.output) in slots:
+                produced.add(id(node.output))
+
+        def finish(key):
+            # a produced leaf's entry stays for its producer node to pop
+            g = grads.get(key) if key in produced else grads.pop(key, None)
+            for i in slots[key]:
+                gi = g if g is not None else np.zeros_like(leaves[i].data)
+                if hook is None:
+                    out[i] = gi
+                else:
+                    hook(i, gi)
+
+        for key in [key for key, count in readers.items() if not count]:
+            finish(key)
         for k in reversed(range(len(nodes))):
             node = nodes[k]
             nodes[k] = None
             gout = grads.pop(id(node.output), None)
-            if gout is None:
-                continue
-            gins = node.backward(gout)
-            for tensor, gin in zip(node.inputs, gins):
-                if gin is None or not tensor.requires_grad:
-                    continue
-                acc = grads.get(id(tensor))
-                grads[id(tensor)] = gin if acc is None else acc + gin
-        out = []
-        for leaf in leaves:
-            g = grads.get(id(leaf))
-            out.append(g if g is not None else np.zeros_like(leaf.data))
+            if gout is not None:
+                gins = node.backward(gout)
+                for tensor, gin in zip(node.inputs, gins):
+                    if gin is None or not tensor.requires_grad:
+                        continue
+                    acc = grads.get(id(tensor))
+                    grads[id(tensor)] = gin if acc is None else acc + gin
+            for tensor in node.inputs:
+                key = id(tensor)
+                if key in readers:
+                    readers[key] -= 1
+                    if not readers[key]:
+                        finish(key)
         return out
 
 

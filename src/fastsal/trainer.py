@@ -4,9 +4,10 @@ five-row distillation ablation harness. Each fine-tuning step runs the
 graph that collapse_linear_tail makes from the live weights inside the
 step's tape, so the paper slots are trained through the composed decoder
 weights; a hint step runs only the layers that the decoder.adapt* outputs
-depend on. Validation (NSS/CC) runs the inference graph that
-prepare_inference makes from the live weights, one forward per batch of
-records."""
+depend on. A step folds each gradient into its momentum buffer during the
+backward, as soon as the gradient is final. Validation (NSS/CC) runs the
+inference graph that prepare_inference makes from the live weights, one
+forward per batch of records."""
 
 from __future__ import annotations
 
@@ -73,37 +74,61 @@ def _all_finite(a):
     return math.isfinite(np.dot(a, a)) or bool(np.isfinite(a).all())
 
 
+def _check_slot(slot, tensor, grad, momentum_state):
+    """Raise ContractError for a gradient or a momentum buffer whose shape is
+    not the slot's, and NumericDomainError for a non-finite gradient, naming
+    the slot. grad None (already folded) checks only the buffer."""
+    v = momentum_state.get(slot)
+    if grad is None and v is None:
+        raise ContractError(f"no gradient and no folded momentum for '{slot}'; step aborted")
+    for what, a in (("gradient", grad), ("momentum buffer", v)):
+        if a is not None and a.shape != tensor.shape:
+            raise ContractError(f"{what} for '{slot}' has shape {a.shape}, "
+                                f"the slot {tensor.shape}; step aborted")
+    if grad is not None:
+        with np.errstate(over="ignore"):
+            if not _all_finite(grad):
+                raise NumericDomainError(f"non-finite gradient for '{slot}'; step aborted")
+
+
+def _fold(v, grad, momentum, first):
+    """v <- g on the slot's first step, else v <- mu*v + g, in place in the
+    slot's momentum buffer v; grad itself is never changed."""
+    if first:
+        np.copyto(v, grad)
+    else:
+        v *= momentum
+        v += grad
+
+
 def sgd_step(params, grads, lr, momentum_state, momentum=0.9):
     """Classical momentum: v <- mu*v + g; w <- w - lr*v. params is a list of
     (slot name, Tensor); the weights and the momentum buffers are updated in
-    place. A missing gradient or one whose shape is not its slot's raises
-    ContractError, and a non-finite gradient NumericDomainError, before any
-    slot changes, naming the first such slot. The first step stores a copy
-    of grad, so the caller's gradient arrays are never changed. lr*v goes
-    through one scratch buffer per dtype, the size of the largest gradient."""
+    place. A gradient of None means that the slot's g is already folded into
+    its buffer (_train_step folds each one during the backward), so only the
+    descent is left for it. A missing gradient, or a gradient or momentum
+    buffer whose shape is not its slot's, raises ContractError, and a
+    non-finite gradient NumericDomainError, before any slot changes, naming
+    the first such slot. lr*v goes through one scratch buffer per dtype, the
+    size of the largest slot."""
     if len(grads) != len(params):
         first = (f"no gradient for '{params[len(grads)][0]}'" if len(grads) < len(params)
                  else "more gradients than slots")
         raise ContractError(f"{len(grads)} gradients for {len(params)} slots, "
                             f"{first}; step aborted")
-    with np.errstate(over="ignore"):
-        for (slot, tensor), grad in zip(params, grads):
-            if grad.shape != tensor.shape:
-                raise ContractError(f"gradient for '{slot}' has shape {grad.shape}, "
-                                    f"the slot {tensor.shape}; step aborted")
-            if not _all_finite(grad):
-                raise NumericDomainError(f"non-finite gradient for '{slot}'; step aborted")
+    for (slot, tensor), grad in zip(params, grads):
+        _check_slot(slot, tensor, grad, momentum_state)
     scratch = {}
     for (slot, tensor), grad in zip(params, grads):
-        v = momentum_state.get(slot)
-        if v is None:
-            v = momentum_state[slot] = grad.copy()
-        else:
-            v *= momentum
-            v += grad
+        if grad is not None:
+            new = slot not in momentum_state
+            if new:
+                momentum_state[slot] = np.empty_like(grad)
+            _fold(momentum_state[slot], grad, momentum, new)
+        v = momentum_state[slot]
         buf = scratch.get(v.dtype)
         if buf is None:
-            buf = scratch[v.dtype] = np.empty(max(g.size for g in grads), v.dtype)
+            buf = scratch[v.dtype] = np.empty(max(t.size for _, t in params), v.dtype)
         tensor.data -= np.multiply(v, lr, out=buf[:v.size].reshape(v.shape))
 
 
@@ -202,10 +227,29 @@ def _train_step(graph, store, batch, config, params, lr, momentum_state):
     layers writing into their input's buffer where write_in_place allows, so
     the tape keeps two buffers for a conv, its bn and their relu6: the
     centred conv output and the clipped bn output. The backward frees each
-    tape node as it replays it, so only the weight gradients are left when
-    sgd_step runs; the rest is freed on return, before anything else
-    (validation) runs."""
-    with Tape() as tape:
+    tape node as it replays it, and folds each slot's gradient into its
+    momentum buffer as soon as the gradient is final (the tape's hook, after
+    sgd_step's checks of that slot), then drops it; sgd_step then only
+    descends. So no step holds all its gradients at once, and the rest is
+    freed on return, before anything else (validation) runs. A slot's first
+    buffer has the slot's dtype and is made before the forward. The weights
+    change only after the whole backward: a bad gradient leaves them as they
+    were, while the buffers of the slots before it, in backward order, may
+    already hold this step's fold; the error names that first bad slot."""
+    # a slot's first buffer is made here, before the forward, not by the
+    # fold: made in the backward, the buffers landed on fresh heap pages,
+    # and a benchmark train-C operation faulted in about 4,000 pages (5 so)
+    first = {slot: np.empty_like(t.data) for slot, t in params if slot not in momentum_state}
+
+    def fold(i, grad):
+        slot, tensor = params[i]
+        _check_slot(slot, tensor, grad, momentum_state)
+        new = first.pop(slot, None)
+        if new is not None:
+            momentum_state[slot] = new
+        _fold(momentum_state[slot], grad, config.momentum, new is not None)
+
+    with Tape(fold) as tape:
         if config.loss == "hint":
             step_graph, step_store, keep = subgraph(graph, ADAPT_LAYERS), store, ADAPT_LAYERS
         else:

@@ -107,6 +107,56 @@ class TestTapeBasics:
             tape.gradients(y, [x])
         assert len(tape.nodes) == 2
 
+    def test_intermediate_leaf_gets_its_gradient(self):
+        # y is a leaf asked for and also x's product: it gets its gradient
+        # once y * y has replayed, and still passes it on to x
+        x = leaf([1.0, 2.0])
+        with Tape() as tape:
+            y = x * 2.0
+            z = (y * y).sum()
+        gy, gx = tape.gradients(z, [y, x])
+        np.testing.assert_array_equal(gy, [4.0, 8.0])
+        np.testing.assert_array_equal(gx, [8.0, 16.0])
+
+    def test_hook_gets_each_gradient_once_it_is_final(self):
+        # w's last reader is a dead branch whose output gets no gradient; it
+        # still counts, so w's gradient comes when that node has replayed,
+        # before the probe's backward, and x's once the probe has; an unread
+        # leaf gets zeros before the replay starts
+        x, w, unread = leaf([1.0, 2.0]), leaf([3.0, -1.0]), leaf([5.0])
+        events = []
+
+        def probe(t):
+            def bwd(g):
+                events.append("probe")
+                return (g,)
+            return T.apply_op("probe", (t,), t.data.copy(), bwd)
+
+        with Tape(lambda i, g: events.append((i, g.tolist()))) as tape:
+            a = probe(x)
+            _ = w * 3.0
+            loss = (a * w).sum()
+        assert tape.gradients(loss, [x, w, unread]) == [None, None, None]
+        assert events == [(2, [0.0]), (1, [1.0, 2.0]), "probe", (0, [3.0, -1.0])]
+
+    def test_hook_gradients_match_returned_ones(self):
+        # the same graph, replayed with and without a hook, with leaves that
+        # fan out and repeat and one that is an intermediate
+        def run(hook):
+            rng = np.random.default_rng(7)
+            x, w = leaf(rng.normal(size=(1, 2, 5, 5))), leaf(rng.normal(size=(2, 1, 3, 3)))
+            with Tape(hook) as tape:
+                y = K.conv2d(x, w, padding=(1, 1), groups=2)
+                loss = (T.relu6(y) * y + x * 2.0).sum()
+            return tape.gradients(loss, [w, y, x, w])
+
+        got = {}
+        assert run(lambda i, g: got.setdefault(i, g.copy())) == [None] * 4
+        ref = run(None)
+        assert sorted(got) == [0, 1, 2, 3]
+        for i, g in enumerate(ref):
+            np.testing.assert_array_equal(got[i], g)
+
     def test_nested_tapes_are_independent(self):
         x = leaf([1.0])
         with Tape() as outer:
@@ -301,10 +351,11 @@ class TestGradCheckKernels:
             assert rep.passed, rep.max_rel_err
 
     @pytest.mark.parametrize("padding", [0, 1, 2])
-    @pytest.mark.parametrize("stride", [(2, 2), (2, 1)])
+    @pytest.mark.parametrize("stride", [(2, 2), (2, 1), (1, 1)])
     def test_conv2d_depthwise_tap_loop_strided(self, stride, padding, monkeypatch):
-        # dx, dw and db of the strided tap loop in its own layout choice,
-        # where each stride phase is copied to and from the input (_phase)
+        # dx, dw and db of the tap loop in its own layout choice (row-major
+        # on this shape), where each stride phase is copied to and from the
+        # input (_phase) and backward rebuilds the phase planes from x
         monkeypatch.setattr(K, "_operator_path", lambda p, q: False)
         rng = np.random.default_rng(10 * padding + sum(stride))
         x = Tensor(rng.normal(size=(2, 3, 7, 6)))

@@ -273,6 +273,29 @@ class TestConv2d:
                 assert got.dtype == ref.dtype == dtype and got.shape == ref.shape
                 np.testing.assert_allclose(got, ref, rtol=0, atol=tol * np.abs(ref).max())
 
+    @pytest.mark.parametrize("pixel_major", [True, False], ids=["pixel-major", "row-major"])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2)], ids=["s1", "s2"])
+    def test_tap_loop_tape_keeps_no_phase_planes(self, stride, pixel_major, monkeypatch):
+        # the backward rebuilds the phase planes from x: a taped forward
+        # leaves nothing alive but its output (keeping the planes would be
+        # about one more x)
+        import tracemalloc
+
+        monkeypatch.setattr(K, "_operator_path", lambda p, q: False)
+        monkeypatch.setattr(K, "_pixel_major", lambda rows, span: pixel_major)
+        rng = np.random.default_rng(sum(stride) + pixel_major)
+        x = t(rng.normal(size=(2, 16, 24, 32)), requires_grad=True)
+        w = t(rng.normal(size=(16, 1, 3, 3)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = K.conv2d(x, w, stride=stride, padding=(1, 1), groups=16)
+            held = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < x.data.nbytes // 8
+
     def test_spatial_operator_cache_is_read_only_and_bounded(self):
         for op in K._spatial_operator(3, 4, 3, 3, 2, 1, 1, 1, np.dtype(np.float32)):
             assert op.dtype == np.float32 and not op.flags.writeable

@@ -3,8 +3,8 @@ and weight slots come from its record in network.OPS.
 
 Counting convention (tagged on every report):
   - one multiply-accumulate = 2 FLOPs
-  - conv: 2 * C_out * (C_in/groups) * K_h * K_w * H_out * W_out FLOPs;
-    params include bias when present
+  - conv: 2 * C_out * (C_in/groups) * K_h * K_w * H_out * W_out FLOPs, where
+    C_in/groups = C_in (dense) or 1 (depthwise); params include any bias
   - batch norm: 2 params per channel (scale and shift; running statistics
     excluded), 2 FLOPs per output element
   - activations, resize, pooling, elementwise add: 2 FLOPs per output element

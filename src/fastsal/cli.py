@@ -17,10 +17,10 @@ the same error on every request. A process that serves one request, such as
 a one-shot `fastsal predict`, gains nothing. The flag parser is likewise
 built once per process; each handler is looked up by name when it runs.
 
-Exit codes: 0 success, 1 validation error (bad flags, such as a width that
-is not positive and finite, a size that is not a positive multiple of 32, an
-epoch, batch or step count below 1 or a negative seed; malformed input),
-2 runtime failure. Diagnostics go to stderr; results to stdout or --out."""
+Exit codes: 0 success, 1 validation error (bad flags, such as a width or
+grad-check tolerance not positive and finite, a size not a positive multiple
+of 32, an epoch, batch or step count below 1 or a negative seed; malformed
+input), 2 runtime failure. Diagnostics go to stderr; results to stdout or --out."""
 
 from __future__ import annotations
 
@@ -196,6 +196,8 @@ def _cmd_grad_check(args):
     from .tensor import grad_check
     from .tensor import sigmoid as tsigmoid
 
+    if not 0 < args.tolerance < np.inf:
+        raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance}")
     rng = np.random.default_rng(args.seed)
     conv_w = Tensor(rng.standard_normal((2, 3, 3, 3)))
     map_shape = (1, 1, 4, 5)

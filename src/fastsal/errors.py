@@ -10,7 +10,7 @@ class ShapeError(FastSalError):
 
 
 class ConfigError(FastSalError):
-    """Invalid layer or run configuration (bad groups, indivisible sizes, ...)."""
+    """Invalid layer or run configuration (conv form, stride, pool size, flag, ...)."""
 
 
 class ContractError(FastSalError):

@@ -2,9 +2,9 @@
 resampling, and channel rearrangement, each with a taped backward pass.
 
 Convolution uses the cross-correlation convention (no kernel flip) with zero
-padding and takes one of two paths. Depthwise convolutions (groups ==
-in_channels == out_channels) run one of two algorithms, chosen from the
-shape inside _depthwise. On tiny maps, where h*w*ho*wo <= 576
+padding and has two forms (conv_shape): dense (groups == 1), below, and
+depthwise (groups == in_channels == out_channels), run by one of two
+algorithms picked by shape. On tiny maps, where h*w*ho*wo <= 576
 (_operator_path: the late blocks' 2x2, 3x4 and stride-2 6x8 maps at the
 4x3x48x64 training size, none at 1x3x192x256), they are per-channel GEMMs
 with a cached 0/1 spatial operator that folds in the padding and stride
@@ -23,19 +23,19 @@ output pixel, not its k_h*k_w taps, and first build their operator; traces
 count the paper's FLOPs, so a depthwise GFLOP/s figure is paper FLOPs over
 time, whichever algorithm ran.
 
-Every other convolution goes through im2col and one GEMM per group, each
-written straight into its slice of the output (GEMM-lowered convolution, as
-in cuDNN, Chetlur et al. 2014). For a 1x1 stride-1 kernel the im2col matrix
-is the (padded) input itself, taken as a view, and col2im is a reshape. A
-one-channel conv (groups = in = out = 1) meets both rules: it takes the
-depthwise path, except when it is an unpadded 1x1 stride-1 conv, which
-takes the GEMM path as every groups=1 1x1 conv does. Weight gradients are
-GEMMs: one over the (N*pixels) axis when that is shorter than C_out*K, else
-one per item, summed over the batch (_weight_grad). The GEMM path and the
-depthwise operator add the bias in place on their fresh output, the
-depthwise tap loop in the copy that crops its wide output. Batch norm keeps
-the centred input for backward; its per-channel sums, and those of the conv
-bias gradient, are einsum reductions (_channel_sum).
+Dense convolutions go through im2col and one GEMM per item (GEMM-lowered
+convolution, as in cuDNN, Chetlur et al. 2014). For a 1x1 stride-1 kernel
+the im2col matrix is the (padded) input itself, taken as a view, and col2im
+is a reshape. A one-channel conv (groups = in = out = 1) is both dense and
+depthwise: it takes the depthwise path, except when it is an unpadded 1x1
+stride-1 conv, which takes the GEMM path as every groups=1 1x1 conv does.
+Weight gradients are GEMMs: one over the (N*pixels) axis when that is
+shorter than C_out*K, else one per item, summed over the batch
+(_weight_grad). The GEMM path and the depthwise operator add the bias in
+place on their fresh output, the depthwise tap loop in the copy that crops
+its wide output. Batch norm keeps the centred input for backward; its
+per-channel sums, and those of the conv bias gradient, are einsum
+reductions (_channel_sum).
 
 Backward-only state (such as the relu6 mask and the depthwise tap loop's
 phase planes) is worked out inside the backward function from the retained
@@ -142,8 +142,7 @@ def _spatial_operator(h, w, kh, kw, sh, sw, ph, pw, dtype):
     pixel j reads input pixel i, with the zero padding and the stride folded
     in (a tap on the padding reads no pixel), and its (kh*kw, ho*wo*h*w)
     transpose S' per tap. Both are read-only, as the cache shares them."""
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (w + 2 * pw - kw) // sw + 1
+    ho, wo = conv_shape((1, 1, h, w), 1, (kh, kw), 1, (sh, sw), (ph, pw))[2:]
     u, v, a, b = np.meshgrid(np.arange(kh), np.arange(kw), np.arange(ho), np.arange(wo),
                              indexing="ij")
     y, x = a * sh + u - ph, b * sw + v - pw
@@ -314,33 +313,37 @@ def _weight_grad(gm, cm, out):
         np.matmul(gm, cm.transpose(0, 2, 1)).sum(0, out=out)
 
 
-def check_groups(cin, cout, groups):
-    if groups < 1 or cin % groups or cout % groups:
-        raise ConfigError(f"groups={groups} must be positive and divide "
-                          f"in_channels={cin} and out_channels={cout}")
+def conv_shape(shape, cout, kernel, groups, stride, padding):
+    """Output shape of a conv on shape, by the form, stride, padding and fit
+    rule that conv2d and the conv layer share."""
+    n, cin, h, w = shape
+    if not (groups == 1 or groups == cin == cout > 1):
+        raise ConfigError(f"groups={groups}, {cin}->{cout} channels: neither dense nor depthwise")
+    (kh, kw), (sh, sw), (ph, pw) = kernel, _pair(stride), _pair(padding)
+    if min(sh, sw) < 1 or min(ph, pw) < 0:
+        raise ConfigError(f"conv stride {sh}x{sw} must be >= 1 and padding {ph}x{pw} >= 0")
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    if ho < 1 or wo < 1:
+        raise ShapeError(
+            f"kernel {kh}x{kw} does not fit padded input {h + 2 * ph}x{w + 2 * pw}")
+    return (n, cout, ho, wo)
 
 
 def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
-    """2-D cross-correlation. weight is (C_out, C_in/groups, K_h, K_w); bias,
-    when present, is a length-C_out vector."""
+    """2-D cross-correlation, dense (groups=1) or depthwise (groups = C_in = C_out).
+    weight is (C_out, C_in/groups, K_h, K_w); bias, when present, has length C_out."""
     _require_4d(x, "conv2d input")
     if weight.data.ndim != 4:
         raise ShapeError(f"conv2d weight must be 4-D, got {weight.data.ndim}-D")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
     n, cin, h, w = x.shape
     cout, cin_g, kh, kw = weight.shape
-    check_groups(cin, cout, groups)
+    ho, wo = conv_shape(x.shape, cout, (kh, kw), groups, stride, padding)[2:]
+    (sh, sw), (ph, pw) = _pair(stride), _pair(padding)
     if cin_g != cin // groups:
         raise ShapeError(
             f"weight channel axis is {cin_g}, expected in_channels/groups = {cin // groups}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (w + 2 * pw - kw) // sw + 1
-    if ho < 1 or wo < 1:
-        raise ShapeError(
-            f"kernel {kh}x{kw} does not fit padded input {h + 2 * ph}x{w + 2 * pw}")
 
     xd, wd = x.data, weight.data
 
@@ -349,29 +352,19 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
 
     else:
         xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
-        hp, wp = xp.shape[2:]
         cols = _im2col(xp, kh, kw, sh, sw, ho, wo)
-        # one GEMM per group i, on the group's weights wg[i] (C_out/groups,
-        # K) and columns cm[:, i] (N, K, ho*wo), each written straight into
-        # the group's slice of out, dw and gcols, so no group needs a
-        # temporary
-        p = ho * wo
-        wg = wd.reshape(groups, cout // groups, -1)
-        cm = cols.reshape(n, groups, -1, p)
-        out = np.empty((n, groups, cout // groups, p), dtype=np.result_type(xd, wd))
-        for i in range(groups):
-            np.matmul(wg[i], cm[:, i], out=out[:, i])
-        out = out.reshape(n, cout, ho, wo)
+        wm = wd.reshape(cout, -1)
+        cm = cols.reshape(n, -1, ho * wo)
+        out = np.matmul(wm, cm).reshape(n, cout, ho, wo)
 
         def grads(g):
-            gm = g.reshape(n, groups, -1, p)
-            dw = np.empty(wg.shape, dtype=wd.dtype)
-            gcols = np.empty(cm.shape, dtype=cm.dtype)
-            for i in range(groups):
-                _weight_grad(gm[:, i], cm[:, i], dw[i])
-                np.matmul(wg[i].T, gm[:, i], out=gcols[:, i])
-            dxp = _col2im(gcols.reshape(cols.shape), n, cin, hp, wp, kh, kw, sh, sw, ho, wo,
-                          xd.dtype)
+            gm = g.reshape(n, cout, -1)
+            dw = np.empty(wm.shape, dtype=wd.dtype)
+            gcols = np.empty(cm.shape, dtype=cm.dtype)      # x's dtype, not matmul's
+            _weight_grad(gm, cm, dw)
+            np.matmul(wm.T, gm, out=gcols)
+            dxp = _col2im(gcols.reshape(cols.shape), n, cin, h + 2 * ph, w + 2 * pw, kh, kw,
+                          sh, sw, ho, wo, xd.dtype)
             dx = dxp[:, :, ph:ph + h, pw:pw + w] if (ph or pw) else dxp
             return dx, dw.reshape(wd.shape)
 
@@ -528,16 +521,20 @@ def bilinear_resize(x, out_h, out_w):
     return apply_op("bilinear_resize", (x,), out, bwd)
 
 
+def pixel_shuffle_shape(shape, r):
+    """Output shape of pixel_shuffle, by the rule it and its layer share."""
+    n, c, h, w = shape
+    if r < 1 or c % (r * r):
+        raise ConfigError(f"pixel_shuffle r={r} must be >= 1 and r^2 must divide {c} channels")
+    return (n, c // (r * r), h * r, w * r)
+
+
 def pixel_shuffle(x, r):
     """Rearrange (N, C, H, W) to (N, C/r^2, rH, rW). Output pixel
     (c, r*y+dy, r*x+dx) reads input channel c*r^2 + dy*r + dx."""
     _require_4d(x, "pixel_shuffle input")
     n, c, h, w = x.shape
-    if r < 1:
-        raise ConfigError(f"upscale factor must be >= 1, got {r}")
-    if c % (r * r):
-        raise ConfigError(f"channels {c} not divisible by r^2 = {r * r}")
-    co = c // (r * r)
+    co = pixel_shuffle_shape(x.shape, r)[1]
     out = (x.data.reshape(n, co, r, r, h, w)
            .transpose(0, 1, 4, 2, 5, 3)
            .reshape(n, co, h * r, w * r))
@@ -572,13 +569,21 @@ def concat_channels(tensors):
     return apply_op("concat_channels", tuple(tensors), out, bwd)
 
 
+def avg_pool_shape(shape, k):
+    """Output shape of avg_pool2d, by the rule it and its layer share."""
+    n, c, h, w = shape
+    if k < 1:
+        raise ConfigError(f"avg_pool2d pool size must be >= 1, got {k}")
+    if h % k or w % k:
+        raise ShapeError(f"avg_pool2d spatial size {h}x{w} not divisible by pool size {k}")
+    return (n, c, h // k, w // k)
+
+
 def avg_pool2d(x, k):
     """Non-overlapping k x k average pooling."""
     _require_4d(x, "avg_pool2d input")
     n, c, h, w = x.shape
-    if h % k or w % k:
-        raise ShapeError(f"spatial size {h}x{w} not divisible by pool size {k}")
-    ho, wo = h // k, w // k
+    ho, wo = avg_pool_shape(x.shape, k)[2:]
     views = [x.data[:, :, u::k, v::k] for u in range(k) for v in range(k)]
     out = views[0].copy()
     for view in views[1:]:

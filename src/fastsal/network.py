@@ -190,10 +190,8 @@ def _conv_weight_shape(p, ins):
 
 
 def _conv_shape(p, ins):
-    n, cin, h, w = ins[0]
-    kernels.check_groups(cin, p["out_ch"], p.get("groups", 1))
-    (kh, kw), (sh, sw), (ph, pw) = p["kernel"], p["stride"], p["padding"]
-    return (n, p["out_ch"], (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1)
+    return kernels.conv_shape(ins[0], p["out_ch"], p["kernel"], p.get("groups", 1),
+                              p["stride"], p["padding"])
 
 
 def _conv_run(p, xs, w, training):
@@ -249,9 +247,7 @@ def _resize_run(p, xs, w, training):
 
 
 def _shuffle_shape(p, ins):
-    n, c, h, w = ins[0]
-    r = p["r"]
-    return (n, c // (r * r), h * r, w * r)
+    return kernels.pixel_shuffle_shape(ins[0], p["r"])
 
 
 def _shuffle_run(p, xs, w, training):
@@ -259,9 +255,7 @@ def _shuffle_run(p, xs, w, training):
 
 
 def _pool_shape(p, ins):
-    n, c, h, w = ins[0]
-    k = p["k"]
-    return (n, c, h // k, w // k)
+    return kernels.avg_pool_shape(ins[0], p["k"])
 
 
 def _pool_run(p, xs, w, training):
@@ -328,9 +322,7 @@ class _Builder:
 
     def conv(self, name, inp, out_ch, kernel=1, stride=1, padding=0,
              groups=1, bias=False):
-        k = (kernel, kernel) if isinstance(kernel, int) else kernel
-        s = (stride, stride) if isinstance(stride, int) else stride
-        p = (padding, padding) if isinstance(padding, int) else padding
+        k, s, p = (kernels._pair(v) for v in (kernel, stride, padding))
         return self.emit(name, "conv", [inp], out_ch=out_ch, kernel=k, stride=s,
                          padding=p, groups=groups, bias=bias)
 

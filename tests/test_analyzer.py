@@ -98,17 +98,19 @@ class TestModelTotals:
         report = analyzer.analyze(build_fastsal(variant, (1, 3, 192, 256), width=width))
         assert (report.total_params, report.total_flops) == (params, flops)
 
-    def test_conv_groups_must_divide_channels(self):
-        # a 3x3 conv with groups=2 over 5 input channels, or to 3 output
-        # channels, has no weight shape; shape inference names the layer
-        for cin, cout in ((5, 4), (4, 3)):
+    def test_conv_must_be_dense_or_depthwise(self):
+        # groups=2 is neither groups=1 nor groups = in = out channels: it is
+        # rejected on 4 -> 4 and 6 -> 4 channels, which it divides, as on
+        # 5 -> 4 and 4 -> 3; shape inference names the layer
+        for cin, cout in ((4, 4), (6, 4), (5, 4), (4, 3)):
             graph = single_layer_graph(
                 LayerSpec("g", "conv", ["input"],
                           {"out_ch": cout, "kernel": (3, 3), "stride": (1, 1),
                            "padding": (1, 1), "groups": 2}), (1, cin, 6, 6))
             for call in (graph.infer_shapes, lambda: analyzer.analyze(graph),
                          lambda: init_weights(graph)):
-                with pytest.raises(ConfigError, match="layer 'g': groups=2 must be positive and divide"):
+                with pytest.raises(ConfigError, match=f"layer 'g': groups=2, {cin}->{cout} "
+                                                      "channels: neither dense nor depthwise"):
                     call()
 
     def test_flops_scale_with_resolution(self):

@@ -286,16 +286,6 @@ class TestGradCheckKernels:
         assert rep.passed, rep.max_rel_err
 
     @pytest.mark.parametrize("seed", RNG_SEEDS)
-    def test_conv2d_grouped_weight(self, seed):
-        rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(2, 4, 5, 5)))
-        w0 = Tensor(rng.normal(size=(6, 2, 3, 3)))
-        rep = grad_check(
-            lambda wt: (K.conv2d(x, wt, None, stride=(2, 2), padding=(1, 1),
-                                 groups=2) ** 2).sum(), w0)
-        assert rep.passed, rep.max_rel_err
-
-    @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_conv2d_depthwise(self, seed):
         rng = np.random.default_rng(seed)
         w = Tensor(rng.normal(size=(3, 1, 3, 3)))

@@ -451,6 +451,14 @@ class TestGradCheckCommand:
         assert out.count("pass") >= 6
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+    def test_bad_tolerance_is_input_error(self, capsys, tolerance):
+        # every check failed against a NaN tolerance and exited 2
+        assert cli.main(["grad-check", "--tolerance", tolerance]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --tolerance must be positive and finite"), err
+
     def test_reports_each_case(self, capsys):
         cli.main(["grad-check"])
         out = capsys.readouterr().out

@@ -275,6 +275,42 @@ class TestLayerKinds:
         with pytest.raises(ShapeError, match="layer 'sum'"):
             graph.run(WeightStore(), x)
 
+    @pytest.mark.parametrize("groups", [1, 4], ids=["dense", "depthwise"])
+    @pytest.mark.parametrize("stride,padding", [((0, 1), (1, 1)), ((1, 1), (-1, -1))],
+                             ids=["stride0", "pad-1"])
+    def test_conv_rejects_bad_stride_or_padding(self, stride, padding, groups):
+        # a zero stride divided by zero, and a negative padding was inferred
+        graph = NetworkGraph([LayerSpec("c", "conv", ["input"], {
+            "out_ch": 4, "kernel": (3, 3), "stride": stride, "padding": padding,
+            "groups": groups})], input_shape=(1, 4, 6, 6))
+        for call in (graph.infer_shapes, lambda: analyzer.analyze(graph),
+                     lambda: init_weights(graph)):
+            with pytest.raises(ConfigError, match="layer 'c': conv stride .* must be >= 1"):
+                call()
+
+    def test_conv_kernel_must_fit(self):
+        graph = NetworkGraph([LayerSpec("c", "conv", ["input"], {
+            "out_ch": 4, "kernel": (5, 5), "stride": (1, 1), "padding": (0, 0)})],
+            input_shape=(1, 2, 3, 8))
+        with pytest.raises(ShapeError, match="layer 'c': kernel 5x5 does not fit"):
+            graph.infer_shapes()
+
+    @pytest.mark.parametrize("kind,params,error,match", [
+        ("avg-pool", {"k": 0}, ConfigError, "pool size must be >= 1, got 0"),
+        ("avg-pool", {"k": -2}, ConfigError, "pool size must be >= 1, got -2"),
+        ("avg-pool", {"k": 4}, ShapeError, "4x6 not divisible by pool size 4"),
+        ("pixel-shuffle", {"r": 0}, ConfigError, "r=0 must be >= 1"),
+        ("pixel-shuffle", {"r": 3}, ConfigError, "r=3 must be >= 1 and r.2 must divide 4"),
+    ], ids=["pool-k0", "pool-k-2", "pool-indivisible", "shuffle-r0", "shuffle-indivisible"])
+    def test_shape_rule_rejects_what_the_kernel_rejects(self, kind, params, error, match):
+        # each inferred a shape (or divided by zero) that the kernel refuses
+        graph = NetworkGraph([LayerSpec("l", kind, ["input"], params)],
+                             input_shape=(1, 4, 4, 6))
+        x = Tensor(np.ones((1, 4, 4, 6), dtype=np.float32))
+        for call in (graph.infer_shapes, lambda: graph.run(WeightStore(), x)):
+            with pytest.raises(error, match=f"layer 'l': .*{match}"):
+                call()
+
     def test_unknown_kind_names_kind_and_layer(self):
         graph = NetworkGraph([LayerSpec("r", "relu6", ["input"]),
                               LayerSpec("odd", "frobnicate", ["r"])],

@@ -91,25 +91,23 @@ def naive_conv_dx(g, w, x_shape, stride, padding, groups):
 
 
 # (cin, cout, k, stride, padding, groups) over both paths of conv2d: 1x1
-# convs (whose im2col matrix is a view of the input), im2col, grouped and
-# depthwise, and the one-channel convs that meet both paths' rules
+# convs (whose im2col matrix is a view of the input), im2col and depthwise,
+# and the one-channel convs that meet both paths' rules
 CONV_CASES = pytest.mark.parametrize("cin,cout,k,stride,padding,groups", [
     (5, 4, 1, (1, 1), (0, 0), 1),     # pointwise, one GEMM per item
     (24, 32, 1, (1, 1), (0, 0), 1),   # pointwise, one GEMM over N*P < C_out*C_in
     (5, 4, 1, (1, 1), (1, 2), 1),     # 1x1 on the padded input
     (5, 4, 1, (2, 2), (0, 0), 1),     # 1x1 at stride 2 goes through im2col
-    (6, 4, 1, (1, 1), (0, 0), 2),     # 1x1 grouped
     (4, 4, 1, (1, 1), (0, 0), 4),     # 1x1 depthwise
     (1, 1, 1, (1, 1), (0, 0), 1),     # one channel, 1x1: GEMM
     (1, 1, 3, (1, 1), (1, 1), 1),     # one channel, 3x3: depthwise
     (3, 4, 3, (1, 1), (1, 1), 1),     # im2col
     (3, 4, 3, (2, 2), (1, 1), 1),
     (3, 2, 3, (2, 1), (0, 2), 1),
-    (6, 4, 3, (1, 1), (1, 1), 2),     # grouped loop
-    (6, 9, 3, (2, 2), (1, 0), 3),
+    (6, 9, 3, (2, 2), (1, 0), 1),
 ], ids=["pointwise", "pointwise-one-gemm", "pointwise-padded", "pointwise-s2",
-        "pointwise-grouped", "pointwise-depthwise", "one-channel-1x1", "one-channel-3x3",
-        "general", "general-s2", "general-s21-p02", "grouped", "grouped-s2"])
+        "pointwise-depthwise", "one-channel-1x1", "one-channel-3x3",
+        "general", "general-s2", "general-s21-p02", "general-s2-p10"])
 
 
 class TestConv2d:
@@ -145,19 +143,21 @@ class TestConv2d:
         expect = np.einsum("oc,nchw->nohw", w.data[:, :, 0, 0], x.data)
         np.testing.assert_allclose(out.data, expect, rtol=1e-12)
 
-    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("groups", [1, 4])
     def test_pointwise_on_channels_last_view(self, groups):
-        # a 1x1 stride-1 conv takes its input itself as the im2col matrix,
-        # here a view whose channels are innermost in memory
+        # a dense 1x1 stride-1 conv takes its input itself as the im2col
+        # matrix, and a depthwise one the tap loop's flat slices, here of a
+        # view whose channels are innermost in memory
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(2, 5, 6, 4)).transpose(0, 3, 1, 2), requires_grad=True)
-        w = rng.normal(size=(6, 4 // groups, 1, 1))
+        cout = 6 if groups == 1 else 4
+        w = rng.normal(size=(cout, 4 // groups, 1, 1))
         with Tape() as tape:
             out = K.conv2d(x, Tensor(w), groups=groups)
             g = rng.normal(size=out.shape)
             loss = (out * Tensor(g)).sum()
         dx = tape.gradients(loss, [x])[0]
-        ref = naive_conv(x.data, w, np.zeros(6), (1, 1), (0, 0), groups)
+        ref = naive_conv(x.data, w, np.zeros(cout), (1, 1), (0, 0), groups)
         np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
         ref = naive_conv_dx(g, w, x.shape, (1, 1), (0, 0), groups)
         np.testing.assert_allclose(dx, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
@@ -344,23 +344,29 @@ class TestConv2d:
                 assert got.dtype == dtype and got.shape == ref.shape
                 np.testing.assert_allclose(got, ref, rtol=0, atol=tol * np.abs(ref).max())
 
-    def test_grouped_matches_split(self):
-        rng = np.random.default_rng(3)
-        x = t(rng.normal(size=(1, 6, 5, 5)))
-        w = t(rng.normal(size=(4, 3, 3, 3)))
-        out = K.conv2d(x, w, padding=(1, 1), groups=2)
-        lo = K.conv2d(t(x.data[:, :3]), t(w.data[:2]), padding=(1, 1))
-        hi = K.conv2d(t(x.data[:, 3:]), t(w.data[2:]), padding=(1, 1))
-        np.testing.assert_allclose(out.data, np.concatenate([lo.data, hi.data], 1),
-                                   rtol=1e-12)
-
     def test_bias(self):
         out = K.conv2d(t([[[[2.0]]]]), t([[[[3.0]]]]), t([1.5]))
         assert out.data.item() == pytest.approx(7.5)
 
     def test_bad_groups(self):
-        with pytest.raises(ConfigError):
-            K.conv2d(t(np.zeros((1, 5, 3, 3))), t(np.zeros((2, 2, 1, 1))), groups=2)
+        # a conv is dense or depthwise: groups=2 is rejected on 4 -> 4 and
+        # 6 -> 4 channels, which it divides, as on 5 -> 4 and 4 -> 3
+        for cin, cout in ((4, 4), (6, 4), (5, 4), (4, 3)):
+            x, w = t(np.zeros((1, cin, 6, 6))), t(np.zeros((cout, 2, 3, 3)))
+            with pytest.raises(ConfigError, match=f"groups=2, {cin}->{cout} channels: "
+                                                  "neither dense nor depthwise"):
+                K.conv2d(x, w, padding=(1, 1), groups=2)
+
+    @pytest.mark.parametrize("groups", [1, 2], ids=["dense", "depthwise"])
+    @pytest.mark.parametrize("stride,padding", [((0, 1), (1, 1)), ((1, -2), (1, 1)),
+                                                ((1, 1), (-1, -1)), ((2, 2), (0, -1))])
+    def test_bad_stride_or_padding(self, stride, padding, groups):
+        # a ZeroDivisionError from a zero stride; a negative padding cropped
+        # the depthwise input and failed in numpy on the GEMM path
+        x = t(np.zeros((1, 2, 6, 6)))
+        w = t(np.zeros((2, 2 // groups, 3, 3)))
+        with pytest.raises(ConfigError, match="conv stride .* must be >= 1 and padding"):
+            K.conv2d(x, w, stride=stride, padding=padding, groups=groups)
 
     def test_channel_mismatch_names_axis(self):
         with pytest.raises(ShapeError, match="channel"):
@@ -511,6 +517,11 @@ class TestPixelShuffle:
         with pytest.raises(ConfigError):
             K.pixel_shuffle(t(np.zeros((1, 6, 2, 2))), 2)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_factor_below_one(self, r):
+        with pytest.raises(ConfigError, match=f"pixel_shuffle r={r} must be >= 1"):
+            K.pixel_shuffle(t(np.zeros((1, 4, 2, 2))), r)
+
 
 class TestConcatAdd:
     def test_concat_single_identity(self):
@@ -559,6 +570,16 @@ class TestAvgPool:
         x = t(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
         out = K.avg_pool2d(x, 2)
         np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_pool_size_below_one(self, k):
+        # k=0 divided by zero and k=-2 indexed out of range
+        with pytest.raises(ConfigError, match=f"avg_pool2d pool size must be >= 1, got {k}"):
+            K.avg_pool2d(t(np.zeros((1, 2, 4, 4))), k)
+
+    def test_indivisible_map(self):
+        with pytest.raises(ShapeError, match="4x6 not divisible by pool size 4"):
+            K.avg_pool2d(t(np.zeros((1, 2, 4, 6))), 4)
 
 
 def test_forward_ops_finite_on_finite_input():

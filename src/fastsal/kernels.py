@@ -13,8 +13,8 @@ forward and backward, than the tap loop, whose ~25 numpy calls per layer cost mo
 they touch (crossovers in _operator_path). Elsewhere, forward and backward
 accumulate the k_h*k_w taps as multiply-adds of contiguous flat slices of
 the padded input's stride-phase planes, at a fixed offset per tap (see
-_depthwise); backward rebuilds the planes from the input it keeps, so a
-taped forward holds no copy of them. Those buffers are pixel-major (the n*c
+_depthwise); backward rebuilds the planes from its input, so a taped
+forward holds no copy of them. Those buffers are pixel-major (the n*c
 item-channel rows innermost) when the rows outnumber the wide span ho*w2 of
 one row, and row-major otherwise (_pixel_major, with its measured crossovers); the
 output is the same in both. The two algorithms compute the same sums in
@@ -37,19 +37,26 @@ its wide output. Batch norm keeps the centred input for backward; its
 per-channel sums, and those of the conv bias gradient, are einsum
 reductions (_channel_sum).
 
-Backward-only state (such as the relu6 mask and the depthwise tap loop's
-phase planes) is worked out inside the backward function from the retained
-inputs, so untaped inference neither computes nor keeps it, and a taped
-forward keeps nothing but those inputs. This relies on no op's input being
-changed in place between its forward and its backward; the optimizer folds
-gradients into its momentum buffers during backward, which no op reads, and
-updates the weights after it. The two exceptions are the relu6 and
-batch_norm layers that network.write_in_place marks. Each writes into the fresh output of a conv2d,
-batch_norm or tensor.add that it alone reads, and none of those producers'
-backwards reads its own output. A marked relu6 clips that output in place,
-and its mask reads the same from clipped values. A marked batch_norm centres
-it in place and keeps it as the centred input, which is all that its
-backward reads of x.
+Backward-only state (such as the relu6 mask, the depthwise tap loop's
+phase planes and the dense path's im2col columns) is worked out inside the
+backward function from the retained inputs, so untaped inference neither
+computes nor keeps it, and a taped forward keeps no more than those inputs.
+conv2d's backward, on all three paths, and relu6's read their input
+through the input Tensor (Tensor.values), so an input that run() releases
+(network.rebuild_in_backward) is not kept at all: batch_norm with
+rebuild=True makes its output rebuildable from the centred input that it
+keeps, the per-channel scale gamma*inv and beta, and a backward that reads
+the released values gets them rebuilt, bit for bit. This relies on no op's
+input being changed in place between its forward and its backward; the
+optimizer folds gradients into its momentum buffers during backward, which
+no op reads, and updates the weights after it. The exceptions are the relu6
+and batch_norm layers that network.write_in_place marks. Each writes into
+the fresh output of a conv2d, batch_norm or tensor.add that it alone reads,
+and none of those producers' backwards reads its own output. A marked relu6
+clips that output in place, and its mask reads the same from clipped
+values; when the bn output it clips is rebuildable, both rebuild as
+clipped. A marked batch_norm centres it in place and keeps it as the
+centred input, which is all that its backward reads of x.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ import functools
 import numpy as np
 
 from .errors import ConfigError, NumericDomainError, ShapeError
-from .tensor import Tensor, apply_op
+from .tensor import Tensor, apply_op, rebuildable
 
 __all__ = [
     "conv2d", "batch_norm", "softmax_spatial", "bilinear_resize",
@@ -155,31 +162,32 @@ def _spatial_operator(h, w, kh, kw, sh, sw, ph, pw, dtype):
     return s.reshape(kh * kw, -1), st.reshape(kh * kw, -1)
 
 
-def _depthwise_operator(xd, wd, sh, sw, ph, pw, ho, wo):
+def _depthwise_operator(xd, wd, sh, sw, ph, pw, ho, wo, source=None):
     """Depthwise convolution on a tiny map as per-channel GEMMs with its
     spatial operator M (c, p, q) = w (c, kh*kw) @ S: out[:, ch] = x[:, ch] @
     M[ch] over the (n, p) item pixels of each channel, one batched matmul
-    written into a fresh contiguous output. Backward keeps the weights, a
-    view of the input and the cached S and S', not M: it rebuilds M^T =
-    w @ S' on each call for dx = g @ M^T, and dw = dM (c, p*q) @ S^T with
-    dM = x^T @ g."""
+    written into a fresh contiguous output. Backward keeps the weights and
+    the cached S and S', not M: it rebuilds M^T = w @ S' on each call for
+    dx = g @ M^T, and dw = dM (c, p*q) @ S^T with dM = x^T @ g, reading x
+    from source() (see _depthwise)."""
     n, c, h, w = xd.shape
     kh, kw = wd.shape[2:]
     p, q = h * w, ho * wo
     s, st = _spatial_operator(h, w, kh, kw, sh, sw, ph, pw, wd.dtype)
     wr = wd.reshape(c, kh * kw)
     m = (wr @ s).reshape(c, p, q)
-    xc = xd.reshape(n, c, p).transpose(1, 0, 2)
     out = np.empty((n, c, q), dtype=np.result_type(xd, wd))
-    np.matmul(xc, m, out=out.transpose(1, 0, 2))
+    np.matmul(xd.reshape(n, c, p).transpose(1, 0, 2), m, out=out.transpose(1, 0, 2))
+    dtype = xd.dtype
+    source = source or (lambda: xd)
 
     def grads(g):
         gc = g.reshape(n, c, q).transpose(1, 0, 2)
-        dx = np.empty((n, c, p), dtype=xd.dtype)
+        dx = np.empty((n, c, p), dtype=dtype)
         # M^T is built from S' as M was from S: matmul runs 2-4x slower on a
         # transposed view of M, and a copy of it costs more than the GEMM
         np.matmul(gc, (wr @ st).reshape(c, q, p), out=dx.transpose(1, 0, 2))
-        dm = np.matmul(xc.transpose(0, 2, 1), gc)
+        dm = np.matmul(source().reshape(n, c, p).transpose(1, 2, 0), gc)
         dw = np.matmul(dm.reshape(c, p * q), s.T)
         return dx.reshape(n, c, h, w), dw.astype(wd.dtype, copy=False).reshape(c, 1, kh, kw)
 
@@ -195,10 +203,13 @@ def _phase(size, pad, stride, a):
     return slice(i0, i0 + len(range(y0, size, stride))), slice(y0, size, stride)
 
 
-def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
+def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo, source=None):
     """Depthwise convolution: on tiny maps, where _operator_path says so
     from h*w and ho*wo, as per-channel GEMMs (_depthwise_operator);
-    otherwise as k_h*k_w multiply-adds of flat slices, as follows.
+    otherwise as k_h*k_w multiply-adds of flat slices, as follows. Either
+    backward reads the input again from source(): conv2d passes the input
+    Tensor's values, so a released input is rebuilt; without a source the
+    backward keeps xd.
 
     The zero-padded input is split into its s_h*s_w phase planes of w2
     columns each (one plane when the stride is 1), with one spare row; the
@@ -216,15 +227,15 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
     contiguous rows, not over many short ones. The tap loop and its order,
     and so the output, are the same in both layouts. Row-major rows run in
     blocks of about _BLOCK_BYTES. Returns the output, as a cropped view of
-    the wide buffer, and the backward function, which keeps xd, not the
-    phase planes: it rebuilds them (one zeroed copy of about the input's
-    size, per backward call) and works on the same slices. So between the
-    forward and the backward a tap-loop layer holds no buffer but its
-    output, as xd is held by the tape in any case and is not written in
-    place before backward (see the module docstring)."""
+    the wide buffer, and the backward function, which keeps no phase
+    planes: it rebuilds them from source() (one zeroed copy of about the
+    input's size, per backward call) and works on the same slices. So
+    between the forward and the backward a tap-loop layer holds no buffer
+    but its output, as the input is held by the tape in any case and is not
+    written in place before backward (see the module docstring)."""
     n, c, h, w = xd.shape
     if _operator_path(h * w, ho * wo):
-        return _depthwise_operator(xd, wd, sh, sw, ph, pw, ho, wo)
+        return _depthwise_operator(xd, wd, sh, sw, ph, pw, ho, wo, source)
     kh, kw = wd.shape[2:]
     rows = n * c
     h2 = -(-(h + 2 * ph) // sh) + 1     # rows per phase plane, plus the spare
@@ -243,14 +254,15 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
     phases = [(a, b) + _phase(h, ph, sh, a) + _phase(w, pw, sw, b)
               for a in range(sh) for b in range(sw)]
 
-    def phase_planes():
-        planes = buffer((rows, sh, sw, h2 * w2), xd.dtype, zero=True)
-        x3, p5 = xd.reshape(rows, h, w), planes.reshape(rows, sh, sw, h2, w2)
+    def phase_planes(x):
+        planes = buffer((rows, sh, sw, h2 * w2), x.dtype, zero=True)
+        x3, p5 = x.reshape(rows, h, w), planes.reshape(rows, sh, sw, h2, w2)
         for a, b, pi, yi, pj, xj in phases:
             p5[:, a, b, pi, pj] = x3[:, yi, xj]
         return planes
 
-    planes = phase_planes()
+    planes = phase_planes(xd)
+    source = source or (lambda: xd)
     wr = buffer((rows, kh, kw), wd.dtype)
     wr.reshape(n, c, kh, kw)[...] = wd[:, 0]
     taps = [(u, v, u % sh, v % sw, (u // sh) * w2 + v // sw)
@@ -272,12 +284,11 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
     out = wide.reshape(n, c, ho, w2)[:, :, :, :wo]
 
     def grads(g):
-        planes = phase_planes()
+        planes = phase_planes(source())
         gw = buffer((rows, ho, w2), g.dtype, zero=True)
         gw[:, :, :wo] = g.reshape(rows, ho, wo)
         gw = gw.reshape(rows, span)
         dwr = buffer((rows, kh, kw), dtype)
-        dplanes = buffer(planes.shape, planes.dtype, zero=True)
         tmp = buffer((min(step, rows), span), np.result_type(g, wd, planes))
         for r in blocks:
             gb = gw[r]
@@ -288,6 +299,14 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo):
                     np.sum(tb, axis=1, out=dwr[r, u, v])
                 else:
                     dwr[r, u, v] = np.einsum("rl,rl->r", planes[r, a, b, off:off + span], gb)
+        # dw is done with the planes, so their buffer, zeroed, takes their
+        # gradient: the two never live at once
+        dplanes = planes
+        dplanes.fill(0)
+        for r in blocks:
+            gb = gw[r]
+            tb = tmp[:len(gb)]
+            for u, v, a, b, off in taps:
                 np.multiply(gb, wr[r, u, v, None], out=tb)
                 dplanes[r, a, b, off:off + span] += tb
         # the phases cover each input pixel once, and the padding not at all
@@ -345,26 +364,31 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
 
-    xd, wd = x.data, weight.data
+    wd = weight.data
 
     if groups == cin == cout and (cin > 1 or (kh, kw, sh, sw, ph, pw) != (1, 1, 1, 1, 0, 0)):
-        out, grads = _depthwise(xd, wd, sh, sw, ph, pw, ho, wo)
+        out, grads = _depthwise(x.data, wd, sh, sw, ph, pw, ho, wo, x.values)
 
     else:
-        xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
-        cols = _im2col(xp, kh, kw, sh, sw, ho, wo)
+        def columns():
+            # the (n, cin*kh*kw, ho*wo) im2col matrix of x, a view of x for
+            # a 1x1 stride-1 kernel; backward makes it again
+            xd = x.values()
+            xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
+            return _im2col(xp, kh, kw, sh, sw, ho, wo).reshape(n, -1, ho * wo)
+
         wm = wd.reshape(cout, -1)
-        cm = cols.reshape(n, -1, ho * wo)
-        out = np.matmul(wm, cm).reshape(n, cout, ho, wo)
+        out = np.matmul(wm, columns()).reshape(n, cout, ho, wo)
 
         def grads(g):
+            cm = columns()
             gm = g.reshape(n, cout, -1)
             dw = np.empty(wm.shape, dtype=wd.dtype)
             gcols = np.empty(cm.shape, dtype=cm.dtype)      # x's dtype, not matmul's
             _weight_grad(gm, cm, dw)
             np.matmul(wm.T, gm, out=gcols)
-            dxp = _col2im(gcols.reshape(cols.shape), n, cin, h + 2 * ph, w + 2 * pw, kh, kw,
-                          sh, sw, ho, wo, xd.dtype)
+            dxp = _col2im(gcols.reshape(n, cin, kh, kw, ho, wo), n, cin, h + 2 * ph, w + 2 * pw,
+                          kh, kw, sh, sw, ho, wo, cm.dtype)
             dx = dxp[:, :, ph:ph + h, pw:pw + w] if (ph or pw) else dxp
             return dx, dw.reshape(wd.shape)
 
@@ -396,13 +420,16 @@ def _channel_sum(a, b=None):
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
-               momentum=0.1, training=False, inplace=False):
+               momentum=0.1, training=False, inplace=False, rebuild=False):
     """Per-channel normalize, scale, shift. Training mode normalizes with batch
     statistics and updates the running buffers in place (momentum-weighted);
     eval mode uses the running buffers. With inplace=True the centred input
     is written into x's own buffer, so x reads as centred from then on; the
     caller must be the only reader of x. (Statistics of another dtype than
-    x's leave x as it is, as writing into x would round the centred input.)"""
+    x's leave x as it is, as writing into x would round the centred input.)
+    With rebuild=True a taped output is rebuildable (tensor.rebuildable):
+    the centred input that backward keeps, the per-channel scale and beta
+    give its values again, bit for bit."""
     _require_4d(x, "batch_norm input")
     c = x.shape[1]
     for name, v in (("gamma", gamma), ("beta", beta),
@@ -428,11 +455,13 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
         raise NumericDomainError("batch_norm: var + eps <= 0")
     inv = 1.0 / np.sqrt(var + eps)
     if training:
-        out = np.multiply(xc, (gamma.data * inv).reshape(shape))
+        scale = (gamma.data * inv).reshape(shape)
     else:
         xc *= inv.reshape(shape)        # from here on xc holds xhat
-        out = np.multiply(xc, gamma.data.reshape(shape))
-    out += beta.data.reshape(shape)
+        scale = gamma.data.reshape(shape)
+    shift = beta.data.reshape(shape)
+    out = np.multiply(xc, scale)
+    out += shift
 
     def bwd(g):
         if not training:
@@ -450,8 +479,14 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
         dx *= (gamma.data * inv).reshape(shape)
         return dx, dgamma, dbeta, None, None
 
-    return apply_op("batch_norm", (x, gamma, beta, running_mean, running_var),
-                    out, bwd)
+    y = apply_op("batch_norm", (x, gamma, beta, running_mean, running_var), out, bwd)
+    if rebuild:
+        def fill(buf):
+            np.multiply(xc, scale, out=buf)
+            buf += shift
+
+        rebuildable(y, fill)
+    return y
 
 
 def softmax_spatial(x):
@@ -495,13 +530,19 @@ def _resize_matrix(n_in, n_out, dtype):
     return m
 
 
+def resize_shape(shape, out_h, out_w):
+    """Output shape of bilinear_resize, by the rule it and its layer share."""
+    if out_h < 1 or out_w < 1:
+        raise ShapeError(f"target size must be >= 1, got {out_h}x{out_w}")
+    return tuple(shape[:2]) + (out_h, out_w)
+
+
 def bilinear_resize(x, out_h, out_w):
     """Bilinear resampling with half-pixel centers, applied as separable
     per-axis interpolation matrices. Identity when the target size equals the
     source size."""
     _require_4d(x, "bilinear_resize input")
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"target size must be >= 1, got {out_h}x{out_w}")
+    resize_shape(x.shape, out_h, out_w)
     n, c, h, w = x.shape
     if (out_h, out_w) == (h, w):
         def bwd_id(g):
@@ -548,18 +589,24 @@ def pixel_shuffle(x, r):
     return apply_op("pixel_shuffle", (x,), np.ascontiguousarray(out), bwd)
 
 
-def concat_channels(tensors):
-    """Concatenate on the channel axis, preserving list order."""
-    if not tensors:
+def concat_shape(shapes):
+    """Output shape of concat_channels on inputs of these shapes, by the
+    rule it and its layer share: the inputs agree on N, H and W."""
+    if not shapes:
         raise ShapeError("concat_channels needs at least one tensor")
-    for t in tensors:
-        _require_4d(t, "concat_channels input")
-    n, _, h, w = tensors[0].shape
-    for i, t in enumerate(tensors[1:], 1):
-        tn, _, th, tw = t.shape
+    n, _, h, w = shapes[0]
+    for i, (tn, _, th, tw) in enumerate(shapes[1:], 1):
         if (tn, th, tw) != (n, h, w):
             raise ShapeError(
                 f"concat_channels input {i} has N/H/W {tn}x{th}x{tw}, expected {n}x{h}x{w}")
+    return (n, sum(s[1] for s in shapes), h, w)
+
+
+def concat_channels(tensors):
+    """Concatenate on the channel axis, preserving list order."""
+    for t in tensors:
+        _require_4d(t, "concat_channels input")
+    concat_shape([t.shape for t in tensors])
     out = np.concatenate([t.data for t in tensors], axis=1)
     splits = np.cumsum([t.shape[1] for t in tensors])[:-1]
 

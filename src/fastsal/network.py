@@ -4,12 +4,14 @@ addition variants), weight serialization, and the graph passes: batch-norm
 folding (inference only), the collapse of the linear layers in front of the
 final conv, and the marking of the relu6 and bn layers that may write into
 their input's buffer (write_in_place); the last two run for inference and
-training alike. Under a tape the collapse's composed weights are recorded
-functions of the original slots. Every pass has one form: it counts readers
-with NetworkGraph.readers(), shares each layer it does not rewrite with the
-input graph, builds the rewritten layers and the result graph with
-dataclasses.replace, and changes no LayerSpec, so its input graph stays as it
-was.
+training alike. Training also marks the bn and relu6 pairs whose clipped
+output run() releases and the backward rebuilds (rebuild_in_backward).
+Under a tape the collapse's composed weights are recorded functions of the
+original slots. Every pass has one form: it counts readers with
+NetworkGraph.readers() (or, for rebuild_in_backward, their kinds), shares
+each layer it does not rewrite with the input graph, builds the rewritten
+layers and the result graph with dataclasses.replace, and changes no
+LayerSpec, so its input graph stays as it was.
 
 A NetworkGraph is an ordered list of LayerSpec records executed top to bottom;
 every layer names its inputs, so shape inference and complexity accounting can
@@ -110,11 +112,14 @@ class NetworkGraph:
         """Execute the graph. Returns a dict with the final output under "out"
         plus any layer names requested in `want` (want=graph.taps gives every
         tapped layer). Each activation is dropped once its last reader has
-        run; under a tape, the tape still holds what backward needs."""
+        run; under a tape, the tape still holds what backward needs, but for
+        the output of a layer that rebuild_in_backward marks (and want does
+        not name), which is released then and rebuilt in backward."""
         want = set(want or ())
         acts = {"input": x}
         results = {}
         last_reader = {i: k for k, l in enumerate(self.layers) for i in l.inputs}
+        release = {l.name for l in self.layers if l.params.get("release")} - want
         for k, l in enumerate(self.layers):
             xs = [acts[i] for i in l.inputs]
             for i in l.inputs:
@@ -127,6 +132,9 @@ class NetworkGraph:
                 y = op.run(l.params, xs, w, training)
             except (ShapeError, ConfigError) as e:
                 raise type(e)(f"layer '{l.name}': {e}") from e
+            for j, i in enumerate(l.inputs):
+                if i in release and last_reader[i] == k:
+                    xs[j].release()
             acts[l.name] = y
             if l.name in want:
                 results[l.name] = y
@@ -218,7 +226,7 @@ def _bn_run(p, xs, w, training):
     return kernels.batch_norm(xs[0], w[".gamma"], w[".beta"], w[".rmean"], w[".rvar"],
                               eps=p.get("eps", BN_EPS),
                               momentum=p.get("momentum", BN_MOMENTUM), training=training,
-                              inplace=p.get("inplace", False))
+                              inplace=p.get("inplace", False), rebuild=p.get("release", False))
 
 
 def _bn_slots(p, ins):
@@ -238,8 +246,7 @@ def _softmax_run(p, xs, w, training):
 
 
 def _resize_shape(p, ins):
-    n, c, _, _ = ins[0]
-    return (n, c, p["out_h"], p["out_w"])
+    return kernels.resize_shape(ins[0], p["out_h"], p["out_w"])
 
 
 def _resize_run(p, xs, w, training):
@@ -263,8 +270,7 @@ def _pool_run(p, xs, w, training):
 
 
 def _concat_shape(p, ins):
-    n, _, h, w = ins[0]
-    return (n, sum(s[1] for s in ins), h, w)
+    return kernels.concat_shape(ins)
 
 
 def _concat_run(p, xs, w, training):
@@ -803,6 +809,45 @@ def write_in_place(graph, keep=()):
 
     return replace(graph, layers=[replace(l, params=dict(l.params, inplace=True))
                                   if marked(l) else l for l in graph.layers])
+
+
+def rebuild_in_backward(graph, keep=()):
+    """Mark with params["release"] each relu6 that write_in_place marked
+    (so it is its bn's only reader), whose readers, one or more, are all
+    convs and whose input is a bn that write_in_place marked too, and mark
+    that bn; neither may be a tap or be named in keep (pass the names a
+    caller asks run() for). run() then drops a marked layer's output once
+    its last reader has run. Under a tape the bn's output is rebuildable
+    (kernels.batch_norm), and so is the relu6's, which shares its buffer: a
+    backward that reads either gets the clipped values back, rebuilt from
+    the centred conv output that the bn's backward keeps anyway, into the
+    tape's RebuildBuffer. That buffer holds one value at a time; a conv's
+    backward and a relu6's, the only readers marked outputs have, read one
+    such input each and are done with it when they return, so no rebuilt
+    value is read after the next rebuild. Returns a new graph whose marked
+    layers are new LayerSpecs; every other layer is shared with the input
+    graph, which is not changed. The outputs and, under a tape, the
+    gradients and the updated BN running statistics are bit for bit those
+    of the input graph."""
+    layers = {l.name: l for l in graph.layers}
+    reader_kinds = {}
+    for l in graph.layers:
+        for i in l.inputs:
+            reader_kinds.setdefault(i, []).append(l.kind)
+    keep = set(keep)
+
+    def free(l, kind):
+        return (l.kind == kind and l.params.get("inplace", False)
+                and not l.tap and l.name not in keep)
+
+    marked = set()
+    for l in graph.layers:
+        bn = layers.get(l.inputs[0]) if l.kind == "relu6" else None
+        if (bn is not None and free(l, "relu6") and free(bn, "bn")
+                and set(reader_kinds.get(l.name, ())) == {"conv"}):
+            marked.update((l.name, bn.name))
+    return replace(graph, layers=[replace(l, params=dict(l.params, release=True))
+                                  if l.name in marked else l for l in graph.layers])
 
 
 def prepare_inference(graph, store):

@@ -9,6 +9,12 @@ on_gradient hook gets each leaf's gradient as soon as it is final. The active
 tape is per thread and per asyncio task.
 Inference without an active tape records nothing and allocates no gradient
 state: ops whose backward needs a mask work it out in the backward function.
+
+A recorded op's output can be made rebuildable (rebuildable): release() then
+drops its data, and values() hands the same values back when a backward
+asks for them, rebuilt from what the tape keeps anyway into the tape's
+RebuildBuffer. relu6's backward reads its input through values(), so does
+conv2d's (kernels).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ def _active_tape():
 class Tensor:
     """A dense numeric array plus whether gradients flow to it."""
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "_rebuild")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -42,6 +48,22 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
+        self._rebuild = None
+
+    def values(self):
+        """The tensor's values: its data or, once release() has dropped it,
+        the same values rebuilt in its tape's RebuildBuffer. A rebuilt array
+        is valid until the next rebuild in that buffer, so a backward reads
+        it before it returns and returns nothing that views it."""
+        if self.data is not None:
+            return self.data
+        return self._rebuild[0].rebuilt(*self._rebuild[1:])
+
+    def release(self):
+        """Drop the data of a rebuildable tensor (see rebuildable), which
+        values() gives back; does nothing to any other tensor."""
+        if self._rebuild is not None:
+            self.data = None
 
     @property
     def shape(self):
@@ -105,6 +127,41 @@ class Tensor:
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
+class RebuildBuffer:
+    """The memory that released values are rebuilt in (Tensor.values): one
+    array, as large as the largest value reserved in it, made by the first
+    rebuild. A Tape makes its own unless it is given one; a caller that
+    records tapes one after another, as the training runs of a thread do
+    (trainer.train), can pass each the same buffer, so that every step
+    rebuilds into the same pages. One buffer serves one replay at a time."""
+
+    def __init__(self):
+        self._size = 0
+        self._array = None
+        self._held = None       # (fill, view) of the values the array holds
+
+    def reserve(self, nbytes):
+        self._size = max(self._size, nbytes)
+
+    def rebuilt(self, fill, shape, dtype):
+        """fill's values, of this shape and dtype, in the array. Values that
+        tensors sharing one fill ask for again are not rebuilt, unless
+        another fill has used the array since."""
+        held = self._held
+        if held is None or held[0] is not fill:
+            if self._array is None or self._array.nbytes < self._size:
+                self._array = None
+                self._array = np.empty(self._size, np.uint8)
+            view = self._array[:math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
+            fill(view)
+            held = self._held = (fill, view)
+        return held[1]
+
+    def forget(self):
+        # drop the last fill, and so what its closure keeps; the array stays
+        self._held = None
+
+
 @dataclass
 class TapeNode:
     op: str
@@ -131,11 +188,16 @@ class Tape:
     backward runs and drop it, instead of holding all of them at the end.
     The hook must not write into grad; an exception it raises ends the
     replay.
+
+    Released values (Tensor.release) are rebuilt in rebuilds, a
+    RebuildBuffer, or in one of the tape's own. The buffer forgets its last
+    value when the replay ends, or stops on an exception.
     """
 
-    def __init__(self, on_gradient=None):
+    def __init__(self, on_gradient=None, rebuilds=None):
         self.nodes: list[TapeNode] = []
         self.on_gradient = on_gradient
+        self.rebuilds = rebuilds if rebuilds is not None else RebuildBuffer()
 
     def __enter__(self):
         _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
@@ -196,23 +258,26 @@ class Tape:
 
         for key in [key for key, count in readers.items() if not count]:
             finish(key)
-        for k in reversed(range(len(nodes))):
-            node = nodes[k]
-            nodes[k] = None
-            gout = grads.pop(id(node.output), None)
-            if gout is not None:
-                gins = node.backward(gout)
-                for tensor, gin in zip(node.inputs, gins):
-                    if gin is None or not tensor.requires_grad:
-                        continue
-                    acc = grads.get(id(tensor))
-                    grads[id(tensor)] = gin if acc is None else acc + gin
-            for tensor in node.inputs:
-                key = id(tensor)
-                if key in readers:
-                    readers[key] -= 1
-                    if not readers[key]:
-                        finish(key)
+        try:
+            for k in reversed(range(len(nodes))):
+                node = nodes[k]
+                nodes[k] = None
+                gout = grads.pop(id(node.output), None)
+                if gout is not None:
+                    gins = node.backward(gout)
+                    for tensor, gin in zip(node.inputs, gins):
+                        if gin is None or not tensor.requires_grad:
+                            continue
+                        acc = grads.get(id(tensor))
+                        grads[id(tensor)] = gin if acc is None else acc + gin
+                for tensor in node.inputs:
+                    key = id(tensor)
+                    if key in readers:
+                        readers[key] -= 1
+                        if not readers[key]:
+                            finish(key)
+        finally:
+            self.rebuilds.forget()
         return out
 
 
@@ -227,9 +292,24 @@ def apply_op(name, inputs, out_data, backward_fn):
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = any(t.requires_grad for t in inputs)
+    out._rebuild = None
     tape = _active_tape()
     if tape is not None and out.requires_grad:
         tape.record(name, inputs, out, backward_fn)
+    return out
+
+
+def rebuildable(out, fill):
+    """Let out, the output of the op just recorded on the active tape, be
+    released (Tensor.release) and rebuilt: fill(buf) must write out's values
+    into buf bit for bit, from arrays that the op's backward keeps anyway.
+    Rebuilds go into the tape's RebuildBuffer, which reserves room for out.
+    Does nothing to an output that no tape recorded, which its last reader
+    frees in any case."""
+    tape = _active_tape()
+    if tape is not None and out.requires_grad:
+        tape.rebuilds.reserve(out.data.nbytes)
+        out._rebuild = (tape.rebuilds, fill, out.shape, out.dtype)
     return out
 
 
@@ -355,14 +435,25 @@ def relu6(a, inplace=False):
     """Clip to [0, 6]. With inplace=True the result is written into a's own
     buffer, so a reads as clipped from then on; the caller must be the only
     reader of a. The backward mask is the same either way, since
-    0 < clip(x) < 6 exactly when 0 < x < 6."""
+    0 < clip(x) < 6 exactly when 0 < x < 6, and the backward reads a
+    through a.values(). When a is rebuildable, an in-place result is too,
+    and both rebuild as clipped, which is what their shared buffer holds."""
     out = np.clip(a.data, 0.0, 6.0, out=a.data if inplace else None)
-    ad = a.data
 
     def bwd(g):
+        ad = a.values()
         return (g * ((ad > 0.0) & (ad < 6.0)),)
 
-    return apply_op("relu6", (a,), out, bwd)
+    y = apply_op("relu6", (a,), out, bwd)
+    if inplace and a._rebuild is not None:
+        rebuilds, fill, shape, dtype = a._rebuild
+
+        def clipped(buf):
+            fill(buf)
+            np.clip(buf, 0.0, 6.0, out=buf)
+
+        a._rebuild = y._rebuild = (rebuilds, clipped, shape, dtype)
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,10 @@ class TestLayerKinds:
         ("avg-pool", {"k": 4}, ShapeError, "4x6 not divisible by pool size 4"),
         ("pixel-shuffle", {"r": 0}, ConfigError, "r=0 must be >= 1"),
         ("pixel-shuffle", {"r": 3}, ConfigError, "r=3 must be >= 1 and r.2 must divide 4"),
-    ], ids=["pool-k0", "pool-k-2", "pool-indivisible", "shuffle-r0", "shuffle-indivisible"])
+        ("resize", {"out_h": 0, "out_w": -3}, ShapeError, "target size must be >= 1, got 0x-3"),
+        ("resize", {"out_h": 2, "out_w": 0}, ShapeError, "target size must be >= 1, got 2x0"),
+    ], ids=["pool-k0", "pool-k-2", "pool-indivisible", "shuffle-r0", "shuffle-indivisible",
+            "resize-0x-3", "resize-2x0"])
     def test_shape_rule_rejects_what_the_kernel_rejects(self, kind, params, error, match):
         # each inferred a shape (or divided by zero) that the kernel refuses
         graph = NetworkGraph([LayerSpec("l", kind, ["input"], params)],
@@ -309,6 +312,20 @@ class TestLayerKinds:
         x = Tensor(np.ones((1, 4, 4, 6), dtype=np.float32))
         for call in (graph.infer_shapes, lambda: graph.run(WeightStore(), x)):
             with pytest.raises(error, match=f"layer 'l': .*{match}"):
+                call()
+
+    def test_concat_rule_rejects_mismatched_maps(self):
+        # the shape rule took N, H and W from the first input alone, so
+        # infer_shapes, analyze and init_weights accepted a graph that run()
+        # rejects; now all four raise the kernel's error
+        graph = NetworkGraph([LayerSpec("pool", "avg-pool", ["input"], {"k": 2}),
+                              LayerSpec("cat", "concat", ["input", "pool"])],
+                             input_shape=(1, 2, 4, 4))
+        x = Tensor(np.ones((1, 2, 4, 4), dtype=np.float32))
+        for call in (graph.infer_shapes, lambda: analyzer.analyze(graph),
+                     lambda: init_weights(graph), lambda: graph.run(WeightStore(), x)):
+            with pytest.raises(ShapeError, match="layer 'cat': concat_channels input 1 "
+                                                 "has N/H/W 1x2x2, expected 1x4x4"):
                 call()
 
     def test_unknown_kind_names_kind_and_layer(self):
@@ -876,6 +893,106 @@ class TestClipInPlace:
         net.write_in_place(graph).run(store, _input((1, 1, 4, 4)))
         graph.run(store, _input((1, 1, 4, 4)))
         assert seen == [True, False]
+
+
+def _release_case(case):
+    """conv c -> bn b -> relu6 r -> conv o (1x1, or depthwise 3x3), then a
+    1x1 conv out, on a 2x4x5x6 input; case adds a tap, a keep name, an
+    add that also reads r, or makes r the last layer. Returns (graph,
+    keep)."""
+    def conv(name, src, k=1, groups=1):
+        return LayerSpec(name, "conv", [src], dict(out_ch=4, kernel=(k, k), stride=(1, 1),
+                                                   padding=(k // 2, k // 2), groups=groups,
+                                                   bias=True))
+    layers = [conv("c", "input", 3), LayerSpec("b", "bn", ["c"]), LayerSpec("r", "relu6", ["b"]),
+              conv("o", "r", *((3, 4) if case == "depthwise reader" else ())),
+              conv("out", "o")]
+    keep = ("r",) if case == "keep" else ()
+    if case == "relu6 last":
+        layers = layers[:3]
+    elif case == "add reads relu6":
+        layers.append(LayerSpec("sum", "add", ["out", "r"]))
+    elif case.endswith(" tap"):
+        next(l for l in layers if l.name == case[0]).tap = True
+    return NetworkGraph(layers, input_shape=(2, 4, 5, 6)), keep
+
+
+def _released(graph):
+    return [l.name for l in graph.layers if l.params.get("release")]
+
+
+class TestRebuildInBackward:
+    @pytest.mark.parametrize("case,marked", [
+        ("plain", True), ("depthwise reader", True), ("add reads relu6", False),
+        ("relu6 last", False), ("keep", False), ("r tap", False), ("b tap", False),
+        ("c tap", False),
+    ])
+    def test_guards_and_gradients(self, case, marked):
+        # a bn and relu6 pair is marked only when write_in_place marked both
+        # and convs, one or more, are all that read the relu6, which is not
+        # a tap or kept; loss, outputs, every gradient and the running
+        # statistics are the unmarked graph's bit for bit either way
+        graph, keep = _release_case(case)
+        want = list(keep) + graph.taps
+        runs = []
+        for rewrite in (lambda g: net.rebuild_in_backward(net.write_in_place(g, keep), keep),
+                        lambda g: g):
+            store = randomize_weights(init_weights(graph, seed=1), seed=2)
+            store.get("b.gamma").data[:] = 6.0
+            x = _input(graph.input_shape)
+            x.requires_grad = True
+            leaves = [x] + [store.get(k) for k in trainable_slots(store)]
+            for t in leaves:
+                t.requires_grad = True
+            g = rewrite(graph)
+            with Tape() as tape:
+                res = g.run(store, x, training=True, want=want)
+                loss = sum(((v * v).mean() for v in res.values()), start=0.0)
+            runs.append((g, [v.data for v in res.values()], tape.gradients(loss, leaves),
+                         [store.get(k).data for k in store.names()]))
+        (g, *got), (_, *ref) = runs
+        assert _released(g) == (["b", "r"] if marked else [])
+        for a, b in zip(got, ref):
+            assert len(a) == len(b)
+            for u, v in zip(a, b):
+                np.testing.assert_array_equal(u, v)
+
+    def test_input_graph_unchanged_and_shared(self):
+        graph = net.write_in_place(build_fastsal("A", (1, 3, 32, 32), width=0.25))
+        before = copy.deepcopy(graph)
+        rg = net.rebuild_in_backward(graph)
+        assert graph == before and not _released(graph)
+        assert _released(rg)
+        for old, new in zip(graph.layers, rg.layers):
+            assert (new is old) == (new.name not in _released(rg)), new.name
+
+    @pytest.mark.parametrize("variant", ["C", "A"])
+    def test_no_released_buffer_outlives_a_taped_forward(self, variant, monkeypatch):
+        # once its readers have run, a marked relu6's buffer (which it
+        # shares with its bn's output) is freed although the tape is alive;
+        # the other relu6 buffers are held by the tape
+        graph, store = _random_model(variant, (2, 3, 48, 64))
+        for k in trainable_slots(store):
+            store.get(k).requires_grad = True
+        bufs = []
+        relu6 = tensor.relu6
+
+        def recording(x, **kwargs):
+            y = relu6(x, **kwargs)
+            bufs.append(weakref.ref(y.data))
+            return y
+
+        monkeypatch.setattr(tensor, "relu6", recording)
+        with Tape() as tape:
+            cg, cs = collapse_linear_tail(graph, store)
+            g = net.rebuild_in_backward(net.write_in_place(cg))
+            loss = (g.run(cs, _input((2, 3, 48, 64)), training=True)["out"] ** 2).mean()
+        relus = [l for l in g.layers if l.kind == "relu6"]
+        released = [l.name for l in relus if l.params.get("release")]
+        assert len(bufs) == len(relus) and 0 < len(released) < len(relus)
+        for l, ref in zip(relus, bufs):
+            assert (ref() is None) == (l.name in released), l.name
+        tape.gradients(loss, [store.get(k) for k in trainable_slots(store)])
 
 
 def _benchmark_tracer():

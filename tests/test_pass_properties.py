@@ -1,9 +1,11 @@
 """Seeded random checks of the graph passes over random variants, widths,
 input shapes, taps, BN statistics and conv biases. fold_batch_norm and
 collapse_linear_tail keep the outputs and taps within 1e-5 relative;
-write_in_place and subgraph keep them bit for bit; under a tape, the
-float64 gradients on the paper slots stay within 1e-5 relative; and no
-pass changes its input graph or copies a layer it does not rewrite.
+write_in_place, rebuild_in_backward and subgraph keep them bit for bit;
+under a tape, the float64 gradients on the paper slots stay within 1e-5
+relative, and the training passes keep the float32 loss, gradients and
+running statistics bit for bit; and no pass changes its input graph or
+copies a layer it does not rewrite.
 
 The draws are plain seeded numpy loops, so the tests need nothing beyond
 numpy and pytest."""
@@ -15,10 +17,11 @@ import numpy as np
 import pytest
 
 from conftest import randomize_weights
-from fastsal import distill
+from fastsal import distill, kernels
 from fastsal.network import (RUNNING_STATS, LayerSpec, NetworkGraph, build_fastsal,
                              collapse_linear_tail, fold_batch_norm, init_weights,
-                             prepare_inference, subgraph, trainable_slots, write_in_place)
+                             prepare_inference, rebuild_in_backward, subgraph, trainable_slots,
+                             write_in_place)
 from fastsal.tensor import Tape, Tensor, grad_check
 from fastsal.trainer import ADAPT_LAYERS
 
@@ -103,11 +106,13 @@ def test_clip_and_subgraph_keep_outputs_bit_for_bit(seed, shape):
         ref = _outputs(g, s, x, want)
         for keep in ((), want):
             cg = _checked(write_in_place, g, keep)
+            rg = _checked(rebuild_in_backward, cg, keep)
             # a caller passes what it asks run() for as keep; the output and
-            # the taps are never clipped
-            got = _outputs(cg, s, x, keep)
-            for a, b in zip(got, ref[:len(got)]):
-                np.testing.assert_array_equal(a, b)
+            # the taps are never clipped or released
+            for h in (cg, rg):
+                got = _outputs(h, s, x, keep)
+                for a, b in zip(got, ref[:len(got)]):
+                    np.testing.assert_array_equal(a, b)
     ref = graph.run(store, x, want=want)
     sub = _checked(subgraph, graph, want)
     got = sub.run(store, x, want=want)
@@ -122,11 +127,12 @@ def _paper(graph, store):
 
 def _fine_tune(graph, store):
     cg, cs = collapse_linear_tail(graph, store)
-    return write_in_place(cg), cs
+    return rebuild_in_backward(write_in_place(cg)), cs
 
 
 def _hint(graph, store):
-    return write_in_place(subgraph(graph, ADAPT_LAYERS), ADAPT_LAYERS), store
+    sub = write_in_place(subgraph(graph, ADAPT_LAYERS), ADAPT_LAYERS)
+    return rebuild_in_backward(sub, ADAPT_LAYERS), store
 
 
 def _taped(rewrite, graph, store, x, loss_fn, want=()):
@@ -178,9 +184,10 @@ def test_taped_gradients_match_paper_graph(seed):
 
 
 def _stripped(graph):
-    """The graph with every write_in_place mark taken off."""
+    """The graph with every write_in_place and rebuild_in_backward mark
+    taken off."""
     return replace(graph, layers=[
-        replace(l, params={k: v for k, v in l.params.items() if k != "inplace"})
+        replace(l, params={k: v for k, v in l.params.items() if k not in ("inplace", "release")})
         for l in graph.layers])
 
 
@@ -193,8 +200,10 @@ TRAIN_CASES = [pytest.param(seed, variant, shape, id=f"{variant}-{'x'.join(map(s
 def test_bn_in_place_keeps_training_step_bit_for_bit(seed, variant, shape):
     # float32 training graphs (fine-tune and hint) with random BN statistics
     # and biases: with their bn layers centring the conv output in place,
-    # the loss, every taped gradient and the updated BN running statistics
-    # are those of the graph with the marks stripped
+    # and the clipped bn outputs that only convs read released after the
+    # forward and rebuilt in the backward, the loss, every taped gradient
+    # and the updated BN running statistics are those of the graph with the
+    # marks stripped
     rng = np.random.default_rng(200 + seed)
     graph = build_fastsal(variant, shape, width=float(rng.choice(WIDTHS)))
     x = Tensor(rng.normal(size=shape).astype(np.float32))
@@ -218,6 +227,7 @@ def test_bn_in_place_keeps_training_step_bit_for_bit(seed, variant, shape):
                 rg, rs = rewrite(g, s)
                 bns = [l for l in rg.layers if l.kind == "bn"]
                 assert bns and all(l.params.get("inplace") for l in bns)
+                assert any(l.params.get("release") for l in bns)
                 return (_stripped(rg) if strip else rg), rs
 
             loss, grads = _taped(marked, graph, store, x, loss_fn, want)
@@ -248,3 +258,55 @@ def test_grad_check_through_marked_conv_bn_relu6():
     rep = grad_check(lambda t: (marked.run(store, t, training=True)["out"] ** 2).mean(), x,
                      step=1e-6, tolerance=1e-6)
     assert rep.passed, rep.max_rel_err
+
+
+def test_grad_check_through_released_conv_bn_relu6():
+    # float64: two conv -> bn -> relu6 chains whose clipped outputs run()
+    # releases and the backward rebuilds, on 8x8 and (after a pool) 4x4
+    # maps. The 8x8 one feeds a pointwise conv and tap-loop depthwise convs
+    # at stride 1 and 2, the 4x4 one operator-path depthwise convs at stride
+    # 1 and 2; the readers alternate between the chains, so each rebuild
+    # overwrites the other chain's values. Taped gradients match finite
+    # differences, and on every slot those of the unmarked graph bit for bit
+    def conv(name, src, out_ch, k=3, stride=1, groups=1):
+        return LayerSpec(name, "conv", [src], dict(out_ch=out_ch, kernel=(k, k),
+                                                   stride=(stride, stride),
+                                                   padding=(k // 2, k // 2),
+                                                   groups=groups, bias=True))
+    readers = [conv("p0", "r0", 2, k=1), conv("d1", "r1", 4, groups=4),
+               conv("d0", "r0", 4, groups=4), conv("e1", "r1", 4, stride=2, groups=4),
+               conv("e0", "r0", 4, stride=2, groups=4)]
+    graph = NetworkGraph([
+        conv("c0", "input", 4), LayerSpec("b0", "bn", ["c0"]), LayerSpec("r0", "relu6", ["b0"]),
+        LayerSpec("pool", "avg-pool", ["input"], {"k": 2}),
+        conv("c1", "pool", 4), LayerSpec("b1", "bn", ["c1"]), LayerSpec("r1", "relu6", ["b1"]),
+    ] + readers, input_shape=(2, 2, 8, 8))
+    want = [l.name for l in readers]
+    marked = rebuild_in_backward(write_in_place(graph, want), want)
+    assert [l.name for l in marked.layers if l.params.get("release")] == [
+        "b0", "r0", "b1", "r1"]
+    # the 8x8 maps take the tap loop, the 4x4 ones the spatial operator
+    for (p, q), operator in (((64, 64), False), ((64, 16), False), ((16, 16), True),
+                             ((16, 4), True)):
+        assert kernels._operator_path(p, q) == operator
+    store = randomize_weights(init_weights(graph, seed=1, dtype=np.float64), seed=2)
+    for s in ("b0", "b1"):
+        store.get(s + ".gamma").data[:] *= 3.0
+
+    def loss(g, t):
+        res = g.run(store, t, training=True, want=want)
+        return sum(((res[k] ** 2).mean() for k in want), start=0.0)
+
+    x = Tensor(np.random.default_rng(3).normal(size=graph.input_shape))
+    rep = grad_check(lambda t: loss(marked, t), x, step=1e-6, tolerance=1e-6)
+    assert rep.passed, rep.max_rel_err
+    slots = trainable_slots(store)
+    runs = []
+    for g in (marked, graph):
+        for k in slots:
+            store.get(k).requires_grad = True
+        with Tape() as tape:
+            value = loss(g, x)
+        runs.append(tape.gradients(value, [store.get(k) for k in slots]))
+    for a, b in zip(*runs):
+        np.testing.assert_array_equal(a, b)

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 import fastsal.kernels as K
 from fastsal.distill import _minmax
 from fastsal.errors import ConfigError, ShapeError
-from fastsal.tensor import Tape, Tensor, relu6, sigmoid
+from fastsal.tensor import RebuildBuffer, Tape, Tensor, relu6, sigmoid
 
 
 def t(arr, **kw):
@@ -452,6 +454,127 @@ class TestActivations:
     def test_softmax_rejects_multichannel(self):
         with pytest.raises(ShapeError):
             K.softmax_spatial(t(np.zeros((1, 2, 3, 3))))
+
+
+class TestRebuild:
+    def _bn(self, x, rebuild=True):
+        c = x.shape[1]
+        rng = np.random.default_rng(c)
+        v = [Tensor(rng.uniform(2.0, 4.0, c).astype(x.dtype)),
+             Tensor(rng.normal(size=c).astype(x.dtype)),
+             Tensor(np.zeros(c, x.dtype)), Tensor(np.ones(c, x.dtype))]
+        return K.batch_norm(x, *v, training=True, inplace=True, rebuild=rebuild)
+
+    def _x(self, shape=(2, 3, 4, 5), seed=0):
+        x = np.random.default_rng(seed).normal(size=shape).astype(np.float32) * 4
+        return Tensor(x, requires_grad=True)
+
+    def test_released_values_rebuild_bit_for_bit(self):
+        # a released bn output and the relu6 that clipped it in place both
+        # give back the clipped values, from one rebuild
+        with Tape():
+            y = self._bn(self._x())
+            r = relu6(y, inplace=True)
+        ref = r.data.copy()
+        assert r.data is y.data and ref.min() == 0 and ref.max() == 6
+        y.release()
+        r.release()
+        assert y.data is None and r.data is None
+        np.testing.assert_array_equal(r.values(), ref)
+        assert y.values() is r.values()
+
+    def test_release_outside_a_tape_keeps_the_data(self):
+        y = self._bn(self._x())
+        y.release()
+        assert y.data is not None
+        with Tape():
+            y = self._bn(self._x(), rebuild=False)
+        y.release()
+        assert y.data is not None
+
+    def test_next_rebuild_overwrites_the_last(self):
+        # one buffer: a rebuilt array is valid only until the next rebuild
+        with Tape():
+            a, b = self._bn(self._x(seed=1)), self._bn(self._x(seed=2))
+        ref_a, ref_b = a.data.copy(), b.data.copy()
+        a.release()
+        b.release()
+        va = a.values()
+        np.testing.assert_array_equal(va, ref_a)
+        np.testing.assert_array_equal(b.values(), ref_b)
+        np.testing.assert_array_equal(va, ref_b)
+        np.testing.assert_array_equal(a.values(), ref_a)
+
+    def test_tapes_share_a_rebuild_buffer(self):
+        # tapes given one RebuildBuffer rebuild into the same array, made
+        # for the largest value once; it forgets its value when a replay ends
+        rebuilds = RebuildBuffer()
+        arrays = []
+        for shape in ((2, 3, 4, 5), (2, 3, 2, 5), (2, 3, 4, 5)):
+            x = self._x(shape)
+            with Tape(rebuilds=rebuilds) as tape:
+                y = self._bn(x)
+                loss = (relu6(y, inplace=True) ** 2).sum()
+            y.release()
+            tape.gradients(loss, [x])
+            arrays.append(rebuilds._array)
+            assert tape.rebuilds is rebuilds and rebuilds._held is None
+        assert arrays[0] is arrays[1] is arrays[2]
+        assert arrays[0].nbytes == 2 * 3 * 4 * 5 * 4
+
+    def test_a_replay_that_raises_forgets_its_rebuild(self):
+        # the buffer keeps no fill, and so no centred input, past a replay
+        # that its hook ends: here on w's gradient, just after the conv's
+        # backward has rebuilt y
+        def hook(i, g):
+            raise ValueError("stop")
+
+        w = Tensor(np.ones((2, 3, 1, 1), np.float32), requires_grad=True)
+        with Tape(hook) as tape:
+            y = relu6(self._bn(self._x()), inplace=True)
+            loss = K.conv2d(y, w).sum()
+        y.release()
+        with pytest.raises(ValueError):
+            tape.gradients(loss, [w])
+        assert tape.rebuilds._array is not None and tape.rebuilds._held is None
+
+    def test_an_unreplayed_tape_is_freed_without_the_cyclic_gc(self):
+        # a rebuildable tensor refers to its buffer, not to its tape, so a
+        # tape dropped before its replay is in no reference cycle
+        gc.disable()
+        try:
+            with Tape() as tape:
+                y = relu6(self._bn(self._x()), inplace=True)
+            ref = weakref.ref(tape)
+            y.release()
+            del tape, y
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("path", ["pointwise", "tap loop", "operator", "dense 3x3"])
+    def test_conv_backward_reads_a_released_input(self, path, stride, monkeypatch):
+        # every conv2d backward path reads x through the Tensor, so it sees
+        # the rebuilt values: its gradients are those of the kept input
+        monkeypatch.setattr(K, "_operator_path", lambda p, q: path == "operator")
+        c = 3 if path == "dense 3x3" else 4
+        k, groups, pad = {"pointwise": (1, 1, 0), "dense 3x3": (3, 1, 1)}.get(path, (3, 4, 1))
+        rng = np.random.default_rng(stride)
+        w = Tensor(rng.normal(size=(4, c // groups, k, k)).astype(np.float32), requires_grad=True)
+        grads = []
+        for release in (False, True):
+            x = self._x((2, c, 6, 7))
+            with Tape() as tape:
+                y = relu6(self._bn(x), inplace=True)
+                out = K.conv2d(y, w, stride=stride if path != "pointwise" else 1,
+                               padding=pad, groups=groups)
+                loss = (out * out).sum()
+            if release:
+                y.release()
+            grads.append(tape.gradients(loss, [x, w]))
+        for a, b in zip(*grads):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestBilinearResize:

@@ -1,5 +1,6 @@
 import csv
 import gc
+import threading
 
 import numpy as np
 import pytest
@@ -217,7 +218,8 @@ class TestTraining:
         runs = []
         for fused in (True, False):
             if not fused:
-                monkeypatch.setattr(trainer, "Tape", lambda on_gradient=None: Tape())
+                monkeypatch.setattr(trainer, "Tape", lambda on_gradient=None, rebuilds=None:
+                                    Tape(rebuilds=rebuilds))
             store = randomize_weights(init_weights(graph, seed=1), seed=2)
             params = trainer._trainable_params(graph, store, cfg)
             for _, t in params:
@@ -318,6 +320,24 @@ class TestTraining:
         assert [r.mean_loss for r in logs[0].rows] \
             == [r.mean_loss for r in logs[1].rows]
 
+    def test_train_calls_share_their_thread_rebuild_buffer(self, rich_dataset):
+        # every train call on a thread rebuilds into that thread's one
+        # buffer, which holds no value between replays; another thread,
+        # whose tapes may replay at the same time, gets its own
+        rebuilds = trainer._rebuild_buffer()
+        arrays = []
+        for seed in (4, 5):
+            cfg = TrainConfig(loss="salgan", epochs=1, batch_size=2, max_steps=1)
+            trainer.train(rich_dataset, cfg, small_graph(), init_weights(small_graph(), seed=seed))
+            assert trainer._rebuild_buffer() is rebuilds and rebuilds._held is None
+            arrays.append(rebuilds._array)
+        assert arrays[0] is not None and arrays[0] is arrays[1]
+        other = []
+        thread = threading.Thread(target=lambda: other.append(trainer._rebuild_buffer()))
+        thread.start()
+        thread.join()
+        assert other[0] is not rebuilds
+
     def test_validation_metrics_logged(self, rich_dataset):
         graph = small_graph()
         store = init_weights(graph, seed=5)
@@ -373,14 +393,15 @@ class TestTraining:
 
     def test_step_peak_memory(self):
         # the backward frees each tape node as it replays it, training bn
-        # centres its conv's output in place, each gradient is folded into
-        # its momentum buffer once final, and the depthwise tap loop keeps
-        # no phase planes: a salgan step on C at 4x3x48x64, from no momentum
-        # and then with warm momentum, peaks at 25 MiB of traced allocations,
-        # of which 8.8 are the momentum buffers that live across steps and
-        # 16.1 the step's own. Keeping all the gradients to the end puts the
-        # warm step at 27.8 MiB, keeping the phase planes at 28.5, and
-        # neither change at 31.4
+        # centres its conv's output in place, the clipped bn outputs that
+        # only convs read are dropped after the forward and rebuilt in the
+        # backward, each gradient is folded into its momentum buffer once
+        # final, and the depthwise tap loop keeps no phase planes: a salgan
+        # step on C at 4x3x48x64, from no momentum and then with warm
+        # momentum, peaks at 20.4 MiB of traced allocations, of which 8.65
+        # are the momentum buffers that live across steps and 11.8 the
+        # step's own. Keeping the clipped bn outputs puts it at 24.9 MiB,
+        # 16.2 of them the step's own
         import tracemalloc
 
         graph = build_fastsal("C", (4, 3, 48, 64))
@@ -402,7 +423,7 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         buffers = sum(v.nbytes for v in state.values())
-        assert max(peaks) < 25 * 2 ** 20 and peaks[1] - buffers < 18 * 2 ** 20
+        assert max(peaks) < 21 * 2 ** 20 and peaks[1] - buffers < 12.5 * 2 ** 20
 
     def test_salgan_step_shuffles_only_the_collapsed_tail(self, rich_dataset, monkeypatch):
         # the step trains the collapsed C decoder: no 1408-channel concat is

@@ -43,7 +43,7 @@ backward function from the retained inputs, so untaped inference neither
 computes nor keeps it, and a taped forward keeps no more than those inputs.
 conv2d's backward, on all three paths, and relu6's read their input
 through the input Tensor (Tensor.values), so an input that run() releases
-(network.rebuild_in_backward) is not kept at all: batch_norm with
+(network.write_in_place marks it) is not kept at all: batch_norm with
 rebuild=True makes its output rebuildable from the centred input that it
 keeps, the per-channel scale gamma*inv and beta, and a backward that reads
 the released values gets them rebuilt, bit for bit. This relies on no op's
@@ -162,7 +162,7 @@ def _spatial_operator(h, w, kh, kw, sh, sw, ph, pw, dtype):
     return s.reshape(kh * kw, -1), st.reshape(kh * kw, -1)
 
 
-def _depthwise_operator(xd, wd, sh, sw, ph, pw, ho, wo, source=None):
+def _depthwise_operator(xd, wd, sh, sw, ph, pw, ho, wo, source):
     """Depthwise convolution on a tiny map as per-channel GEMMs with its
     spatial operator M (c, p, q) = w (c, kh*kw) @ S: out[:, ch] = x[:, ch] @
     M[ch] over the (n, p) item pixels of each channel, one batched matmul
@@ -179,7 +179,6 @@ def _depthwise_operator(xd, wd, sh, sw, ph, pw, ho, wo, source=None):
     out = np.empty((n, c, q), dtype=np.result_type(xd, wd))
     np.matmul(xd.reshape(n, c, p).transpose(1, 0, 2), m, out=out.transpose(1, 0, 2))
     dtype = xd.dtype
-    source = source or (lambda: xd)
 
     def grads(g):
         gc = g.reshape(n, c, q).transpose(1, 0, 2)
@@ -203,13 +202,12 @@ def _phase(size, pad, stride, a):
     return slice(i0, i0 + len(range(y0, size, stride))), slice(y0, size, stride)
 
 
-def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo, source=None):
+def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo, source):
     """Depthwise convolution: on tiny maps, where _operator_path says so
     from h*w and ho*wo, as per-channel GEMMs (_depthwise_operator);
     otherwise as k_h*k_w multiply-adds of flat slices, as follows. Either
     backward reads the input again from source(): conv2d passes the input
-    Tensor's values, so a released input is rebuilt; without a source the
-    backward keeps xd.
+    Tensor's values, so a released input is rebuilt.
 
     The zero-padded input is split into its s_h*s_w phase planes of w2
     columns each (one plane when the stride is 1), with one spare row; the
@@ -262,7 +260,6 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo, source=None):
         return planes
 
     planes = phase_planes(xd)
-    source = source or (lambda: xd)
     wr = buffer((rows, kh, kw), wd.dtype)
     wr.reshape(n, c, kh, kw)[...] = wd[:, 0]
     taps = [(u, v, u % sh, v % sw, (u // sh) * w2 + v // sw)

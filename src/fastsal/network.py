@@ -3,15 +3,14 @@ the 4-block feature grouping, and the two FastSal decoders (concatenation and
 addition variants), weight serialization, and the graph passes: batch-norm
 folding (inference only), the collapse of the linear layers in front of the
 final conv, and the marking of the relu6 and bn layers that may write into
-their input's buffer (write_in_place); the last two run for inference and
-training alike. Training also marks the bn and relu6 pairs whose clipped
-output run() releases and the backward rebuilds (rebuild_in_backward).
-Under a tape the collapse's composed weights are recorded functions of the
-original slots. Every pass has one form: it counts readers with
-NetworkGraph.readers() (or, for rebuild_in_backward, their kinds), shares
-each layer it does not rewrite with the input graph, builds the rewritten
-layers and the result graph with dataclasses.replace, and changes no
-LayerSpec, so its input graph stays as it was.
+their input's buffer (write_in_place, which also marks the bn and relu6
+pairs whose clipped output run() releases and a backward rebuilds); the
+last two run for inference and training alike. Under a tape the collapse's
+composed weights are recorded functions of the original slots. Every pass
+has one form: it counts readers with NetworkGraph.readers(), shares each
+layer it does not rewrite with the input graph, builds the rewritten layers
+and the result graph with dataclasses.replace, and changes no LayerSpec, so
+its input graph stays as it was.
 
 A NetworkGraph is an ordered list of LayerSpec records executed top to bottom;
 every layer names its inputs, so shape inference and complexity accounting can
@@ -113,8 +112,9 @@ class NetworkGraph:
         plus any layer names requested in `want` (want=graph.taps gives every
         tapped layer). Each activation is dropped once its last reader has
         run; under a tape, the tape still holds what backward needs, but for
-        the output of a layer that rebuild_in_backward marks (and want does
-        not name), which is released then and rebuilt in backward."""
+        the output of a layer that write_in_place marks for release (and
+        want does not name), which is released then and rebuilt in
+        backward."""
         want = set(want or ())
         acts = {"input": x}
         results = {}
@@ -792,62 +792,54 @@ def write_in_place(graph, keep=()):
     centres it in place (the centred input is what its backward keeps).
     Marked are those whose input is the output of a conv, bn or (two or more
     input) add layer that has no other reader, is not a tap and is not named
-    in keep (pass the names a caller asks run() for). Returns a new graph
-    whose marked layers are new LayerSpecs; every other layer is shared with
-    the input graph, which is not changed. The outputs and, under a tape, the
-    gradients and the updated BN running statistics are bit for bit those of
-    the input graph."""
+    in keep (pass the names a caller asks run() for).
+
+    A marked relu6 whose input is a marked bn is also marked with
+    params["release"], and so is that bn, when convs (one or more) are all
+    that read the relu6 and it is not a tap or named in keep. run() then
+    drops their shared buffer once those convs have run. Under a tape the
+    bn's output is rebuildable (kernels.batch_norm), and so is the relu6's:
+    a backward that reads either gets the clipped values back, rebuilt from
+    the centred conv output that the bn's backward keeps anyway
+    (tensor.Tensor.values). The rebuild array holds one value at a time; a
+    conv's backward and a relu6's, the only readers released outputs have,
+    read one such input each and are done with it when they return, so no
+    rebuilt value is read after the next rebuild. Outside a tape a release
+    mark does nothing.
+
+    Returns a new graph whose marked layers are new LayerSpecs; every other
+    layer is shared with the input graph, which is not changed. The outputs
+    and, under a tape, the gradients and the updated BN running statistics
+    are bit for bit those of the input graph."""
     readers = graph.readers()
     layers = {l.name: l for l in graph.layers}
+    reader_kinds = {}
+    for l in graph.layers:
+        for i in l.inputs:
+            reader_kinds.setdefault(i, set()).add(l.kind)
     keep = set(keep)
 
-    def marked(l):
+    def inplace(l):
         src = layers.get(l.inputs[0]) if l.kind in ("relu6", "bn") else None
         return (src is not None and src.kind in _FRESH_PRODUCERS
                 and readers[src.name] == 1 and not src.tap and src.name not in keep
                 and (src.kind != "add" or len(src.inputs) > 1))
 
-    return replace(graph, layers=[replace(l, params=dict(l.params, inplace=True))
-                                  if marked(l) else l for l in graph.layers])
-
-
-def rebuild_in_backward(graph, keep=()):
-    """Mark with params["release"] each relu6 that write_in_place marked
-    (so it is its bn's only reader), whose readers, one or more, are all
-    convs and whose input is a bn that write_in_place marked too, and mark
-    that bn; neither may be a tap or be named in keep (pass the names a
-    caller asks run() for). run() then drops a marked layer's output once
-    its last reader has run. Under a tape the bn's output is rebuildable
-    (kernels.batch_norm), and so is the relu6's, which shares its buffer: a
-    backward that reads either gets the clipped values back, rebuilt from
-    the centred conv output that the bn's backward keeps anyway, into the
-    tape's RebuildBuffer. That buffer holds one value at a time; a conv's
-    backward and a relu6's, the only readers marked outputs have, read one
-    such input each and are done with it when they return, so no rebuilt
-    value is read after the next rebuild. Returns a new graph whose marked
-    layers are new LayerSpecs; every other layer is shared with the input
-    graph, which is not changed. The outputs and, under a tape, the
-    gradients and the updated BN running statistics are bit for bit those
-    of the input graph."""
-    layers = {l.name: l for l in graph.layers}
-    reader_kinds = {}
+    marked = {l.name for l in graph.layers if inplace(l)}
+    released = set()
     for l in graph.layers:
-        for i in l.inputs:
-            reader_kinds.setdefault(i, []).append(l.kind)
-    keep = set(keep)
+        if (l.kind == "relu6" and l.name in marked and layers[l.inputs[0]].kind == "bn"
+                and l.inputs[0] in marked and not l.tap and l.name not in keep
+                and reader_kinds.get(l.name) == {"conv"}):
+            released.update((l.name, l.inputs[0]))
 
-    def free(l, kind):
-        return (l.kind == kind and l.params.get("inplace", False)
-                and not l.tap and l.name not in keep)
+    def mark(l):
+        params = dict(l.params, inplace=True)
+        if l.name in released:
+            params["release"] = True
+        return replace(l, params=params)
 
-    marked = set()
-    for l in graph.layers:
-        bn = layers.get(l.inputs[0]) if l.kind == "relu6" else None
-        if (bn is not None and free(l, "relu6") and free(bn, "bn")
-                and set(reader_kinds.get(l.name, ())) == {"conv"}):
-            marked.update((l.name, bn.name))
-    return replace(graph, layers=[replace(l, params=dict(l.params, release=True))
-                                  if l.name in marked else l for l in graph.layers])
+    return replace(graph, layers=[mark(l) if l.name in marked else l for l in graph.layers])
 
 
 def prepare_inference(graph, store):

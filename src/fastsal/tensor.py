@@ -12,14 +12,15 @@ state: ops whose backward needs a mask work it out in the backward function.
 
 A recorded op's output can be made rebuildable (rebuildable): release() then
 drops its data, and values() hands the same values back when a backward
-asks for them, rebuilt from what the tape keeps anyway into the tape's
-RebuildBuffer. relu6's backward reads its input through values(), so does
-conv2d's (kernels).
+asks for them, rebuilt from what the tape keeps anyway into the thread's
+rebuild array (_Rebuilds). relu6's backward reads its input through
+values(), so does conv2d's (kernels).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -37,6 +38,44 @@ def _active_tape():
     return stack[-1] if stack else None
 
 
+class _Rebuilds(threading.local):
+    """A thread's memory for released values (Tensor.values): one array,
+    rebuilt into by one replay at a time, as the replays of a thread run one
+    after another. Tape.gradients sizes it to its tape's largest rebuildable
+    output before it replays, so every step of a training run rebuilds into
+    the same pages, and a tape of smaller outputs shrinks it; a tape that
+    released nothing leaves it as it is. A thread so keeps the array of the
+    last tape it replayed that released anything (1.2 MB for C at
+    4x3x48x64) until its end. A new array made for each replay instead was
+    freed at the end of every backward, past glibc's heap trim threshold,
+    and faulted in again by the next (about 2,000 pages an epoch)."""
+
+    array = None
+    held = None     # (fill, view) of the values the array holds
+
+    def fit(self, nbytes):
+        if self.array is None or self.array.nbytes != nbytes:
+            self.array = None
+            self.array = np.empty(nbytes, np.uint8)
+
+    def rebuilt(self, fill, shape, dtype):
+        """fill's values, of this shape and dtype, in the array. Values that
+        tensors sharing one fill ask for again are not rebuilt, unless
+        another fill has used the array since."""
+        held = self.held
+        if held is None or held[0] is not fill:
+            nbytes = math.prod(shape) * dtype.itemsize
+            if self.array is None or self.array.nbytes < nbytes:
+                self.fit(nbytes)
+            view = self.array[:nbytes].view(dtype).reshape(shape)
+            fill(view)
+            held = self.held = (fill, view)
+        return held[1]
+
+
+_REBUILDS = _Rebuilds()
+
+
 class Tensor:
     """A dense numeric array plus whether gradients flow to it."""
 
@@ -52,12 +91,12 @@ class Tensor:
 
     def values(self):
         """The tensor's values: its data or, once release() has dropped it,
-        the same values rebuilt in its tape's RebuildBuffer. A rebuilt array
-        is valid until the next rebuild in that buffer, so a backward reads
-        it before it returns and returns nothing that views it."""
+        the same values rebuilt in the thread's rebuild array. A rebuilt
+        array is valid until the next rebuild on the thread, so a backward
+        reads it before it returns and returns nothing that views it."""
         if self.data is not None:
             return self.data
-        return self._rebuild[0].rebuilt(*self._rebuild[1:])
+        return _REBUILDS.rebuilt(*self._rebuild)
 
     def release(self):
         """Drop the data of a rebuildable tensor (see rebuildable), which
@@ -127,41 +166,6 @@ class Tensor:
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
-class RebuildBuffer:
-    """The memory that released values are rebuilt in (Tensor.values): one
-    array, as large as the largest value reserved in it, made by the first
-    rebuild. A Tape makes its own unless it is given one; a caller that
-    records tapes one after another, as the training runs of a thread do
-    (trainer.train), can pass each the same buffer, so that every step
-    rebuilds into the same pages. One buffer serves one replay at a time."""
-
-    def __init__(self):
-        self._size = 0
-        self._array = None
-        self._held = None       # (fill, view) of the values the array holds
-
-    def reserve(self, nbytes):
-        self._size = max(self._size, nbytes)
-
-    def rebuilt(self, fill, shape, dtype):
-        """fill's values, of this shape and dtype, in the array. Values that
-        tensors sharing one fill ask for again are not rebuilt, unless
-        another fill has used the array since."""
-        held = self._held
-        if held is None or held[0] is not fill:
-            if self._array is None or self._array.nbytes < self._size:
-                self._array = None
-                self._array = np.empty(self._size, np.uint8)
-            view = self._array[:math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
-            fill(view)
-            held = self._held = (fill, view)
-        return held[1]
-
-    def forget(self):
-        # drop the last fill, and so what its closure keeps; the array stays
-        self._held = None
-
-
 @dataclass
 class TapeNode:
     op: str
@@ -189,15 +193,16 @@ class Tape:
     The hook must not write into grad; an exception it raises ends the
     replay.
 
-    Released values (Tensor.release) are rebuilt in rebuilds, a
-    RebuildBuffer, or in one of the tape's own. The buffer forgets its last
-    value when the replay ends, or stops on an exception.
+    Released values (Tensor.release) are rebuilt in the thread's rebuild
+    array (_Rebuilds), sized to reserved, the bytes of the tape's largest
+    rebuildable output, when the replay starts. The array holds no value
+    once the replay ends, or stops on an exception.
     """
 
-    def __init__(self, on_gradient=None, rebuilds=None):
+    def __init__(self, on_gradient=None):
         self.nodes: list[TapeNode] = []
         self.on_gradient = on_gradient
-        self.rebuilds = rebuilds if rebuilds is not None else RebuildBuffer()
+        self.reserved = 0
 
     def __enter__(self):
         _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
@@ -258,6 +263,8 @@ class Tape:
 
         for key in [key for key, count in readers.items() if not count]:
             finish(key)
+        if self.reserved:
+            _REBUILDS.fit(self.reserved)
         try:
             for k in reversed(range(len(nodes))):
                 node = nodes[k]
@@ -277,7 +284,7 @@ class Tape:
                         if not readers[key]:
                             finish(key)
         finally:
-            self.rebuilds.forget()
+            _REBUILDS.held = None
         return out
 
 
@@ -303,13 +310,13 @@ def rebuildable(out, fill):
     """Let out, the output of the op just recorded on the active tape, be
     released (Tensor.release) and rebuilt: fill(buf) must write out's values
     into buf bit for bit, from arrays that the op's backward keeps anyway.
-    Rebuilds go into the tape's RebuildBuffer, which reserves room for out.
-    Does nothing to an output that no tape recorded, which its last reader
-    frees in any case."""
+    The tape's replay makes room for out in the thread's rebuild array. Does
+    nothing to an output that no tape recorded, which its last reader frees
+    in any case."""
     tape = _active_tape()
     if tape is not None and out.requires_grad:
-        tape.rebuilds.reserve(out.data.nbytes)
-        out._rebuild = (tape.rebuilds, fill, out.shape, out.dtype)
+        tape.reserved = max(tape.reserved, out.data.nbytes)
+        out._rebuild = (fill, out.shape, out.dtype)
     return out
 
 
@@ -446,13 +453,13 @@ def relu6(a, inplace=False):
 
     y = apply_op("relu6", (a,), out, bwd)
     if inplace and a._rebuild is not None:
-        rebuilds, fill, shape, dtype = a._rebuild
+        fill, shape, dtype = a._rebuild
 
         def clipped(buf):
             fill(buf)
             np.clip(buf, 0.0, 6.0, out=buf)
 
-        a._rebuild = y._rebuild = (rebuilds, clipped, shape, dtype)
+        a._rebuild = y._rebuild = (clipped, shape, dtype)
     return y
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,14 +20,11 @@ import numpy as np
 from . import distill, metrics
 from .data_io import load_image, load_map, load_teacher_bundle, load_fixations
 from .errors import ConfigError, ContractError, NumericDomainError
-from .network import (collapse_linear_tail, prepare_inference, rebuild_in_backward, subgraph,
-                      trainable_slots, write_in_place)
-from .tensor import RebuildBuffer, Tape, Tensor
+from .network import (collapse_linear_tail, prepare_inference, subgraph, trainable_slots,
+                      write_in_place)
+from .tensor import Tape, Tensor
 
 ADAPT_LAYERS = tuple(f"decoder.adapt{i}" for i in range(1, 5))
-
-# each thread's RebuildBuffer (_rebuild_buffer)
-_THREAD = threading.local()
 
 
 @dataclass
@@ -221,21 +217,6 @@ def _trainable_params(graph, store, config):
     return [(s, store.get(s)) for s in slots]
 
 
-def _rebuild_buffer():
-    """The RebuildBuffer that this thread's training steps rebuild released
-    values in. A tape, and so its buffer, serves one thread, and a step
-    replays one tape at a time. The buffer outlives each train call,
-    holding the largest released output it has rebuilt (1.2 MB for C at
-    4x3x48x64): with one made and freed by each call, that free could leave
-    glibc enough free memory at the top of the heap to hand back to the
-    system, and each later call faulted it in again (274-1,352 pages a
-    call in 5 of 11 checkout directories; 0.3-0.4 in all with this one)."""
-    rebuilds = getattr(_THREAD, "rebuilds", None)
-    if rebuilds is None:
-        rebuilds = _THREAD.rebuilds = RebuildBuffer()
-    return rebuilds
-
-
 def _train_step(graph, store, batch, config, params, lr, momentum_state):
     """One forward, backward and SGD update on a batch (forward only when
     params is empty); returns the loss. A fine-tuning forward runs the graph
@@ -244,13 +225,13 @@ def _train_step(graph, store, batch, config, params, lr, momentum_state):
     forward runs only the layers that the decoder.adapt* outputs depend on,
     the only ones its loss reads. Either graph runs with its relu6 and bn
     layers writing into their input's buffer where write_in_place allows,
-    and through rebuild_in_backward, so the tape keeps one buffer for a
-    conv, its bn and their relu6 when only convs read the relu6: the centred
-    conv output. The clipped bn output is dropped once its readers have run,
-    and rebuilt from the centred one when a backward reads it, into the
-    thread's RebuildBuffer (_rebuild_buffer). The backward frees each tape
-    node as it replays it, and folds each slot's gradient into its momentum
-    buffer as soon as the gradient is final (the tape's hook, after
+    so the tape keeps one buffer for a conv, its bn and their relu6 when
+    only convs read the relu6: the centred conv output. The clipped bn
+    output is dropped once its readers have run, and rebuilt from the
+    centred one when a backward reads it (tensor.Tensor.values). The
+    backward frees each tape node as it replays it, and folds each slot's
+    gradient into its momentum buffer as soon as the gradient is final (the
+    tape's hook, after
     sgd_step's checks of that slot), then drops it; sgd_step then only
     descends. So no step holds all its gradients at once, and the rest is
     freed on return, before anything else (validation) runs. A slot's first
@@ -271,13 +252,13 @@ def _train_step(graph, store, batch, config, params, lr, momentum_state):
             momentum_state[slot] = new
         _fold(momentum_state[slot], grad, config.momentum, new is not None)
 
-    with Tape(fold, _rebuild_buffer()) as tape:
+    with Tape(fold) as tape:
         if config.loss == "hint":
             step_graph, step_store, keep = subgraph(graph, ADAPT_LAYERS), store, ADAPT_LAYERS
         else:
             (step_graph, step_store), keep = collapse_linear_tail(graph, store), ()
-        step_graph = rebuild_in_backward(write_in_place(step_graph, keep), keep)
-        loss = _batch_loss(step_graph, step_store, batch, config, training=bool(params))
+        loss = _batch_loss(write_in_place(step_graph, keep), step_store, batch, config,
+                           training=bool(params))
     if params:
         grads = tape.gradients(loss, [t for _, t in params])
         sgd_step(params, grads, lr, momentum_state, config.momentum)

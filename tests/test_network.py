@@ -921,22 +921,22 @@ def _released(graph):
     return [l.name for l in graph.layers if l.params.get("release")]
 
 
-class TestRebuildInBackward:
+class TestReleaseMarks:
     @pytest.mark.parametrize("case,marked", [
         ("plain", True), ("depthwise reader", True), ("add reads relu6", False),
         ("relu6 last", False), ("keep", False), ("r tap", False), ("b tap", False),
         ("c tap", False),
     ])
     def test_guards_and_gradients(self, case, marked):
-        # a bn and relu6 pair is marked only when write_in_place marked both
-        # and convs, one or more, are all that read the relu6, which is not
-        # a tap or kept; loss, outputs, every gradient and the running
-        # statistics are the unmarked graph's bit for bit either way
+        # a bn and relu6 pair is marked for release only when both are
+        # marked in place and convs, one or more, are all that read the
+        # relu6, which is not a tap or kept; loss, outputs, every gradient
+        # and the running statistics are the unmarked graph's bit for bit
+        # either way
         graph, keep = _release_case(case)
         want = list(keep) + graph.taps
         runs = []
-        for rewrite in (lambda g: net.rebuild_in_backward(net.write_in_place(g, keep), keep),
-                        lambda g: g):
+        for rewrite in (lambda g: net.write_in_place(g, keep), lambda g: g):
             store = randomize_weights(init_weights(graph, seed=1), seed=2)
             store.get("b.gamma").data[:] = 6.0
             x = _input(graph.input_shape)
@@ -958,13 +958,15 @@ class TestRebuildInBackward:
                 np.testing.assert_array_equal(u, v)
 
     def test_input_graph_unchanged_and_shared(self):
-        graph = net.write_in_place(build_fastsal("A", (1, 3, 32, 32), width=0.25))
+        # on a graph with batch norm some layers are marked for release,
+        # each also marked in place, and the unmarked layers are shared
+        graph = build_fastsal("A", (1, 3, 32, 32), width=0.25)
         before = copy.deepcopy(graph)
-        rg = net.rebuild_in_backward(graph)
-        assert graph == before and not _released(graph)
-        assert _released(rg)
+        rg = net.write_in_place(graph)
+        assert graph == before
+        assert _released(rg) and set(_released(rg)) < set(_marked(rg))
         for old, new in zip(graph.layers, rg.layers):
-            assert (new is old) == (new.name not in _released(rg)), new.name
+            assert (new is old) == (new.name not in _marked(rg)), new.name
 
     @pytest.mark.parametrize("variant", ["C", "A"])
     def test_no_released_buffer_outlives_a_taped_forward(self, variant, monkeypatch):
@@ -985,7 +987,7 @@ class TestRebuildInBackward:
         monkeypatch.setattr(tensor, "relu6", recording)
         with Tape() as tape:
             cg, cs = collapse_linear_tail(graph, store)
-            g = net.rebuild_in_backward(net.write_in_place(cg))
+            g = net.write_in_place(cg)
             loss = (g.run(cs, _input((2, 3, 48, 64)), training=True)["out"] ** 2).mean()
         relus = [l for l in g.layers if l.kind == "relu6"]
         released = [l.name for l in relus if l.params.get("release")]

@@ -1,11 +1,11 @@
 """Seeded random checks of the graph passes over random variants, widths,
 input shapes, taps, BN statistics and conv biases. fold_batch_norm and
 collapse_linear_tail keep the outputs and taps within 1e-5 relative;
-write_in_place, rebuild_in_backward and subgraph keep them bit for bit;
-under a tape, the float64 gradients on the paper slots stay within 1e-5
-relative, and the training passes keep the float32 loss, gradients and
-running statistics bit for bit; and no pass changes its input graph or
-copies a layer it does not rewrite.
+write_in_place and subgraph keep them bit for bit; under a tape, the
+float64 gradients on the paper slots stay within 1e-5 relative, and the
+training passes keep the float32 loss, gradients and running statistics
+bit for bit; and no pass changes its input graph or copies a layer it does
+not rewrite.
 
 The draws are plain seeded numpy loops, so the tests need nothing beyond
 numpy and pytest."""
@@ -20,8 +20,7 @@ from conftest import randomize_weights
 from fastsal import distill, kernels
 from fastsal.network import (RUNNING_STATS, LayerSpec, NetworkGraph, build_fastsal,
                              collapse_linear_tail, fold_batch_norm, init_weights,
-                             prepare_inference, rebuild_in_backward, subgraph, trainable_slots,
-                             write_in_place)
+                             prepare_inference, subgraph, trainable_slots, write_in_place)
 from fastsal.tensor import Tape, Tensor, grad_check
 from fastsal.trainer import ADAPT_LAYERS
 
@@ -106,13 +105,11 @@ def test_clip_and_subgraph_keep_outputs_bit_for_bit(seed, shape):
         ref = _outputs(g, s, x, want)
         for keep in ((), want):
             cg = _checked(write_in_place, g, keep)
-            rg = _checked(rebuild_in_backward, cg, keep)
             # a caller passes what it asks run() for as keep; the output and
             # the taps are never clipped or released
-            for h in (cg, rg):
-                got = _outputs(h, s, x, keep)
-                for a, b in zip(got, ref[:len(got)]):
-                    np.testing.assert_array_equal(a, b)
+            got = _outputs(cg, s, x, keep)
+            for a, b in zip(got, ref[:len(got)]):
+                np.testing.assert_array_equal(a, b)
     ref = graph.run(store, x, want=want)
     sub = _checked(subgraph, graph, want)
     got = sub.run(store, x, want=want)
@@ -127,12 +124,11 @@ def _paper(graph, store):
 
 def _fine_tune(graph, store):
     cg, cs = collapse_linear_tail(graph, store)
-    return rebuild_in_backward(write_in_place(cg)), cs
+    return write_in_place(cg), cs
 
 
 def _hint(graph, store):
-    sub = write_in_place(subgraph(graph, ADAPT_LAYERS), ADAPT_LAYERS)
-    return rebuild_in_backward(sub, ADAPT_LAYERS), store
+    return write_in_place(subgraph(graph, ADAPT_LAYERS), ADAPT_LAYERS), store
 
 
 def _taped(rewrite, graph, store, x, loss_fn, want=()):
@@ -184,7 +180,7 @@ def test_taped_gradients_match_paper_graph(seed):
 
 
 def _stripped(graph):
-    """The graph with every write_in_place and rebuild_in_backward mark
+    """The graph with every write_in_place mark, in place and release,
     taken off."""
     return replace(graph, layers=[
         replace(l, params={k: v for k, v in l.params.items() if k not in ("inplace", "release")})
@@ -282,7 +278,7 @@ def test_grad_check_through_released_conv_bn_relu6():
         conv("c1", "pool", 4), LayerSpec("b1", "bn", ["c1"]), LayerSpec("r1", "relu6", ["b1"]),
     ] + readers, input_shape=(2, 2, 8, 8))
     want = [l.name for l in readers]
-    marked = rebuild_in_backward(write_in_place(graph, want), want)
+    marked = write_in_place(graph, want)
     assert [l.name for l in marked.layers if l.params.get("release")] == [
         "b0", "r0", "b1", "r1"]
     # the 8x8 maps take the tap loop, the 4x4 ones the spatial operator

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import threading
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import fastsal.kernels as K
 from fastsal.distill import _minmax
 from fastsal.errors import ConfigError, ShapeError
-from fastsal.tensor import RebuildBuffer, Tape, Tensor, relu6, sigmoid
+from fastsal.tensor import _REBUILDS, Tape, Tensor, relu6, sigmoid
 
 
 def t(arr, **kw):
@@ -225,7 +226,7 @@ class TestConv2d:
             runs = []
             for pixel_major in (False, True):
                 monkeypatch.setattr(K, "_pixel_major", lambda rows, span: pixel_major)
-                out, grads = K._depthwise(x, wt, *stride, pad, pad, ho, wo)
+                out, grads = K._depthwise(x, wt, *stride, pad, pad, ho, wo, lambda: x)
                 runs.append((np.ascontiguousarray(out),) + grads(g))
             (out0, dx0, dw0), (out1, dx1, dw1) = runs
             np.testing.assert_array_equal(out1, out0)
@@ -268,7 +269,7 @@ class TestConv2d:
             runs = []
             for operator in (False, True):
                 monkeypatch.setattr(K, "_operator_path", lambda p, q: operator)
-                out, grads = K._depthwise(x, wt, *stride, pad, pad, ho, wo)
+                out, grads = K._depthwise(x, wt, *stride, pad, pad, ho, wo, lambda: x)
                 runs.append((np.ascontiguousarray(out),) + grads(g))
             tol = 1e-12 if dtype == np.float64 else 1e-5
             for got, ref in zip(runs[1], runs[0]):
@@ -505,22 +506,33 @@ class TestRebuild:
         np.testing.assert_array_equal(va, ref_b)
         np.testing.assert_array_equal(a.values(), ref_a)
 
-    def test_tapes_share_a_rebuild_buffer(self):
-        # tapes given one RebuildBuffer rebuild into the same array, made
-        # for the largest value once; it forgets its value when a replay ends
-        rebuilds = RebuildBuffer()
-        arrays = []
-        for shape in ((2, 3, 4, 5), (2, 3, 2, 5), (2, 3, 4, 5)):
-            x = self._x(shape)
-            with Tape(rebuilds=rebuilds) as tape:
-                y = self._bn(x)
-                loss = (relu6(y, inplace=True) ** 2).sum()
-            y.release()
-            tape.gradients(loss, [x])
-            arrays.append(rebuilds._array)
-            assert tape.rebuilds is rebuilds and rebuilds._held is None
-        assert arrays[0] is arrays[1] is arrays[2]
-        assert arrays[0].nbytes == 2 * 3 * 4 * 5 * 4
+    def _replay(self, shape, release=True):
+        x = self._x(shape)
+        with Tape() as tape:
+            y = self._bn(x, rebuild=release)
+            loss = (relu6(y, inplace=True) ** 2).sum()
+        y.release()
+        tape.gradients(loss, [x])
+        assert _REBUILDS.held is None
+        return _REBUILDS.array
+
+    def test_replays_on_a_thread_share_one_rebuild_array(self):
+        # tapes replayed one after another rebuild into the thread's one
+        # array, sized to the tape's largest rebuildable output: the same
+        # array for tapes of one size, a smaller one for smaller outputs,
+        # and a tape that released nothing leaves it as it is. It holds no
+        # value once a replay ends; another thread has its own.
+        first = self._replay((2, 3, 4, 5))
+        assert first.nbytes == 2 * 3 * 4 * 5 * 4
+        assert self._replay((2, 3, 4, 5)) is first
+        small = self._replay((2, 3, 2, 5))
+        assert small.nbytes == 2 * 3 * 2 * 5 * 4
+        assert self._replay((2, 3, 4, 5), release=False) is small
+        other = []
+        thread = threading.Thread(target=lambda: other.append(self._replay((1, 3, 2, 2))))
+        thread.start()
+        thread.join()
+        assert other[0].nbytes == 3 * 2 * 2 * 4 and _REBUILDS.array is small
 
     def test_a_replay_that_raises_forgets_its_rebuild(self):
         # the buffer keeps no fill, and so no centred input, past a replay
@@ -536,10 +548,10 @@ class TestRebuild:
         y.release()
         with pytest.raises(ValueError):
             tape.gradients(loss, [w])
-        assert tape.rebuilds._array is not None and tape.rebuilds._held is None
+        assert _REBUILDS.array is not None and _REBUILDS.held is None
 
     def test_an_unreplayed_tape_is_freed_without_the_cyclic_gc(self):
-        # a rebuildable tensor refers to its buffer, not to its tape, so a
+        # a rebuildable tensor refers to its fill, not to its tape, so a
         # tape dropped before its replay is in no reference cycle
         gc.disable()
         try:

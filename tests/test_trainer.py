@@ -1,12 +1,11 @@
 import csv
 import gc
-import threading
 
 import numpy as np
 import pytest
 
 from conftest import build_synthetic_dataset, randomize_weights
-from fastsal import kernels, metrics, network, trainer
+from fastsal import kernels, metrics, network, tensor, trainer
 from fastsal.data_io import load_manifest
 from fastsal.errors import ConfigError, ContractError, NumericDomainError
 from fastsal.network import build_fastsal, init_weights
@@ -218,8 +217,7 @@ class TestTraining:
         runs = []
         for fused in (True, False):
             if not fused:
-                monkeypatch.setattr(trainer, "Tape", lambda on_gradient=None, rebuilds=None:
-                                    Tape(rebuilds=rebuilds))
+                monkeypatch.setattr(trainer, "Tape", lambda on_gradient=None: Tape())
             store = randomize_weights(init_weights(graph, seed=1), seed=2)
             params = trainer._trainable_params(graph, store, cfg)
             for _, t in params:
@@ -320,23 +318,17 @@ class TestTraining:
         assert [r.mean_loss for r in logs[0].rows] \
             == [r.mean_loss for r in logs[1].rows]
 
-    def test_train_calls_share_their_thread_rebuild_buffer(self, rich_dataset):
-        # every train call on a thread rebuilds into that thread's one
-        # buffer, which holds no value between replays; another thread,
-        # whose tapes may replay at the same time, gets its own
-        rebuilds = trainer._rebuild_buffer()
+    def test_train_calls_rebuild_into_one_array(self, rich_dataset):
+        # train calls of one shape on a thread rebuild their released bn
+        # outputs into that thread's one array, which holds no value
+        # between replays, so no step makes and frees its own
         arrays = []
         for seed in (4, 5):
             cfg = TrainConfig(loss="salgan", epochs=1, batch_size=2, max_steps=1)
             trainer.train(rich_dataset, cfg, small_graph(), init_weights(small_graph(), seed=seed))
-            assert trainer._rebuild_buffer() is rebuilds and rebuilds._held is None
-            arrays.append(rebuilds._array)
+            assert tensor._REBUILDS.held is None
+            arrays.append(tensor._REBUILDS.array)
         assert arrays[0] is not None and arrays[0] is arrays[1]
-        other = []
-        thread = threading.Thread(target=lambda: other.append(trainer._rebuild_buffer()))
-        thread.start()
-        thread.join()
-        assert other[0] is not rebuilds
 
     def test_validation_metrics_logged(self, rich_dataset):
         graph = small_graph()

@@ -41,22 +41,27 @@ Backward-only state (such as the relu6 mask, the depthwise tap loop's
 phase planes and the dense path's im2col columns) is worked out inside the
 backward function from the retained inputs, so untaped inference neither
 computes nor keeps it, and a taped forward keeps no more than those inputs.
-conv2d's backward, on all three paths, and relu6's read their input
-through the input Tensor (Tensor.values), so an input that run() releases
-(network.write_in_place marks it) is not kept at all: batch_norm with
-rebuild=True makes its output rebuildable from the centred input that it
-keeps, the per-channel scale gamma*inv and beta, and a backward that reads
-the released values gets them rebuilt, bit for bit. This relies on no op's
-input being changed in place between its forward and its backward; the
-optimizer folds gradients into its momentum buffers during backward, which
-no op reads, and updates the weights after it. The exceptions are the relu6
-and batch_norm layers that network.write_in_place marks. Each writes into
-the fresh output of a conv2d, batch_norm or tensor.add that it alone reads,
-and none of those producers' backwards reads its own output. A marked relu6
-clips that output in place, and its mask reads the same from clipped
-values; when the bn output it clips is rebuildable, both rebuild as
-clipped. A marked batch_norm centres it in place and keeps it as the
-centred input, which is all that its backward reads of x.
+A taped batch_norm output is rebuildable (tensor.rebuildable) from the
+centred input that batch_norm keeps, the per-channel scale gamma*inv and
+beta, and NetworkGraph.run releases it once its last reader has run. So
+every op keeps one rule: a backward reads a graph input's values only
+through Tensor.values() or from arrays it captured in the forward, and
+takes the input's shape at forward time (tensor.add, sub, mul, div and
+softmax_spatial capture it). conv2d's backward, on all three paths, and
+relu6's read their input through values(), and so get a released input
+rebuilt, bit for bit; each reads one input and is done with it when it
+returns, as the thread's rebuild array holds one value at a time. This
+relies on no op's input being changed in place between its forward and
+its backward; the optimizer folds gradients into its momentum buffers
+during backward, which no op reads, and updates the weights after it. The
+exceptions are the relu6 and batch_norm layers that network.write_in_place
+marks. Each writes into the fresh output of a conv2d, batch_norm or
+tensor.add that it alone reads, and none of those producers' backwards
+reads its own output. A marked relu6 clips that output in place, and its
+mask reads the same from clipped values; under a tape the bn output it
+clips and its own output rebuild as clipped. A marked batch_norm centres
+it in place and keeps it as the centred input, which is all that its
+backward reads of x.
 """
 
 from __future__ import annotations
@@ -417,16 +422,16 @@ def _channel_sum(a, b=None):
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
-               momentum=0.1, training=False, inplace=False, rebuild=False):
+               momentum=0.1, training=False, inplace=False):
     """Per-channel normalize, scale, shift. Training mode normalizes with batch
     statistics and updates the running buffers in place (momentum-weighted);
     eval mode uses the running buffers. With inplace=True the centred input
     is written into x's own buffer, so x reads as centred from then on; the
     caller must be the only reader of x. (Statistics of another dtype than
     x's leave x as it is, as writing into x would round the centred input.)
-    With rebuild=True a taped output is rebuildable (tensor.rebuildable):
-    the centred input that backward keeps, the per-channel scale and beta
-    give its values again, bit for bit."""
+    A taped output is rebuildable (tensor.rebuildable): the centred input
+    that backward keeps, the per-channel scale and beta give its values
+    again, bit for bit."""
     _require_4d(x, "batch_norm input")
     c = x.shape[1]
     for name, v in (("gamma", gamma), ("beta", beta),
@@ -476,14 +481,12 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps=1e-5,
         dx *= (gamma.data * inv).reshape(shape)
         return dx, dgamma, dbeta, None, None
 
-    y = apply_op("batch_norm", (x, gamma, beta, running_mean, running_var), out, bwd)
-    if rebuild:
-        def fill(buf):
-            np.multiply(xc, scale, out=buf)
-            buf += shift
+    def fill(buf):
+        np.multiply(xc, scale, out=buf)
+        buf += shift
 
-        rebuildable(y, fill)
-    return y
+    y = apply_op("batch_norm", (x, gamma, beta, running_mean, running_var), out, bwd)
+    return rebuildable(y, fill)
 
 
 def softmax_spatial(x):
@@ -501,7 +504,7 @@ def softmax_spatial(x):
     def bwd(g):
         gf = g.reshape(n, h * w)
         dot = (gf * p).sum(axis=1, keepdims=True)
-        return ((p * (gf - dot)).reshape(x.shape),)
+        return ((p * (gf - dot)).reshape(n, c, h, w),)
 
     return apply_op("softmax_spatial", (x,), out, bwd)
 

@@ -3,14 +3,13 @@ the 4-block feature grouping, and the two FastSal decoders (concatenation and
 addition variants), weight serialization, and the graph passes: batch-norm
 folding (inference only), the collapse of the linear layers in front of the
 final conv, and the marking of the relu6 and bn layers that may write into
-their input's buffer (write_in_place, which also marks the bn and relu6
-pairs whose clipped output run() releases and a backward rebuilds); the
-last two run for inference and training alike. Under a tape the collapse's
-composed weights are recorded functions of the original slots. Every pass
-has one form: it counts readers with NetworkGraph.readers(), shares each
-layer it does not rewrite with the input graph, builds the rewritten layers
-and the result graph with dataclasses.replace, and changes no LayerSpec, so
-its input graph stays as it was.
+their input's buffer (write_in_place); the last two run for inference and
+training alike. Under a tape the collapse's composed weights are recorded
+functions of the original slots. Every pass has one form: it counts
+readers with NetworkGraph.readers(), shares each layer it does not rewrite
+with the input graph, builds the rewritten layers and the result graph
+with dataclasses.replace, and changes no LayerSpec, so its input graph
+stays as it was.
 
 A NetworkGraph is an ordered list of LayerSpec records executed top to bottom;
 every layer names its inputs, so shape inference and complexity accounting can
@@ -110,16 +109,17 @@ class NetworkGraph:
     def run(self, store, x, training=False, want=None):
         """Execute the graph. Returns a dict with the final output under "out"
         plus any layer names requested in `want` (want=graph.taps gives every
-        tapped layer). Each activation is dropped once its last reader has
-        run; under a tape, the tape still holds what backward needs, but for
-        the output of a layer that write_in_place marks for release (and
-        want does not name), which is released then and rebuilt in
-        backward."""
+        tapped layer). Each activation is dropped, and released
+        (Tensor.release), once its last reader has run, unless want names
+        it or that reader passed it on as its own output (a one-input add).
+        Outside a tape a release does nothing. Under a tape the tape still
+        holds what backward needs, but a batch-norm output, and a relu6
+        output that shares its buffer, drops its data then and is rebuilt
+        in backward (kernels.batch_norm)."""
         want = set(want or ())
         acts = {"input": x}
         results = {}
         last_reader = {i: k for k, l in enumerate(self.layers) for i in l.inputs}
-        release = {l.name for l in self.layers if l.params.get("release")} - want
         for k, l in enumerate(self.layers):
             xs = [acts[i] for i in l.inputs]
             for i in l.inputs:
@@ -133,7 +133,7 @@ class NetworkGraph:
             except (ShapeError, ConfigError) as e:
                 raise type(e)(f"layer '{l.name}': {e}") from e
             for j, i in enumerate(l.inputs):
-                if i in release and last_reader[i] == k:
+                if last_reader[i] == k and i not in want and xs[j] is not y:
                     xs[j].release()
             acts[l.name] = y
             if l.name in want:
@@ -224,9 +224,8 @@ _BN_INIT = {".gamma": _ones, ".beta": _zeros, ".rmean": _zeros, ".rvar": _ones}
 
 def _bn_run(p, xs, w, training):
     return kernels.batch_norm(xs[0], w[".gamma"], w[".beta"], w[".rmean"], w[".rvar"],
-                              eps=p.get("eps", BN_EPS),
-                              momentum=p.get("momentum", BN_MOMENTUM), training=training,
-                              inplace=p.get("inplace", False), rebuild=p.get("release", False))
+                              eps=BN_EPS, momentum=BN_MOMENTUM, training=training,
+                              inplace=p.get("inplace", False))
 
 
 def _bn_slots(p, ins):
@@ -639,7 +638,7 @@ def fold_batch_norm(graph, store):
         if (conv is not None and conv.kind == "conv"
                 and readers[conv.name] == 1 and not conv.tap):
             g, bt, rm, rv = (new_store.get(l.name + s).data for s in _BN_INIT)
-            scale = g / np.sqrt(rv + l.params.get("eps", BN_EPS))
+            scale = g / np.sqrt(rv + BN_EPS)
             w = new_store.get(conv.name + ".w").data
             new_store.put(conv.name + ".w", Tensor(w * scale.reshape(-1, 1, 1, 1)))
             b0 = (new_store.get(conv.name + ".b").data
@@ -794,18 +793,9 @@ def write_in_place(graph, keep=()):
     input) add layer that has no other reader, is not a tap and is not named
     in keep (pass the names a caller asks run() for).
 
-    A marked relu6 whose input is a marked bn is also marked with
-    params["release"], and so is that bn, when convs (one or more) are all
-    that read the relu6 and it is not a tap or named in keep. run() then
-    drops their shared buffer once those convs have run. Under a tape the
-    bn's output is rebuildable (kernels.batch_norm), and so is the relu6's:
-    a backward that reads either gets the clipped values back, rebuilt from
-    the centred conv output that the bn's backward keeps anyway
-    (tensor.Tensor.values). The rebuild array holds one value at a time; a
-    conv's backward and a relu6's, the only readers released outputs have,
-    read one such input each and are done with it when they return, so no
-    rebuilt value is read after the next rebuild. Outside a tape a release
-    mark does nothing.
+    A marked relu6 whose input is a bn output shares that output's buffer
+    and, under a tape, its rebuild: when run() releases both, a backward
+    that reads either gets the clipped values back (tensor.relu6).
 
     Returns a new graph whose marked layers are new LayerSpecs; every other
     layer is shared with the input graph, which is not changed. The outputs
@@ -813,10 +803,6 @@ def write_in_place(graph, keep=()):
     are bit for bit those of the input graph."""
     readers = graph.readers()
     layers = {l.name: l for l in graph.layers}
-    reader_kinds = {}
-    for l in graph.layers:
-        for i in l.inputs:
-            reader_kinds.setdefault(i, set()).add(l.kind)
     keep = set(keep)
 
     def inplace(l):
@@ -825,21 +811,8 @@ def write_in_place(graph, keep=()):
                 and readers[src.name] == 1 and not src.tap and src.name not in keep
                 and (src.kind != "add" or len(src.inputs) > 1))
 
-    marked = {l.name for l in graph.layers if inplace(l)}
-    released = set()
-    for l in graph.layers:
-        if (l.kind == "relu6" and l.name in marked and layers[l.inputs[0]].kind == "bn"
-                and l.inputs[0] in marked and not l.tap and l.name not in keep
-                and reader_kinds.get(l.name) == {"conv"}):
-            released.update((l.name, l.inputs[0]))
-
-    def mark(l):
-        params = dict(l.params, inplace=True)
-        if l.name in released:
-            params["release"] = True
-        return replace(l, params=params)
-
-    return replace(graph, layers=[mark(l) if l.name in marked else l for l in graph.layers])
+    return replace(graph, layers=[replace(l, params=dict(l.params, inplace=True))
+                                  if inplace(l) else l for l in graph.layers])
 
 
 def prepare_inference(graph, store):

@@ -10,11 +10,15 @@ tape is per thread and per asyncio task.
 Inference without an active tape records nothing and allocates no gradient
 state: ops whose backward needs a mask work it out in the backward function.
 
-A recorded op's output can be made rebuildable (rebuildable): release() then
-drops its data, and values() hands the same values back when a backward
-asks for them, rebuilt from what the tape keeps anyway into the thread's
-rebuild array (_Rebuilds). relu6's backward reads its input through
-values(), so does conv2d's (kernels).
+A recorded op's output can be made rebuildable (rebuildable), as every
+taped kernels.batch_norm output is: release() then drops its data, and
+values() hands the same values back when a backward asks for them, rebuilt
+from what the tape keeps anyway into the thread's rebuild array
+(_Rebuilds). release() does nothing to any other tensor, so
+network.NetworkGraph.run releases each input after its last reader. So a
+backward reads an input's values only through values() (as relu6's and
+kernels.conv2d's do) or from arrays captured in the forward, and takes
+the input's shape at forward time.
 """
 
 from __future__ import annotations
@@ -43,10 +47,10 @@ class _Rebuilds(threading.local):
     rebuilt into by one replay at a time, as the replays of a thread run one
     after another. Tape.gradients sizes it to its tape's largest rebuildable
     output before it replays, so every step of a training run rebuilds into
-    the same pages, and a tape of smaller outputs shrinks it; a tape that
-    released nothing leaves it as it is. A thread so keeps the array of the
-    last tape it replayed that released anything (1.2 MB for C at
-    4x3x48x64) until its end. A new array made for each replay instead was
+    the same pages, and a tape of smaller outputs shrinks it; a tape with
+    no rebuildable output leaves it as it is. A thread so keeps the array
+    of the last tape it replayed that had one (1.2 MB for C at 4x3x48x64)
+    until its end. A new array made for each replay instead was
     freed at the end of every backward, past glibc's heap trim threshold,
     and faulted in again by the next (about 2,000 pages an epoch)."""
 
@@ -339,9 +343,10 @@ def _unbroadcast(grad, shape):
 def add(a, b):
     b = _as_tensor(b, a.dtype)
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return apply_op("add", (a, b), out, bwd)
 
@@ -349,9 +354,10 @@ def add(a, b):
 def sub(a, b):
     b = _as_tensor(b, a.dtype)
     out = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
 
     return apply_op("sub", (a, b), out, bwd)
 
@@ -362,7 +368,7 @@ def mul(a, b):
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return apply_op("mul", (a, b), out, bwd)
 
@@ -373,8 +379,8 @@ def div(a, b):
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return (_unbroadcast(g / bd, a.shape),
-                _unbroadcast(-g * ad / (bd * bd), b.shape))
+        return (_unbroadcast(g / bd, ad.shape),
+                _unbroadcast(-g * ad / (bd * bd), bd.shape))
 
     return apply_op("div", (a, b), out, bwd)
 

@@ -225,15 +225,14 @@ def _train_step(graph, store, batch, config, params, lr, momentum_state):
     forward runs only the layers that the decoder.adapt* outputs depend on,
     the only ones its loss reads. Either graph runs with its relu6 and bn
     layers writing into their input's buffer where write_in_place allows,
-    so the tape keeps one buffer for a conv, its bn and their relu6 when
-    only convs read the relu6: the centred conv output. The clipped bn
-    output is dropped once its readers have run, and rebuilt from the
-    centred one when a backward reads it (tensor.Tensor.values). The
-    backward frees each tape node as it replays it, and folds each slot's
-    gradient into its momentum buffer as soon as the gradient is final (the
-    tape's hook, after
-    sgd_step's checks of that slot), then drops it; sgd_step then only
-    descends. So no step holds all its gradients at once, and the rest is
+    so the tape keeps one buffer for a conv, its bn and their relu6: the
+    centred conv output. run() drops every bn output once its last reader
+    has run (the relu6 that clips it in place too), and a backward that
+    reads it gets it rebuilt from the centred one (tensor.Tensor.values).
+    The backward frees each tape node as it replays it, and folds each
+    slot's gradient into its momentum buffer as soon as the gradient is
+    final (the tape's hook, after sgd_step's checks of that slot), then
+    drops it; sgd_step then only descends. So no step holds all its gradients at once, and the rest is
     freed on return, before anything else (validation) runs. A slot's first
     buffer has the slot's dtype and is made before the forward. The weights
     change only after the whole backward: a bad gradient leaves them as they

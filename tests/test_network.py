@@ -917,26 +917,42 @@ def _release_case(case):
     return NetworkGraph(layers, input_shape=(2, 4, 5, 6)), keep
 
 
-def _released(graph):
-    return [l.name for l in graph.layers if l.params.get("release")]
+def _recording_bn_buffers(monkeypatch):
+    """Install a kernels.batch_norm that records a weakref to each output's
+    buffer; returns the list it appends to, in call order."""
+    bufs = []
+    batch_norm = kernels.batch_norm
+
+    def recording(*args, **kwargs):
+        y = batch_norm(*args, **kwargs)
+        bufs.append(weakref.ref(y.data))
+        return y
+
+    monkeypatch.setattr(kernels, "batch_norm", recording)
+    return bufs
 
 
 class TestReleaseMarks:
-    @pytest.mark.parametrize("case,marked", [
-        ("plain", True), ("depthwise reader", True), ("add reads relu6", False),
+    @pytest.mark.parametrize("case,released", [
+        ("plain", True), ("depthwise reader", True), ("add reads relu6", True),
         ("relu6 last", False), ("keep", False), ("r tap", False), ("b tap", False),
-        ("c tap", False),
+        ("c tap", True),
     ])
-    def test_guards_and_gradients(self, case, marked):
-        # a bn and relu6 pair is marked for release only when both are
-        # marked in place and convs, one or more, are all that read the
-        # relu6, which is not a tap or kept; loss, outputs, every gradient
-        # and the running statistics are the unmarked graph's bit for bit
-        # either way
+    def test_guards_and_gradients(self, case, released, monkeypatch):
+        # under a tape run() releases the bn output, and the relu6 that
+        # clips it in place, once their last reader has run, unless want
+        # names them: their shared buffer is freed after the forward
+        # (released) unless it is the graph's output or asked for. Loss,
+        # outputs, every gradient and the running statistics are those of
+        # the unmarked graph and of a run that releases nothing (want names
+        # every layer) bit for bit
         graph, keep = _release_case(case)
         want = list(keep) + graph.taps
+        bufs = _recording_bn_buffers(monkeypatch)
         runs = []
-        for rewrite in (lambda g: net.write_in_place(g, keep), lambda g: g):
+        for rewrite, everything in ((lambda g: net.write_in_place(g, keep), False),
+                                    (lambda g: g, False),
+                                    (lambda g: net.write_in_place(g, keep), True)):
             store = randomize_weights(init_weights(graph, seed=1), seed=2)
             store.get("b.gamma").data[:] = 6.0
             x = _input(graph.input_shape)
@@ -946,54 +962,60 @@ class TestReleaseMarks:
                 t.requires_grad = True
             g = rewrite(graph)
             with Tape() as tape:
-                res = g.run(store, x, training=True, want=want)
+                res = g.run(store, x, training=True,
+                            want=[l.name for l in g.layers] if everything else want)
+                freed = bufs[-1]() is None
+                res = {k: res[k] for k in ["out"] + want}
                 loss = sum(((v * v).mean() for v in res.values()), start=0.0)
-            runs.append((g, [v.data for v in res.values()], tape.gradients(loss, leaves),
-                         [store.get(k).data for k in store.names()]))
-        (g, *got), (_, *ref) = runs
-        assert _released(g) == (["b", "r"] if marked else [])
-        for a, b in zip(got, ref):
-            assert len(a) == len(b)
-            for u, v in zip(a, b):
-                np.testing.assert_array_equal(u, v)
+            runs.append(([v.data for v in res.values()], tape.gradients(loss, leaves),
+                         [store.get(k).data for k in store.names()], freed))
+        ref = runs.pop()
+        # without the marks r has a buffer of its own, and b's is freed
+        # unless want names b
+        assert [run[3] for run in runs] + [ref[3]] == [released, "b" not in want, False]
+        for got in runs:
+            for a, b in zip(got[:3], ref[:3]):
+                assert len(a) == len(b)
+                for u, v in zip(a, b):
+                    np.testing.assert_array_equal(u, v)
 
     def test_input_graph_unchanged_and_shared(self):
-        # on a graph with batch norm some layers are marked for release,
-        # each also marked in place, and the unmarked layers are shared
+        # on a graph with batch norm the pass marks relu6 and bn layers in
+        # place, and nothing else; the unmarked layers are shared
         graph = build_fastsal("A", (1, 3, 32, 32), width=0.25)
         before = copy.deepcopy(graph)
         rg = net.write_in_place(graph)
         assert graph == before
-        assert _released(rg) and set(_released(rg)) < set(_marked(rg))
+        assert {l.kind for l in rg.layers if l.name in _marked(rg)} == {"bn", "relu6"}
         for old, new in zip(graph.layers, rg.layers):
             assert (new is old) == (new.name not in _marked(rg)), new.name
+            assert set(new.params) - set(old.params) <= {"inplace"}, new.name
 
     @pytest.mark.parametrize("variant", ["C", "A"])
     def test_no_released_buffer_outlives_a_taped_forward(self, variant, monkeypatch):
-        # once its readers have run, a marked relu6's buffer (which it
-        # shares with its bn's output) is freed although the tape is alive;
-        # the other relu6 buffers are held by the tape
+        # once its last reader has run, every bn output buffer that want does
+        # not name is freed although the tape is alive, together with the
+        # relu6 that clips it in place; a wanted one keeps its data, and a
+        # wanted relu6 keeps the buffer it shares with its bn
         graph, store = _random_model(variant, (2, 3, 48, 64))
         for k in trainable_slots(store):
             store.get(k).requires_grad = True
-        bufs = []
-        relu6 = tensor.relu6
-
-        def recording(x, **kwargs):
-            y = relu6(x, **kwargs)
-            bufs.append(weakref.ref(y.data))
-            return y
-
-        monkeypatch.setattr(tensor, "relu6", recording)
+        bufs = _recording_bn_buffers(monkeypatch)
+        want = ["backbone.b2.project.bn", "backbone.b4.dw.relu"]
         with Tape() as tape:
             cg, cs = collapse_linear_tail(graph, store)
-            g = net.write_in_place(cg)
-            loss = (g.run(cs, _input((2, 3, 48, 64)), training=True)["out"] ** 2).mean()
-        relus = [l for l in g.layers if l.kind == "relu6"]
-        released = [l.name for l in relus if l.params.get("release")]
-        assert len(bufs) == len(relus) and 0 < len(released) < len(relus)
-        for l, ref in zip(relus, bufs):
-            assert (ref() is None) == (l.name in released), l.name
+            g = net.write_in_place(cg, keep=want)
+            res = g.run(cs, _input((2, 3, 48, 64)), training=True, want=want)
+            loss = (res["out"] ** 2).mean()
+        bns = [l.name for l in g.layers if l.kind == "bn"]
+        clipped_by = {l.inputs[0]: l.name for l in g.layers
+                      if l.kind == "relu6" and l.params.get("inplace")}
+        assert len(bufs) == len(bns) > 50
+        alive = {b for b, ref in zip(bns, bufs) if ref() is not None}
+        assert alive == {"backbone.b2.project.bn", "backbone.b4.dw.bn"}
+        assert clipped_by["backbone.b4.dw.bn"] == "backbone.b4.dw.relu"
+        for name in want:
+            assert res[name].data is not None and res[name].values() is res[name].data
         tape.gradients(loss, [store.get(k) for k in trainable_slots(store)])
 
 

@@ -131,14 +131,17 @@ def _hint(graph, store):
     return write_in_place(subgraph(graph, ADAPT_LAYERS), ADAPT_LAYERS), store
 
 
-def _taped(rewrite, graph, store, x, loss_fn, want=()):
+def _taped(rewrite, graph, store, x, loss_fn, want=(), release=True):
     """Loss and gradient on every trainable slot of one training-mode forward
-    of rewrite(graph, store), run under the same tape."""
+    of rewrite(graph, store), run under the same tape; with release=False
+    the forward asks run() for every layer, so it releases nothing."""
     slots = trainable_slots(store)
     for k in slots:
         store.get(k).requires_grad = True
     with Tape() as tape:
         g, s = rewrite(graph, store)
+        if not release:
+            want = [l.name for l in g.layers]
         loss = loss_fn(g.run(s, x, training=True, want=want))
     return loss.data, tape.gradients(loss, [store.get(k) for k in slots])
 
@@ -180,10 +183,9 @@ def test_taped_gradients_match_paper_graph(seed):
 
 
 def _stripped(graph):
-    """The graph with every write_in_place mark, in place and release,
-    taken off."""
+    """The graph with every write_in_place mark taken off."""
     return replace(graph, layers=[
-        replace(l, params={k: v for k, v in l.params.items() if k not in ("inplace", "release")})
+        replace(l, params={k: v for k, v in l.params.items() if k != "inplace"})
         for l in graph.layers])
 
 
@@ -196,10 +198,10 @@ TRAIN_CASES = [pytest.param(seed, variant, shape, id=f"{variant}-{'x'.join(map(s
 def test_bn_in_place_keeps_training_step_bit_for_bit(seed, variant, shape):
     # float32 training graphs (fine-tune and hint) with random BN statistics
     # and biases: with their bn layers centring the conv output in place,
-    # and the clipped bn outputs that only convs read released after the
-    # forward and rebuilt in the backward, the loss, every taped gradient
+    # and every bn output that want does not name released after its last
+    # reader and rebuilt in the backward, the loss, every taped gradient
     # and the updated BN running statistics are those of the graph with the
-    # marks stripped
+    # marks stripped, and those of a run that releases nothing
     rng = np.random.default_rng(200 + seed)
     graph = build_fastsal(variant, shape, width=float(rng.choice(WIDTHS)))
     x = Tensor(rng.normal(size=shape).astype(np.float32))
@@ -216,24 +218,24 @@ def test_bn_in_place_keeps_training_step_bit_for_bit(seed, variant, shape):
 
     for rewrite, loss_fn, want in ((_fine_tune, salgan, ()), (_hint, hint, ADAPT_LAYERS)):
         runs = []
-        for strip in (False, True):
+        for strip, release in ((False, True), (True, True), (False, False)):
             store = randomize_weights(init_weights(graph, seed=seed), seed=seed + 1)
 
             def marked(g, s):
                 rg, rs = rewrite(g, s)
                 bns = [l for l in rg.layers if l.kind == "bn"]
                 assert bns and all(l.params.get("inplace") for l in bns)
-                assert any(l.params.get("release") for l in bns)
                 return (_stripped(rg) if strip else rg), rs
 
-            loss, grads = _taped(marked, graph, store, x, loss_fn, want)
+            loss, grads = _taped(marked, graph, store, x, loss_fn, want, release)
             stats = [store.get(k).data for k in store.names() if k.endswith(RUNNING_STATS)]
             runs.append((loss, grads, stats))
-        (loss0, grads0, stats0), (loss1, grads1, stats1) = runs
-        np.testing.assert_array_equal(loss0, loss1)
-        assert len(grads0) == len(grads1) and len(stats0) == len(stats1) > 0
-        for a, b in zip(grads0 + stats0, grads1 + stats1):
-            np.testing.assert_array_equal(a, b)
+        loss0, grads0, stats0 = runs[0]
+        for loss1, grads1, stats1 in runs[1:]:
+            np.testing.assert_array_equal(loss0, loss1)
+            assert len(grads0) == len(grads1) and len(stats0) == len(stats1) > 0
+            for a, b in zip(grads0 + stats0, grads1 + stats1):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_grad_check_through_marked_conv_bn_relu6():
@@ -263,7 +265,8 @@ def test_grad_check_through_released_conv_bn_relu6():
     # at stride 1 and 2, the 4x4 one operator-path depthwise convs at stride
     # 1 and 2; the readers alternate between the chains, so each rebuild
     # overwrites the other chain's values. Taped gradients match finite
-    # differences, and on every slot those of the unmarked graph bit for bit
+    # differences, and on every slot those of the unmarked graph and of a
+    # run that releases nothing bit for bit
     def conv(name, src, out_ch, k=3, stride=1, groups=1):
         return LayerSpec(name, "conv", [src], dict(out_ch=out_ch, kernel=(k, k),
                                                    stride=(stride, stride),
@@ -279,7 +282,7 @@ def test_grad_check_through_released_conv_bn_relu6():
     ] + readers, input_shape=(2, 2, 8, 8))
     want = [l.name for l in readers]
     marked = write_in_place(graph, want)
-    assert [l.name for l in marked.layers if l.params.get("release")] == [
+    assert [l.name for l in marked.layers if l.params.get("inplace")] == [
         "b0", "r0", "b1", "r1"]
     # the 8x8 maps take the tap loop, the 4x4 ones the spatial operator
     for (p, q), operator in (((64, 64), False), ((64, 16), False), ((16, 16), True),
@@ -289,8 +292,8 @@ def test_grad_check_through_released_conv_bn_relu6():
     for s in ("b0", "b1"):
         store.get(s + ".gamma").data[:] *= 3.0
 
-    def loss(g, t):
-        res = g.run(store, t, training=True, want=want)
+    def loss(g, t, asked=want):
+        res = g.run(store, t, training=True, want=asked)
         return sum(((res[k] ** 2).mean() for k in want), start=0.0)
 
     x = Tensor(np.random.default_rng(3).normal(size=graph.input_shape))
@@ -298,11 +301,81 @@ def test_grad_check_through_released_conv_bn_relu6():
     assert rep.passed, rep.max_rel_err
     slots = trainable_slots(store)
     runs = []
-    for g in (marked, graph):
+    for g, asked in ((marked, want), (graph, want), (marked, [l.name for l in graph.layers])):
         for k in slots:
             store.get(k).requires_grad = True
         with Tape() as tape:
-            value = loss(g, x)
+            value = loss(g, x, asked)
         runs.append(tape.gradients(value, [store.get(k) for k in slots]))
+    for got in runs[1:]:
+        for a, b in zip(runs[0], got):
+            np.testing.assert_array_equal(a, b)
+
+
+def _reader_case(kind, inplace):
+    """conv c -> bn b, read by one layer r of kind, then a 3x3 conv out, on
+    a 1x2x4x4 input; a second conv d of the input gives add and concat
+    their other input, and a one-input add passes b on as its output.
+    Returns (graph, its write_in_place form when inplace, else graph
+    itself)."""
+    def conv(name, src, out_ch, k=1):
+        return LayerSpec(name, "conv", [src], dict(out_ch=out_ch, kernel=(k, k), stride=(1, 1),
+                                                   padding=(k // 2, k // 2), groups=1,
+                                                   bias=True))
+    ch = 1 if kind == "softmax-spatial" else 4
+    params = {"conv": dict(out_ch=3, kernel=(3, 3), stride=(1, 1), padding=(1, 1), groups=1,
+                           bias=True),
+              "resize": {"out_h": 6, "out_w": 3}, "pixel-shuffle": {"r": 2},
+              "avg-pool": {"k": 2}}.get(kind, {})
+    inputs = ["b", "d"] if kind in ("add", "concat") else ["b"]
+    graph = NetworkGraph([conv("c", "input", ch, 3), LayerSpec("b", "bn", ["c"]),
+                          conv("d", "input", ch),
+                          LayerSpec("r", kind.split()[-1], inputs, params),
+                          conv("out", "r", 2, 3)], input_shape=(1, 2, 4, 4))
+    return graph, (write_in_place(graph) if inplace else graph)
+
+
+@pytest.mark.parametrize("kind,inplace", [
+    ("conv", True), ("bn", True), ("relu6", True), ("relu6", False), ("add", True),
+    ("one-input add", True), ("concat", True), ("avg-pool", True), ("resize", True), ("pixel-shuffle", True),
+    ("sigmoid", True), ("softmax-spatial", True),
+])
+def test_grad_check_through_released_bn_read_by_each_kind(kind, inplace, monkeypatch):
+    # float64: a bn output that run() releases once its one reader, of each
+    # layer kind, has run (a relu6 either clipping it in place or not).
+    # The reader's backward takes the input's shape at forward time and
+    # reads its values only through the Tensor (Tensor.values): taped
+    # gradients match finite differences, and on every slot those of a run
+    # that releases nothing bit for bit
+    graph, g = _reader_case(kind, inplace)
+    assert {l.name for l in g.layers if l.params.get("inplace")} == (
+        set() if not inplace else {"b", "r"} if kind in ("relu6", "bn") else {"b"})
+    store = randomize_weights(init_weights(graph, seed=1, dtype=np.float64), seed=2)
+    store.get("b.gamma").data[:] *= 3.0
+    x = Tensor(np.random.default_rng(3).normal(size=graph.input_shape))
+
+    def loss(t, want=()):
+        return (g.run(store, t, training=True, want=want)["out"] ** 2).mean()
+
+    rep = grad_check(loss, x, step=1e-6, tolerance=1e-6)
+    assert rep.passed, rep.max_rel_err
+    outputs = []
+    batch_norm = kernels.batch_norm
+
+    def recording(*args, **kwargs):
+        outputs.append(batch_norm(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(kernels, "batch_norm", recording)
+    slots = trainable_slots(store)
+    runs = []
+    for want in ((), [l.name for l in g.layers]):
+        for k in slots:
+            store.get(k).requires_grad = True
+        with Tape() as tape:
+            value = loss(x, want)
+        runs.append(tape.gradients(value, [store.get(k) for k in slots]))
+    # the first bn output is b's: released in the first run only
+    assert [y.data is None for y in outputs[::len(outputs) // 2]] == [True, False]
     for a, b in zip(*runs):
         np.testing.assert_array_equal(a, b)

@@ -122,9 +122,6 @@ class NetworkGraph:
         last_reader = {i: k for k, l in enumerate(self.layers) for i in l.inputs}
         for k, l in enumerate(self.layers):
             xs = [acts[i] for i in l.inputs]
-            for i in l.inputs:
-                if last_reader[i] == k:
-                    acts.pop(i, None)
             try:
                 op = op_for(l.kind)
                 w = {s: store.get(l.name + s)
@@ -133,8 +130,10 @@ class NetworkGraph:
             except (ShapeError, ConfigError) as e:
                 raise type(e)(f"layer '{l.name}': {e}") from e
             for j, i in enumerate(l.inputs):
-                if last_reader[i] == k and i not in want and xs[j] is not y:
-                    xs[j].release()
+                if last_reader[i] == k:
+                    acts.pop(i, None)
+                    if i not in want and xs[j] is not y:
+                        xs[j].release()
             acts[l.name] = y
             if l.name in want:
                 results[l.name] = y

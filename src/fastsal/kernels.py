@@ -54,14 +54,14 @@ returns, as the thread's rebuild array holds one value at a time. This
 relies on no op's input being changed in place between its forward and
 its backward; the optimizer folds gradients into its momentum buffers
 during backward, which no op reads, and updates the weights after it. The
-exceptions are the relu6 and batch_norm layers that network.write_in_place
-marks. Each writes into the fresh output of a conv2d, batch_norm or
-tensor.add that it alone reads, and none of those producers' backwards
-reads its own output. A marked relu6 clips that output in place, and its
-mask reads the same from clipped values; under a tape the bn output it
-clips and its own output rebuild as clipped. A marked batch_norm centres
-it in place and keeps it as the centred input, which is all that its
-backward reads of x.
+exceptions are the relu6 and batch_norm layers that NetworkGraph.run runs
+with inplace=True. Each writes into the fresh output of a conv2d,
+batch_norm or tensor.add that it alone reads, and none of those producers'
+backwards reads its own output. Such a relu6 clips that output in place,
+and its mask reads the same from clipped values; under a tape the bn
+output it clips and its own output rebuild as clipped. Such a batch_norm
+centres it in place and keeps it as the centred input, which is all that
+its backward reads of x.
 """
 
 from __future__ import annotations
@@ -167,23 +167,23 @@ def _spatial_operator(h, w, kh, kw, sh, sw, ph, pw, dtype):
     return s.reshape(kh * kw, -1), st.reshape(kh * kw, -1)
 
 
-def _depthwise_operator(xd, wd, sh, sw, ph, pw, ho, wo, source):
+def _depthwise_operator(x, wd, sh, sw, ph, pw, ho, wo):
     """Depthwise convolution on a tiny map as per-channel GEMMs with its
     spatial operator M (c, p, q) = w (c, kh*kw) @ S: out[:, ch] = x[:, ch] @
     M[ch] over the (n, p) item pixels of each channel, one batched matmul
     written into a fresh contiguous output. Backward keeps the weights and
     the cached S and S', not M: it rebuilds M^T = w @ S' on each call for
     dx = g @ M^T, and dw = dM (c, p*q) @ S^T with dM = x^T @ g, reading x
-    from source() (see _depthwise)."""
-    n, c, h, w = xd.shape
+    through x.values() (see _depthwise)."""
+    n, c, h, w = x.shape
     kh, kw = wd.shape[2:]
     p, q = h * w, ho * wo
     s, st = _spatial_operator(h, w, kh, kw, sh, sw, ph, pw, wd.dtype)
     wr = wd.reshape(c, kh * kw)
     m = (wr @ s).reshape(c, p, q)
-    out = np.empty((n, c, q), dtype=np.result_type(xd, wd))
-    np.matmul(xd.reshape(n, c, p).transpose(1, 0, 2), m, out=out.transpose(1, 0, 2))
-    dtype = xd.dtype
+    dtype = x.dtype
+    out = np.empty((n, c, q), dtype=np.result_type(dtype, wd))
+    np.matmul(x.data.reshape(n, c, p).transpose(1, 0, 2), m, out=out.transpose(1, 0, 2))
 
     def grads(g):
         gc = g.reshape(n, c, q).transpose(1, 0, 2)
@@ -191,7 +191,7 @@ def _depthwise_operator(xd, wd, sh, sw, ph, pw, ho, wo, source):
         # M^T is built from S' as M was from S: matmul runs 2-4x slower on a
         # transposed view of M, and a copy of it costs more than the GEMM
         np.matmul(gc, (wr @ st).reshape(c, q, p), out=dx.transpose(1, 0, 2))
-        dm = np.matmul(source().reshape(n, c, p).transpose(1, 2, 0), gc)
+        dm = np.matmul(x.values().reshape(n, c, p).transpose(1, 2, 0), gc)
         dw = np.matmul(dm.reshape(c, p * q), s.T)
         return dx.reshape(n, c, h, w), dw.astype(wd.dtype, copy=False).reshape(c, 1, kh, kw)
 
@@ -207,12 +207,12 @@ def _phase(size, pad, stride, a):
     return slice(i0, i0 + len(range(y0, size, stride))), slice(y0, size, stride)
 
 
-def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo, source):
-    """Depthwise convolution: on tiny maps, where _operator_path says so
-    from h*w and ho*wo, as per-channel GEMMs (_depthwise_operator);
-    otherwise as k_h*k_w multiply-adds of flat slices, as follows. Either
-    backward reads the input again from source(): conv2d passes the input
-    Tensor's values, so a released input is rebuilt.
+def _depthwise(x, wd, sh, sw, ph, pw, ho, wo):
+    """Depthwise convolution of the Tensor x: on tiny maps, where
+    _operator_path says so from h*w and ho*wo, as per-channel GEMMs
+    (_depthwise_operator); otherwise as k_h*k_w multiply-adds of flat
+    slices, as follows. The forward reads x.data; either backward reads the
+    input again through x.values(), so a released input is rebuilt.
 
     The zero-padded input is split into its s_h*s_w phase planes of w2
     columns each (one plane when the stride is 1), with one spare row; the
@@ -231,21 +231,21 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo, source):
     and so the output, are the same in both layouts. Row-major rows run in
     blocks of about _BLOCK_BYTES. Returns the output, as a cropped view of
     the wide buffer, and the backward function, which keeps no phase
-    planes: it rebuilds them from source() (one zeroed copy of about the
+    planes: it rebuilds them from x.values() (one zeroed copy of about the
     input's size, per backward call) and works on the same slices. So
     between the forward and the backward a tap-loop layer holds no buffer
     but its output, as the input is held by the tape in any case and is not
     written in place before backward (see the module docstring)."""
-    n, c, h, w = xd.shape
+    n, c, h, w = x.shape
     if _operator_path(h * w, ho * wo):
-        return _depthwise_operator(xd, wd, sh, sw, ph, pw, ho, wo, source)
+        return _depthwise_operator(x, wd, sh, sw, ph, pw, ho, wo)
     kh, kw = wd.shape[2:]
     rows = n * c
     h2 = -(-(h + 2 * ph) // sh) + 1     # rows per phase plane, plus the spare
     w2 = -(-(w + 2 * pw) // sw)
     span = ho * w2
     pixel_major = _pixel_major(rows, span)
-    dtype = np.result_type(xd, wd)
+    dtype = np.result_type(x.dtype, wd)
 
     def buffer(shape, dt, zero=False):
         # a (rows, ...) array; pixel-major keeps the rows axis innermost
@@ -257,14 +257,14 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo, source):
     phases = [(a, b) + _phase(h, ph, sh, a) + _phase(w, pw, sw, b)
               for a in range(sh) for b in range(sw)]
 
-    def phase_planes(x):
-        planes = buffer((rows, sh, sw, h2 * w2), x.dtype, zero=True)
-        x3, p5 = x.reshape(rows, h, w), planes.reshape(rows, sh, sw, h2, w2)
+    def phase_planes(values):
+        planes = buffer((rows, sh, sw, h2 * w2), values.dtype, zero=True)
+        x3, p5 = values.reshape(rows, h, w), planes.reshape(rows, sh, sw, h2, w2)
         for a, b, pi, yi, pj, xj in phases:
             p5[:, a, b, pi, pj] = x3[:, yi, xj]
         return planes
 
-    planes = phase_planes(xd)
+    planes = phase_planes(x.data)
     wr = buffer((rows, kh, kw), wd.dtype)
     wr.reshape(n, c, kh, kw)[...] = wd[:, 0]
     taps = [(u, v, u % sh, v % sw, (u // sh) * w2 + v // sw)
@@ -286,7 +286,7 @@ def _depthwise(xd, wd, sh, sw, ph, pw, ho, wo, source):
     out = wide.reshape(n, c, ho, w2)[:, :, :, :wo]
 
     def grads(g):
-        planes = phase_planes(source())
+        planes = phase_planes(x.values())
         gw = buffer((rows, ho, w2), g.dtype, zero=True)
         gw[:, :, :wo] = g.reshape(rows, ho, wo)
         gw = gw.reshape(rows, span)
@@ -369,7 +369,7 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
     wd = weight.data
 
     if groups == cin == cout and (cin > 1 or (kh, kw, sh, sw, ph, pw) != (1, 1, 1, 1, 0, 0)):
-        out, grads = _depthwise(x.data, wd, sh, sw, ph, pw, ho, wo, x.values)
+        out, grads = _depthwise(x, wd, sh, sw, ph, pw, ho, wo)
 
     else:
         def columns():

@@ -1,20 +1,21 @@
 """Declarative network graphs: the MobileNetV2 feature backbone with 18 taps,
 the 4-block feature grouping, and the two FastSal decoders (concatenation and
 addition variants), weight serialization, and the graph passes: batch-norm
-folding (inference only), the collapse of the linear layers in front of the
-final conv, and the marking of the relu6 and bn layers that may write into
-their input's buffer (write_in_place); the last two run for inference and
-training alike. Under a tape the collapse's composed weights are recorded
-functions of the original slots. Every pass has one form: it counts
-readers with NetworkGraph.readers(), shares each layer it does not rewrite
-with the input graph, builds the rewritten layers and the result graph
-with dataclasses.replace, and changes no LayerSpec, so its input graph
-stays as it was.
+folding (inference only) and the collapse of the linear layers in front of
+the final conv, which runs for inference and training alike. Under a tape
+the collapse's composed weights are recorded functions of the original
+slots. Every pass has one form: it counts readers with
+NetworkGraph.readers(), shares each layer it does not rewrite with the input
+graph, builds the rewritten layers and the result graph with
+dataclasses.replace, and changes no LayerSpec, so its input graph stays as
+it was.
 
 A NetworkGraph is an ordered list of LayerSpec records executed top to bottom;
 every layer names its inputs, so shape inference and complexity accounting can
 run without weights. graph.taps is derived from the layers' tap flags, and
-run(want=graph.taps) returns their values by name; a conv's weight shape comes
+run(want=graph.taps) returns their values by name. run also decides, from
+each output's readers and want, which relu6 and bn layers write into their
+input's buffer and when each output is dropped. A conv's weight shape comes
 from its input shape. OPS is the one place a layer kind is described: its
 output shape, how it runs, its FLOPs and its weight slots. Shape inference,
 execution, weight init and checking, and the analyzer all read that table.
@@ -40,6 +41,11 @@ BN_MOMENTUM = 0.1
 
 # BN running statistics: weight slots that are state, not parameters
 RUNNING_STATS = (".rmean", ".rvar")
+
+# layer kinds whose output buffer is fresh and whose backward does not read
+# that output, so a relu6 may clip it, or a bn centre it, in place
+# (NetworkGraph.run)
+_FRESH_PRODUCERS = ("conv", "bn", "add")
 
 # MobileNetV2 inverted-residual schedule: (expansion, channels, repeats, stride)
 _MOBILENETV2_CFG = [
@@ -109,29 +115,41 @@ class NetworkGraph:
     def run(self, store, x, training=False, want=None):
         """Execute the graph. Returns a dict with the final output under "out"
         plus any layer names requested in `want` (want=graph.taps gives every
-        tapped layer). Each activation is dropped, and released
-        (Tensor.release), once its last reader has run, unless want names
-        it or that reader passed it on as its own output (a one-input add).
-        Outside a tape a release does nothing. Under a tape the tape still
-        holds what backward needs, but a batch-norm output, and a relu6
-        output that shares its buffer, drops its data then and is rebuilt
-        in backward (kernels.batch_norm)."""
+        tapped layer). Every liveness decision comes from each output's
+        reader count and want. A relu6 clips, and a bn centres, its input in
+        that input's buffer when the buffer is fresh and its producer's
+        backward does not read it (the output of a conv, a bn or an add of
+        two or more inputs: _FRESH_PRODUCERS), the relu6 or bn is its only
+        reader, and want does not name it. Each activation is dropped, and
+        released (Tensor.release), once its last reader has run, unless want
+        names it or that reader passed it on as its own output (a one-input
+        add). A release does nothing outside a tape; under one, a batch-norm
+        output, and a relu6 output that shares its buffer, drops its data
+        and is rebuilt in backward (kernels.batch_norm). A run whose want
+        names every layer so writes nothing in place and releases nothing,
+        and its outputs, gradients and running statistics are bit for bit
+        those of any other want."""
         want = set(want or ())
+        readers = self.readers()
+        writable = {l.name for l in self.layers
+                    if l.kind in _FRESH_PRODUCERS and (l.kind != "add" or len(l.inputs) > 1)
+                    and readers[l.name] == 1 and l.name not in want}
         acts = {"input": x}
         results = {}
-        last_reader = {i: k for k, l in enumerate(self.layers) for i in l.inputs}
-        for k, l in enumerate(self.layers):
+        for l in self.layers:
             xs = [acts[i] for i in l.inputs]
+            inplace = l.kind in ("relu6", "bn") and l.inputs[0] in writable
             try:
                 op = op_for(l.kind)
                 w = {s: store.get(l.name + s)
                      for s in op.slots(l.params, [t.shape for t in xs])}
-                y = op.run(l.params, xs, w, training)
+                y = op.run(l.params, xs, w, training, inplace)
             except (ShapeError, ConfigError) as e:
                 raise type(e)(f"layer '{l.name}': {e}") from e
             for j, i in enumerate(l.inputs):
-                if last_reader[i] == k:
-                    acts.pop(i, None)
+                readers[i] -= 1
+                if not readers[i]:
+                    del acts[i]
                     if i not in want and xs[j] is not y:
                         xs[j].release()
             acts[l.name] = y
@@ -180,7 +198,8 @@ class Op:
     shapes, xs its input tensors and w its weight slots by suffix.
 
     shape(p, ins) -> output shape
-    run(p, xs, w, training) -> output Tensor; calls kernels.<fn>/tensor.<fn>
+    run(p, xs, w, training, inplace) -> output Tensor, in xs[0]'s buffer if
+        inplace (NetworkGraph.run decides); calls kernels.<fn>/tensor.<fn>
         through the module, so a wrapper installed there sees every layer
     flops(p, ins, out) -> FLOPs under analyzer.CONVENTION
     slots(p, ins) -> {suffix: (shape, init)}, init(rng, shape, dtype) -> array;
@@ -201,7 +220,7 @@ def _conv_shape(p, ins):
                               p["stride"], p["padding"])
 
 
-def _conv_run(p, xs, w, training):
+def _conv_run(p, xs, w, training, inplace):
     return kernels.conv2d(xs[0], w[".w"], w.get(".b"), stride=p["stride"],
                           padding=p["padding"], groups=p.get("groups", 1))
 
@@ -221,25 +240,25 @@ def _conv_slots(p, ins):
 _BN_INIT = {".gamma": _ones, ".beta": _zeros, ".rmean": _zeros, ".rvar": _ones}
 
 
-def _bn_run(p, xs, w, training):
+def _bn_run(p, xs, w, training, inplace):
     return kernels.batch_norm(xs[0], w[".gamma"], w[".beta"], w[".rmean"], w[".rvar"],
                               eps=BN_EPS, momentum=BN_MOMENTUM, training=training,
-                              inplace=p.get("inplace", False))
+                              inplace=inplace)
 
 
 def _bn_slots(p, ins):
     return {s: ((ins[0][1],), init) for s, init in _BN_INIT.items()}
 
 
-def _relu6_run(p, xs, w, training):
-    return tensor.relu6(xs[0], inplace=p.get("inplace", False))
+def _relu6_run(p, xs, w, training, inplace):
+    return tensor.relu6(xs[0], inplace=inplace)
 
 
-def _sigmoid_run(p, xs, w, training):
+def _sigmoid_run(p, xs, w, training, inplace):
     return tensor.sigmoid(xs[0])
 
 
-def _softmax_run(p, xs, w, training):
+def _softmax_run(p, xs, w, training, inplace):
     return kernels.softmax_spatial(xs[0])
 
 
@@ -247,7 +266,7 @@ def _resize_shape(p, ins):
     return kernels.resize_shape(ins[0], p["out_h"], p["out_w"])
 
 
-def _resize_run(p, xs, w, training):
+def _resize_run(p, xs, w, training, inplace):
     return kernels.bilinear_resize(xs[0], p["out_h"], p["out_w"])
 
 
@@ -255,7 +274,7 @@ def _shuffle_shape(p, ins):
     return kernels.pixel_shuffle_shape(ins[0], p["r"])
 
 
-def _shuffle_run(p, xs, w, training):
+def _shuffle_run(p, xs, w, training, inplace):
     return kernels.pixel_shuffle(xs[0], p["r"])
 
 
@@ -263,7 +282,7 @@ def _pool_shape(p, ins):
     return kernels.avg_pool_shape(ins[0], p["k"])
 
 
-def _pool_run(p, xs, w, training):
+def _pool_run(p, xs, w, training, inplace):
     return kernels.avg_pool2d(xs[0], p["k"])
 
 
@@ -271,7 +290,7 @@ def _concat_shape(p, ins):
     return kernels.concat_shape(ins)
 
 
-def _concat_run(p, xs, w, training):
+def _concat_run(p, xs, w, training, inplace):
     return kernels.concat_channels(xs)
 
 
@@ -282,7 +301,7 @@ def _add_shape(p, ins):
     return ins[0]
 
 
-def _add_run(p, xs, w, training):
+def _add_run(p, xs, w, training, inplace):
     _add_shape(p, [t.shape for t in xs])
     out = xs[0]
     for t in xs[1:]:
@@ -771,7 +790,12 @@ def collapse_linear_tail(graph, store):
 def subgraph(graph, names):
     """The graph of the layers that the named layers' outputs depend on, in
     their order, so that it ends with the last of them. Layers are shared
-    with the input graph; its taps are those of the kept layers."""
+    with the input graph; its taps are those of the kept layers.
+    ContractError unless names are one or more layers of the graph."""
+    missing = sorted(set(names) - {l.name for l in graph.layers})
+    if missing or not names:
+        raise ContractError(f"subgraph: the graph has no layer {missing}" if missing
+                            else "subgraph needs at least one layer name")
     need = set(names)
     for l in reversed(graph.layers):
         if l.name in need:
@@ -779,47 +803,9 @@ def subgraph(graph, names):
     return replace(graph, layers=[l for l in graph.layers if l.name in need])
 
 
-# layer kinds whose output buffer is fresh and whose backward does not read
-# that output, so a relu6 may clip it, or a bn centre it, in place
-_FRESH_PRODUCERS = ("conv", "bn", "add")
-
-
-def write_in_place(graph, keep=()):
-    """Mark the relu6 and bn layers that may write into their input's buffer,
-    with params["inplace"]: a relu6 then clips its input in place, a bn
-    centres it in place (the centred input is what its backward keeps).
-    Marked are those whose input is the output of a conv, bn or (two or more
-    input) add layer that has no other reader, is not a tap and is not named
-    in keep (pass the names a caller asks run() for).
-
-    A marked relu6 whose input is a bn output shares that output's buffer
-    and, under a tape, its rebuild: when run() releases both, a backward
-    that reads either gets the clipped values back (tensor.relu6).
-
-    Returns a new graph whose marked layers are new LayerSpecs; every other
-    layer is shared with the input graph, which is not changed. The outputs
-    and, under a tape, the gradients and the updated BN running statistics
-    are bit for bit those of the input graph."""
-    readers = graph.readers()
-    layers = {l.name: l for l in graph.layers}
-    keep = set(keep)
-
-    def inplace(l):
-        src = layers.get(l.inputs[0]) if l.kind in ("relu6", "bn") else None
-        return (src is not None and src.kind in _FRESH_PRODUCERS
-                and readers[src.name] == 1 and not src.tap and src.name not in keep
-                and (src.kind != "add" or len(src.inputs) > 1))
-
-    return replace(graph, layers=[replace(l, params=dict(l.params, inplace=True))
-                                  if inplace(l) else l for l in graph.layers])
-
-
 def prepare_inference(graph, store):
     """The graph and store to run for inference: batch norm folded into its
     convs, then the final 1x1 conv sunk through the linear layers before it
-    (collapse_linear_tail), then each relu6 that may do so marked to clip its
-    producer's output in place (write_in_place; the folded graph has no bn
-    left to mark). All three passes are exact rewrites; the originals are
-    untouched."""
-    graph, store = collapse_linear_tail(*fold_batch_norm(graph, store))
-    return write_in_place(graph), store
+    (collapse_linear_tail). Both passes are exact rewrites; the originals
+    are untouched."""
+    return collapse_linear_tail(*fold_batch_norm(graph, store))

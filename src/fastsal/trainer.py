@@ -4,7 +4,9 @@ five-row distillation ablation harness. Each fine-tuning step runs the
 graph that collapse_linear_tail makes from the live weights inside the
 step's tape, so the paper slots are trained through the composed decoder
 weights; a hint step runs only the layers that the decoder.adapt* outputs
-depend on. A step folds each gradient into its momentum buffer during the
+depend on. Either runs its relu6 and bn layers in place where
+NetworkGraph.run allows, so the tape keeps one buffer per conv, bn and
+relu6. A step folds each gradient into its momentum buffer during the
 backward, as soon as the gradient is final. Validation (NSS/CC) runs the
 inference graph that prepare_inference makes from the live weights, one
 forward per batch of records."""
@@ -20,8 +22,7 @@ import numpy as np
 from . import distill, metrics
 from .data_io import load_image, load_map, load_teacher_bundle, load_fixations
 from .errors import ConfigError, ContractError, NumericDomainError
-from .network import (collapse_linear_tail, prepare_inference, subgraph, trainable_slots,
-                      write_in_place)
+from .network import collapse_linear_tail, prepare_inference, subgraph, trainable_slots
 from .tensor import Tape, Tensor
 
 ADAPT_LAYERS = tuple(f"decoder.adapt{i}" for i in range(1, 5))
@@ -223,17 +224,18 @@ def _train_step(graph, store, batch, config, params, lr, momentum_state):
     that collapse_linear_tail makes from the live store inside the tape, so
     the gradients reach the paper slots through the composed weights. A hint
     forward runs only the layers that the decoder.adapt* outputs depend on,
-    the only ones its loss reads. Either graph runs with its relu6 and bn
-    layers writing into their input's buffer where write_in_place allows,
-    so the tape keeps one buffer for a conv, its bn and their relu6: the
+    the only ones its loss reads. In either, run() lets each relu6 and bn
+    that alone reads an unwanted conv, bn or add output write into it, so
+    the tape keeps one buffer for a conv, its bn and their relu6: the
     centred conv output. run() drops every bn output once its last reader
     has run (the relu6 that clips it in place too), and a backward that
     reads it gets it rebuilt from the centred one (tensor.Tensor.values).
     The backward frees each tape node as it replays it, and folds each
     slot's gradient into its momentum buffer as soon as the gradient is
     final (the tape's hook, after sgd_step's checks of that slot), then
-    drops it; sgd_step then only descends. So no step holds all its gradients at once, and the rest is
-    freed on return, before anything else (validation) runs. A slot's first
+    drops it; sgd_step then only descends. So no step holds all its
+    gradients at once, and the rest is freed on return, before anything
+    else (validation) runs. A slot's first
     buffer has the slot's dtype and is made before the forward. The weights
     change only after the whole backward: a bad gradient leaves them as they
     were, while the buffers of the slots before it, in backward order, may
@@ -253,11 +255,10 @@ def _train_step(graph, store, batch, config, params, lr, momentum_state):
 
     with Tape(fold) as tape:
         if config.loss == "hint":
-            step_graph, step_store, keep = subgraph(graph, ADAPT_LAYERS), store, ADAPT_LAYERS
+            step_graph, step_store = subgraph(graph, ADAPT_LAYERS), store
         else:
-            (step_graph, step_store), keep = collapse_linear_tail(graph, store), ()
-        loss = _batch_loss(write_in_place(step_graph, keep), step_store, batch, config,
-                           training=bool(params))
+            step_graph, step_store = collapse_linear_tail(graph, store)
+        loss = _batch_loss(step_graph, step_store, batch, config, training=bool(params))
     if params:
         grads = tape.gradients(loss, [t for _, t in params])
         sgd_step(params, grads, lr, momentum_state, config.momentum)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from fastsal import kernels, tensor
 from fastsal.data_io import save_teacher_bundle
 from fastsal.distill import TeacherBundle
 from fastsal.tensor import Tensor
@@ -42,6 +43,31 @@ def randomize_weights(store, seed):
         elif name.endswith((".gamma", ".rvar")):
             t[:] = rng.uniform(0.5, 1.5, t.shape)
     return store
+
+
+def inplace_spy(monkeypatch):
+    """Wrap tensor.relu6 and kernels.batch_norm, through their modules as
+    perfbench's tracer wraps them, so that each call appends its inplace
+    keyword to the returned list."""
+    flags = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            flags.append(kwargs.get("inplace", False))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tensor, "relu6", recording(tensor.relu6))
+    monkeypatch.setattr(kernels, "batch_norm", recording(kernels.batch_norm))
+    return flags
+
+
+def written_in_place(graph, flags):
+    """Names of the relu6 and bn layers of graph that wrote into their
+    input's buffer, from the inplace_spy flags of one run of graph."""
+    names = [l.name for l in graph.layers if l.kind in ("relu6", "bn")]
+    assert len(flags) == len(names)
+    return [n for n, inplace in zip(names, flags) if inplace]
 
 
 def make_blob_map(h, w, cy, cx, sigma):

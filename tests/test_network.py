@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import randomize_weights
+from conftest import inplace_spy, randomize_weights, written_in_place
 from fastsal import network as net
 from fastsal import analyzer, distill, kernels, tensor
 from fastsal.errors import (ConfigError, ContractError, ParseError, ShapeError,
@@ -752,23 +752,12 @@ class TestTapedCollapse:
         assert tape.nodes
 
 
-def _unmarked(graph):
-    """The graph with every relu6 write_in_place mark taken off."""
-    return NetworkGraph([LayerSpec(l.name, l.kind, list(l.inputs),
-                                   {k: v for k, v in l.params.items() if k != "inplace"},
-                                   l.tap) for l in graph.layers],
-                        variant=graph.variant, input_shape=graph.input_shape)
-
-
-def _marked(graph):
-    return [l.name for l in graph.layers if l.params.get("inplace")]
-
-
 def _clip_case(case):
     """A producer p feeding relu6 r, then a 1x1 conv, on a 1x1x4x4 input;
-    case changes p's kind or gives it a tap, a second reader or no layer at
-    all (r reads the graph input). Returns (graph, names run() is asked for,
-    keep)."""
+    case changes p's kind, gives it a tap (asked for with want=graph.taps,
+    or not asked for), a second reader or no layer at all (r reads the
+    graph input), or names it in want. Returns (graph, names run() is
+    asked for)."""
     conv = dict(out_ch=1, kernel=(1, 1), stride=(1, 1), padding=(0, 0),
                 groups=1, bias=True)
     producers = {
@@ -785,101 +774,116 @@ def _clip_case(case):
     p = producers.get(case, producers["conv"])
     layers = [p, LayerSpec("r", "relu6", ["input" if case == "graph input" else "p"]),
               LayerSpec("out", "conv", ["r"], dict(conv))]
-    want, keep = ["out"], ()
-    if case == "tap":
+    want = ["out"]
+    if case in ("tap", "unwanted tap"):
         p.tap = True
     elif case == "second reader":
         layers.append(LayerSpec("sum", "add", ["out", "p"]))
-    elif case == "keep":
-        want = keep = ("p",)
+    elif case == "want":
+        want = ["p"]
     graph = NetworkGraph(layers, input_shape=(1, 1, 4, 4))
     if case == "tap":
         want = graph.taps
-    return graph, want, keep
+    return graph, want
+
+
+GUARD_CASES = [
+    ("conv", True), ("bn", True), ("add", True), ("unwanted tap", True),
+    ("tap", False), ("second reader", False), ("want", False),
+    ("graph input", False), ("one-input add", False), ("sigmoid", False),
+    ("softmax-spatial", False), ("resize", False), ("avg-pool", False),
+    ("concat", False),
+]
+
+
+def _every_layer(graph):
+    return [l.name for l in graph.layers]
 
 
 class TestClipInPlace:
     @pytest.mark.parametrize("variant", ["C", "A"])
-    def test_prepared_outputs_bit_identical(self, variant):
+    def test_prepared_outputs_bit_identical(self, variant, monkeypatch):
         # random BN statistics and non-zero biases; every relu6 of the
-        # prepared graph reads a folded conv and so is marked
+        # prepared graph reads a folded conv and so clips it in place,
+        # unless want names every layer
         graph, store = _random_model(variant, (2, 3, 48, 64))
         x = _input((2, 3, 48, 64))
         rg, rs = prepare_inference(graph, store)
+        flags = inplace_spy(monkeypatch)
+        ref = rg.run(rs, x, want=_every_layer(rg))["out"].data
+        assert written_in_place(rg, flags) == []
+        flags.clear()
+        got = rg.run(rs, x)["out"].data
         relus = [l.name for l in rg.layers if l.kind == "relu6"]
-        assert relus and _marked(rg) == relus
-        ref = _unmarked(rg).run(rs, x)["out"].data
-        np.testing.assert_array_equal(rg.run(rs, x)["out"].data, ref)
-        fg, fs = collapse_linear_tail(*fold_batch_norm(graph, store))
-        np.testing.assert_array_equal(fg.run(fs, x)["out"].data, ref)
+        assert relus and written_in_place(rg, flags) == relus
+        np.testing.assert_array_equal(got, ref)
 
     def test_input_graph_unchanged_and_shared(self):
-        graph, _ = _random_model("A", (1, 3, 48, 64))
-        fg = fold_batch_norm(graph, init_weights(graph))[0]
-        before = copy.deepcopy(fg)
-        cg = net.write_in_place(fg)
-        assert fg == before
-        assert not _marked(fg)
-        for old, new in zip(fg.layers, cg.layers):
-            assert (new is old) == (new.name not in _marked(cg)), new.name
-        assert cg.taps == fg.taps
+        # writing in place is run()'s decision, not a rewrite: running the
+        # prepared graph changes none of its layers, and prepare_inference
+        # leaves the paper graph as it was and shares every layer it does
+        # not rewrite
+        graph, store = _random_model("A", (1, 3, 48, 64))
+        before = copy.deepcopy(graph)
+        rg, rs = prepare_inference(graph, store)
+        prepared = copy.deepcopy(rg)
+        rg.run(rs, _input((1, 3, 48, 64)))
+        assert graph == before and rg == prepared
+        old = {l.name: l for l in graph.layers}
+        rewritten = {k.rsplit(".", 1)[0] for k in rs.names()
+                     if rs.get(k) is not store.tensors.get(k)}
+        shared = [l for l in rg.layers if l == old.get(l.name) and l.name not in rewritten]
+        assert shared and all(l is old[l.name] for l in shared)
+        assert not any("inplace" in l.params for l in rg.layers)
 
-    @pytest.mark.parametrize("case,marked", [
-        ("conv", True), ("bn", True), ("add", True),
-        ("tap", False), ("second reader", False), ("keep", False),
-        ("graph input", False), ("one-input add", False), ("sigmoid", False),
-        ("softmax-spatial", False), ("resize", False), ("avg-pool", False),
-        ("concat", False),
-    ])
-    def test_guards(self, case, marked):
+    @pytest.mark.parametrize("case,marked", GUARD_CASES)
+    def test_guards(self, case, marked, monkeypatch):
         # a producer's output may be clipped in place only when the relu6 is
-        # its one reader, nothing else asks for it and its backward does not
-        # read it (sigmoid's and softmax's do); what run() returns is the
-        # unmarked graph's either way
-        graph, want, keep = _clip_case(case)
+        # its one reader, want does not name it and its backward does not
+        # read it (sigmoid's and softmax's do); what run() returns is that
+        # of a run whose want names every layer either way
+        graph, want = _clip_case(case)
         store = randomize_weights(init_weights(graph, seed=1), seed=2)
-        cg = net.write_in_place(graph, keep=keep)
-        assert _marked(cg) == (["r"] if marked else [])
         x = _input((1, 1, 4, 4))
         x.data *= 8
-        got, ref = cg.run(store, x, want=want), graph.run(store, x, want=want)
-        assert set(got) == set(ref)
-        for k in ref:
+        flags = inplace_spy(monkeypatch)
+        got = graph.run(store, x, want=want)
+        assert written_in_place(graph, flags) == (["r"] if marked else [])
+        flags.clear()
+        ref = graph.run(store, x, want=_every_layer(graph))
+        assert written_in_place(graph, flags) == []
+        for k in got:
             np.testing.assert_array_equal(got[k].data, ref[k].data)
 
     @pytest.mark.parametrize("training", [False, True])
-    @pytest.mark.parametrize("case,marked", [
-        ("conv", True), ("bn", True), ("add", True),
-        ("tap", False), ("second reader", False), ("keep", False),
-        ("graph input", False), ("one-input add", False), ("sigmoid", False),
-        ("softmax-spatial", False), ("resize", False), ("avg-pool", False),
-        ("concat", False),
-    ])
-    def test_bn_guards(self, case, marked, training):
+    @pytest.mark.parametrize("case,marked", GUARD_CASES)
+    def test_bn_guards(self, case, marked, training, monkeypatch):
         # the relu6 guards, with a bn in the relu6's place: it may centre its
         # producer's output in place under the same conditions, and what
-        # run() returns, and in training the running statistics, are the
-        # unmarked graph's either way
-        graph, want, keep = _clip_case(case)
+        # run() returns, and in training the running statistics, are those
+        # of a run whose want names every layer either way
+        graph, want = _clip_case(case)
         graph = replace(graph, layers=[replace(l, kind="bn") if l.name == "r" else l
                                        for l in graph.layers])
-        cg = net.write_in_place(graph, keep=keep)
-        assert _marked(cg) == (["r"] if marked else [])
         x = _input((1, 1, 4, 4))
+        flags = inplace_spy(monkeypatch)
         runs = []
-        for g in (cg, graph):
+        for asked in (want, _every_layer(graph)):
+            flags.clear()
             store = randomize_weights(init_weights(graph, seed=1), seed=2)
-            res = g.run(store, Tensor(x.data.copy()), training=training, want=want)
-            runs.append((res, store))
-        (got, got_store), (ref, ref_store) = runs
-        assert set(got) == set(ref)
-        for k in ref:
+            res = graph.run(store, Tensor(x.data.copy()), training=training, want=asked)
+            runs.append((res, store, written_in_place(graph, flags)))
+        (got, got_store, written), (ref, ref_store, none) = runs
+        assert written == (["r"] if marked else []) and none == []
+        for k in got:
             np.testing.assert_array_equal(got[k].data, ref[k].data)
         for k in ref_store.names():
             np.testing.assert_array_equal(got_store.get(k).data, ref_store.get(k).data)
 
     def test_marked_relu6_writes_into_its_input(self, monkeypatch):
-        graph, _, _ = _clip_case("conv")
+        # the relu6 that run() lets clip its input in place returns that
+        # input's buffer; asked for every layer, it makes its own
+        graph, _ = _clip_case("conv")
         store = init_weights(graph, seed=1)
         seen = []
         relu6 = tensor.relu6
@@ -890,16 +894,16 @@ class TestClipInPlace:
             return y
 
         monkeypatch.setattr(tensor, "relu6", recording)
-        net.write_in_place(graph).run(store, _input((1, 1, 4, 4)))
         graph.run(store, _input((1, 1, 4, 4)))
+        graph.run(store, _input((1, 1, 4, 4)), want=_every_layer(graph))
         assert seen == [True, False]
 
 
 def _release_case(case):
     """conv c -> bn b -> relu6 r -> conv o (1x1, or depthwise 3x3), then a
-    1x1 conv out, on a 2x4x5x6 input; case adds a tap, a keep name, an
-    add that also reads r, or makes r the last layer. Returns (graph,
-    keep)."""
+    1x1 conv out, on a 2x4x5x6 input; case adds a tap, names r in want,
+    adds an add that also reads r, or makes r the last layer. Returns
+    (graph, the names run() is asked for besides the taps)."""
     def conv(name, src, k=1, groups=1):
         return LayerSpec(name, "conv", [src], dict(out_ch=4, kernel=(k, k), stride=(1, 1),
                                                    padding=(k // 2, k // 2), groups=groups,
@@ -907,14 +911,14 @@ def _release_case(case):
     layers = [conv("c", "input", 3), LayerSpec("b", "bn", ["c"]), LayerSpec("r", "relu6", ["b"]),
               conv("o", "r", *((3, 4) if case == "depthwise reader" else ())),
               conv("out", "o")]
-    keep = ("r",) if case == "keep" else ()
+    want = ("r",) if case == "want" else ()
     if case == "relu6 last":
         layers = layers[:3]
     elif case == "add reads relu6":
         layers.append(LayerSpec("sum", "add", ["out", "r"]))
     elif case.endswith(" tap"):
         next(l for l in layers if l.name == case[0]).tap = True
-    return NetworkGraph(layers, input_shape=(2, 4, 5, 6)), keep
+    return NetworkGraph(layers, input_shape=(2, 4, 5, 6)), want
 
 
 def _recording_bn_buffers(monkeypatch):
@@ -933,26 +937,27 @@ def _recording_bn_buffers(monkeypatch):
 
 
 class TestReleaseMarks:
+    """What run() releases under a tape, chosen by reader counts and want
+    alone."""
+
     @pytest.mark.parametrize("case,released", [
         ("plain", True), ("depthwise reader", True), ("add reads relu6", True),
-        ("relu6 last", False), ("keep", False), ("r tap", False), ("b tap", False),
+        ("relu6 last", False), ("want", False), ("r tap", False), ("b tap", False),
         ("c tap", True),
     ])
     def test_guards_and_gradients(self, case, released, monkeypatch):
         # under a tape run() releases the bn output, and the relu6 that
         # clips it in place, once their last reader has run, unless want
         # names them: their shared buffer is freed after the forward
-        # (released) unless it is the graph's output or asked for. Loss,
-        # outputs, every gradient and the running statistics are those of
-        # the unmarked graph and of a run that releases nothing (want names
-        # every layer) bit for bit
-        graph, keep = _release_case(case)
-        want = list(keep) + graph.taps
+        # (released) unless it is the graph's output or asked for (here
+        # with the taps). Loss, outputs, every gradient and the running
+        # statistics are those of a run that writes nothing in place and
+        # releases nothing (want names every layer) bit for bit
+        graph, asked = _release_case(case)
+        want = list(asked) + graph.taps
         bufs = _recording_bn_buffers(monkeypatch)
         runs = []
-        for rewrite, everything in ((lambda g: net.write_in_place(g, keep), False),
-                                    (lambda g: g, False),
-                                    (lambda g: net.write_in_place(g, keep), True)):
+        for everything in (False, True):
             store = randomize_weights(init_weights(graph, seed=1), seed=2)
             store.get("b.gamma").data[:] = 6.0
             x = _input(graph.input_shape)
@@ -960,36 +965,36 @@ class TestReleaseMarks:
             leaves = [x] + [store.get(k) for k in trainable_slots(store)]
             for t in leaves:
                 t.requires_grad = True
-            g = rewrite(graph)
             with Tape() as tape:
-                res = g.run(store, x, training=True,
-                            want=[l.name for l in g.layers] if everything else want)
+                res = graph.run(store, x, training=True,
+                                want=_every_layer(graph) if everything else want)
                 freed = bufs[-1]() is None
                 res = {k: res[k] for k in ["out"] + want}
                 loss = sum(((v * v).mean() for v in res.values()), start=0.0)
             runs.append(([v.data for v in res.values()], tape.gradients(loss, leaves),
                          [store.get(k).data for k in store.names()], freed))
-        ref = runs.pop()
-        # without the marks r has a buffer of its own, and b's is freed
-        # unless want names b
-        assert [run[3] for run in runs] + [ref[3]] == [released, "b" not in want, False]
-        for got in runs:
-            for a, b in zip(got[:3], ref[:3]):
-                assert len(a) == len(b)
-                for u, v in zip(a, b):
-                    np.testing.assert_array_equal(u, v)
+        got, ref = runs
+        assert [got[3], ref[3]] == [released, False]
+        for a, b in zip(got[:3], ref[:3]):
+            assert len(a) == len(b)
+            for u, v in zip(a, b):
+                np.testing.assert_array_equal(u, v)
 
-    def test_input_graph_unchanged_and_shared(self):
-        # on a graph with batch norm the pass marks relu6 and bn layers in
-        # place, and nothing else; the unmarked layers are shared
+    def test_input_graph_unchanged_and_shared(self, monkeypatch):
+        # on a graph with batch norm run() writes both relu6 and bn layers
+        # in place, in inference and in training, and leaves the graph and
+        # each of its LayerSpecs as they were
         graph = build_fastsal("A", (1, 3, 32, 32), width=0.25)
-        before = copy.deepcopy(graph)
-        rg = net.write_in_place(graph)
+        store = init_weights(graph)
+        layers, before = list(graph.layers), copy.deepcopy(graph)
+        kinds = {l.name: l.kind for l in graph.layers}
+        flags = inplace_spy(monkeypatch)
+        for training in (False, True):
+            flags.clear()
+            graph.run(store, _input((1, 3, 32, 32)), training=training)
+            assert {kinds[n] for n in written_in_place(graph, flags)} == {"bn", "relu6"}
         assert graph == before
-        assert {l.kind for l in rg.layers if l.name in _marked(rg)} == {"bn", "relu6"}
-        for old, new in zip(graph.layers, rg.layers):
-            assert (new is old) == (new.name not in _marked(rg)), new.name
-            assert set(new.params) - set(old.params) <= {"inplace"}, new.name
+        assert all(new is old for new, old in zip(graph.layers, layers))
 
     @pytest.mark.parametrize("variant", ["C", "A"])
     def test_no_released_buffer_outlives_a_taped_forward(self, variant, monkeypatch):
@@ -1003,17 +1008,14 @@ class TestReleaseMarks:
         bufs = _recording_bn_buffers(monkeypatch)
         want = ["backbone.b2.project.bn", "backbone.b4.dw.relu"]
         with Tape() as tape:
-            cg, cs = collapse_linear_tail(graph, store)
-            g = net.write_in_place(cg, keep=want)
+            g, cs = collapse_linear_tail(graph, store)
             res = g.run(cs, _input((2, 3, 48, 64)), training=True, want=want)
             loss = (res["out"] ** 2).mean()
         bns = [l.name for l in g.layers if l.kind == "bn"]
-        clipped_by = {l.inputs[0]: l.name for l in g.layers
-                      if l.kind == "relu6" and l.params.get("inplace")}
         assert len(bufs) == len(bns) > 50
         alive = {b for b, ref in zip(bns, bufs) if ref() is not None}
         assert alive == {"backbone.b2.project.bn", "backbone.b4.dw.bn"}
-        assert clipped_by["backbone.b4.dw.bn"] == "backbone.b4.dw.relu"
+        assert res["backbone.b4.dw.relu"].data is bufs[bns.index("backbone.b4.dw.bn")]()
         for name in want:
             assert res[name].data is not None and res[name].values() is res[name].data
         tape.gradients(loss, [store.get(k) for k in trainable_slots(store)])
@@ -1042,9 +1044,10 @@ def test_conv_paths_match_benchmark_labels(variant, width, monkeypatch):
         seen.append([conv_path(*args, **kwargs), False])
         return conv2d(*args, **kwargs)
 
-    def recording_depthwise(*args):
+    def recording_depthwise(x, *args):
+        assert isinstance(x, Tensor)
         seen[-1][1] = True
-        return depthwise(*args)
+        return depthwise(x, *args)
 
     monkeypatch.setattr(kernels, "conv2d", recording_conv2d)
     monkeypatch.setattr(kernels, "_depthwise", recording_depthwise)
@@ -1070,9 +1073,9 @@ def test_predict_size_keeps_depthwise_on_the_tap_loop(variant, monkeypatch):
     taken = []
     operator = kernels._depthwise_operator
 
-    def recording(xd, *args):
-        taken.append(xd.shape)
-        return operator(xd, *args)
+    def recording(x, *args):
+        taken.append(x.shape)
+        return operator(x, *args)
 
     monkeypatch.setattr(kernels, "_depthwise_operator", recording)
     graph = build_fastsal(variant, (1, 3, 192, 256))
@@ -1082,3 +1085,16 @@ def test_predict_size_keeps_depthwise_on_the_tap_loop(variant, monkeypatch):
     assert taken == []
     build_fastsal(variant, (4, 3, 48, 64)).run(store, _input((4, 3, 48, 64)))
     assert {shape[2:] for shape in taken} == {(2, 2), (3, 4), (6, 8)}
+
+
+@pytest.mark.parametrize("names,match", [
+    (["decoder.adapt9"], r"no layer \['decoder.adapt9'\]"),
+    (["decoder.adapt1", "decoder.adapt9", "b1"], r"no layer \['b1', 'decoder.adapt9'\]"),
+    ([], "at least one layer name"),
+], ids=["unknown", "one-known-two-unknown", "empty"])
+def test_subgraph_rejects_names_the_graph_lacks(names, match):
+    # such a subgraph had no layers, or lacked one asked for, and its run
+    # raised a raw IndexError or returned without the name
+    graph = build_fastsal("C", (1, 3, 32, 32), width=0.25)
+    with pytest.raises(ContractError, match=match):
+        net.subgraph(graph, names)

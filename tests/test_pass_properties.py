@@ -1,11 +1,12 @@
 """Seeded random checks of the graph passes over random variants, widths,
 input shapes, taps, BN statistics and conv biases. fold_batch_norm and
 collapse_linear_tail keep the outputs and taps within 1e-5 relative;
-write_in_place and subgraph keep them bit for bit; under a tape, the
-float64 gradients on the paper slots stay within 1e-5 relative, and the
-training passes keep the float32 loss, gradients and running statistics
-bit for bit; and no pass changes its input graph or copies a layer it does
-not rewrite.
+subgraph keeps them bit for bit, and so does NetworkGraph.run's writing in
+place and releasing, against a run whose want names every layer; under a
+tape, the float64 gradients on the paper slots stay within 1e-5 relative,
+and run's in-place and release rules keep the float32 loss, gradients and
+running statistics bit for bit; and no pass changes its input graph or
+copies a layer it does not rewrite.
 
 The draws are plain seeded numpy loops, so the tests need nothing beyond
 numpy and pytest."""
@@ -16,11 +17,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import randomize_weights
-from fastsal import distill, kernels
+from conftest import inplace_spy, randomize_weights, written_in_place
+from fastsal import distill, kernels, network
 from fastsal.network import (RUNNING_STATS, LayerSpec, NetworkGraph, build_fastsal,
                              collapse_linear_tail, fold_batch_norm, init_weights,
-                             prepare_inference, subgraph, trainable_slots, write_in_place)
+                             prepare_inference, subgraph, trainable_slots)
 from fastsal.tensor import Tape, Tensor, grad_check
 from fastsal.trainer import ADAPT_LAYERS
 
@@ -97,19 +98,24 @@ def test_fold_and_collapse_keep_outputs(seed, shape):
             assert a.shape == b.shape and _rel_err(a, b) < 1e-5
 
 
+def _every_layer(graph):
+    return [l.name for l in graph.layers]
+
+
 @pytest.mark.parametrize("seed,shape", CASES)
 def test_clip_and_subgraph_keep_outputs_bit_for_bit(seed, shape):
     graph, store, x, rng = _case(seed, shape)
     want = [str(n) for n in rng.choice([l.name for l in graph.layers], 3, replace=False)]
-    for g, s in (collapse_linear_tail(*fold_batch_norm(graph, store)), (graph, store)):
-        ref = _outputs(g, s, x, want)
-        for keep in ((), want):
-            cg = _checked(write_in_place, g, keep)
-            # a caller passes what it asks run() for as keep; the output and
-            # the taps are never clipped or released
-            got = _outputs(cg, s, x, keep)
-            for a, b in zip(got, ref[:len(got)]):
-                np.testing.assert_array_equal(a, b)
+    for g, s in (prepare_inference(graph, store), (graph, store)):
+        # run() writes in place only into what it is not asked for, so the
+        # output, the taps and the wanted layers are those of a run that
+        # writes nothing in place
+        ref = g.run(s, x, want=_every_layer(g))
+        for asked in ((), want):
+            got = g.run(s, x, want=list(asked) + g.taps)
+            assert {"out", *g.taps} <= set(got)
+            for k in got:
+                np.testing.assert_array_equal(got[k].data, ref[k].data)
     ref = graph.run(store, x, want=want)
     sub = _checked(subgraph, graph, want)
     got = sub.run(store, x, want=want)
@@ -123,18 +129,18 @@ def _paper(graph, store):
 
 
 def _fine_tune(graph, store):
-    cg, cs = collapse_linear_tail(graph, store)
-    return write_in_place(cg), cs
+    return collapse_linear_tail(graph, store)
 
 
 def _hint(graph, store):
-    return write_in_place(subgraph(graph, ADAPT_LAYERS), ADAPT_LAYERS), store
+    return subgraph(graph, ADAPT_LAYERS), store
 
 
 def _taped(rewrite, graph, store, x, loss_fn, want=(), release=True):
     """Loss and gradient on every trainable slot of one training-mode forward
     of rewrite(graph, store), run under the same tape; with release=False
-    the forward asks run() for every layer, so it releases nothing."""
+    the forward asks run() for every layer, so it writes nothing in place
+    and releases nothing."""
     slots = trainable_slots(store)
     for k in slots:
         store.get(k).requires_grad = True
@@ -175,18 +181,11 @@ def test_taped_gradients_match_paper_graph(seed):
     def hint(res):
         return distill.hint_loss([res[n] for n in ADAPT_LAYERS], teacher)
 
-    paper = _taped(_paper, graph, store(), x, salgan)
-    for rewrite in (lambda g, s: (write_in_place(g), s), _fine_tune):
+    paper = _taped(_paper, graph, store(), x, salgan, release=False)
+    for rewrite in (_paper, _fine_tune):
         _same_grads(paper, _taped(rewrite, graph, store(), x, salgan))
     paper = _taped(_paper, graph, store(), x, hint, ADAPT_LAYERS)
     _same_grads(paper, _taped(_hint, graph, store(), x, hint, ADAPT_LAYERS))
-
-
-def _stripped(graph):
-    """The graph with every write_in_place mark taken off."""
-    return replace(graph, layers=[
-        replace(l, params={k: v for k, v in l.params.items() if k != "inplace"})
-        for l in graph.layers])
 
 
 TRAIN_CASES = [pytest.param(seed, variant, shape, id=f"{variant}-{'x'.join(map(str, shape))}")
@@ -195,13 +194,15 @@ TRAIN_CASES = [pytest.param(seed, variant, shape, id=f"{variant}-{'x'.join(map(s
 
 
 @pytest.mark.parametrize("seed,variant,shape", TRAIN_CASES)
-def test_bn_in_place_keeps_training_step_bit_for_bit(seed, variant, shape):
-    # float32 training graphs (fine-tune and hint) with random BN statistics
-    # and biases: with their bn layers centring the conv output in place,
-    # and every bn output that want does not name released after its last
-    # reader and rebuilt in the backward, the loss, every taped gradient
-    # and the updated BN running statistics are those of the graph with the
-    # marks stripped, and those of a run that releases nothing
+def test_bn_in_place_keeps_training_step_bit_for_bit(seed, variant, shape, monkeypatch):
+    # float32 graphs with random BN statistics and biases, each run by
+    # default and with want naming every layer, which writes nothing in
+    # place and releases nothing. Untaped, the paper and prepared graphs
+    # give the same output bit for bit. Under a tape the paper, fine-tune
+    # and hint graphs run every bn centring its conv's output in place, and
+    # release every bn output that want does not name after its last
+    # reader, to be rebuilt in the backward; the loss, every taped gradient
+    # and the updated BN running statistics are the same bit for bit
     rng = np.random.default_rng(200 + seed)
     graph = build_fastsal(variant, shape, width=float(rng.choice(WIDTHS)))
     x = Tensor(rng.normal(size=shape).astype(np.float32))
@@ -216,31 +217,58 @@ def test_bn_in_place_keeps_training_step_bit_for_bit(seed, variant, shape):
     def hint(res):
         return distill.hint_loss([res[n] for n in ADAPT_LAYERS], teacher)
 
-    for rewrite, loss_fn, want in ((_fine_tune, salgan, ()), (_hint, hint, ADAPT_LAYERS)):
+    flags = inplace_spy(monkeypatch)
+    store = randomize_weights(init_weights(graph, seed=seed), seed=seed + 1)
+    for g, s in ((graph, store), prepare_inference(graph, store)):
+        flags.clear()
+        got = g.run(s, x)["out"].data
+        assert written_in_place(g, flags)
+        np.testing.assert_array_equal(got, g.run(s, x, want=_every_layer(g))["out"].data)
+
+    for rewrite, loss_fn, want in ((_paper, salgan, ()), (_fine_tune, salgan, ()),
+                                   (_hint, hint, ADAPT_LAYERS)):
+        rg = rewrite(graph, store)[0]
+        bns = [l.name for l in rg.layers if l.kind == "bn"]
         runs = []
-        for strip, release in ((False, True), (True, True), (False, False)):
+        for release in (True, False):
             store = randomize_weights(init_weights(graph, seed=seed), seed=seed + 1)
-
-            def marked(g, s):
-                rg, rs = rewrite(g, s)
-                bns = [l for l in rg.layers if l.kind == "bn"]
-                assert bns and all(l.params.get("inplace") for l in bns)
-                return (_stripped(rg) if strip else rg), rs
-
-            loss, grads = _taped(marked, graph, store, x, loss_fn, want, release)
+            flags.clear()
+            loss, grads = _taped(rewrite, graph, store, x, loss_fn, want, release)
+            written = written_in_place(rg, flags)
+            assert (bns and set(bns) <= set(written)) if release else written == []
             stats = [store.get(k).data for k in store.names() if k.endswith(RUNNING_STATS)]
             runs.append((loss, grads, stats))
-        loss0, grads0, stats0 = runs[0]
-        for loss1, grads1, stats1 in runs[1:]:
-            np.testing.assert_array_equal(loss0, loss1)
-            assert len(grads0) == len(grads1) and len(stats0) == len(stats1) > 0
-            for a, b in zip(grads0 + stats0, grads1 + stats1):
-                np.testing.assert_array_equal(a, b)
+        (loss0, grads0, stats0), (loss1, grads1, stats1) = runs
+        np.testing.assert_array_equal(loss0, loss1)
+        assert len(grads0) == len(grads1) and len(stats0) == len(stats1) > 0
+        for a, b in zip(grads0 + stats0, grads1 + stats1):
+            np.testing.assert_array_equal(a, b)
 
 
-def test_grad_check_through_marked_conv_bn_relu6():
-    # float64: conv -> bn -> relu6 -> 1x1 conv with the bn centring the conv
-    # output in place and the relu6 clipping the bn output in place
+@pytest.mark.parametrize("variant", ["C", "A"])
+def test_paper_graph_at_predict_size_bit_for_bit(variant, monkeypatch):
+    # the run that perfbench's predict references make: the unrewritten
+    # graph at width 1 and 1x3x192x256, untaped, with random BN statistics
+    # and biases. Its every bn and relu6 writes into its input's buffer, and
+    # its map and taps are those of a run that writes nothing in place
+    shape = (1, 3, 192, 256)
+    graph = build_fastsal(variant, shape)
+    store = randomize_weights(init_weights(graph, seed=3), seed=4)
+    x = Tensor(np.random.default_rng(5).normal(size=shape).astype(np.float32))
+    flags = inplace_spy(monkeypatch)
+    got = graph.run(store, x, want=graph.taps)
+    assert written_in_place(graph, flags) == [l.name for l in graph.layers
+                                              if l.kind in ("relu6", "bn")]
+    ref = graph.run(store, x, want=_every_layer(graph))
+    assert set(got) == {"out", *graph.taps}
+    for k in got:
+        np.testing.assert_array_equal(got[k].data, ref[k].data)
+
+
+def test_grad_check_through_marked_conv_bn_relu6(monkeypatch):
+    # float64: conv -> bn -> relu6 -> 1x1 conv, which run() runs with the bn
+    # centring the conv output in place and the relu6 clipping the bn
+    # output in place
     conv = dict(stride=(1, 1), padding=(1, 1), groups=1, bias=True)
     graph = NetworkGraph([
         LayerSpec("c", "conv", ["input"], dict(conv, out_ch=4, kernel=(3, 3))),
@@ -248,25 +276,26 @@ def test_grad_check_through_marked_conv_bn_relu6():
         LayerSpec("r", "relu6", ["b"]),
         LayerSpec("out", "conv", ["r"], dict(conv, out_ch=1, kernel=(1, 1), padding=(0, 0))),
     ], input_shape=(2, 2, 4, 5))
-    marked = write_in_place(graph)
-    assert [l.name for l in marked.layers if l.params.get("inplace")] == ["b", "r"]
     store = randomize_weights(init_weights(graph, seed=1, dtype=np.float64), seed=2)
     store.get("b.gamma").data[:] *= 3.0
     x = Tensor(np.random.default_rng(3).normal(size=graph.input_shape))
-    rep = grad_check(lambda t: (marked.run(store, t, training=True)["out"] ** 2).mean(), x,
+    flags = inplace_spy(monkeypatch)
+    graph.run(store, x, training=True)
+    assert written_in_place(graph, flags) == ["b", "r"]
+    rep = grad_check(lambda t: (graph.run(store, t, training=True)["out"] ** 2).mean(), x,
                      step=1e-6, tolerance=1e-6)
     assert rep.passed, rep.max_rel_err
 
 
-def test_grad_check_through_released_conv_bn_relu6():
+def test_grad_check_through_released_conv_bn_relu6(monkeypatch):
     # float64: two conv -> bn -> relu6 chains whose clipped outputs run()
     # releases and the backward rebuilds, on 8x8 and (after a pool) 4x4
     # maps. The 8x8 one feeds a pointwise conv and tap-loop depthwise convs
     # at stride 1 and 2, the 4x4 one operator-path depthwise convs at stride
     # 1 and 2; the readers alternate between the chains, so each rebuild
     # overwrites the other chain's values. Taped gradients match finite
-    # differences, and on every slot those of the unmarked graph and of a
-    # run that releases nothing bit for bit
+    # differences, and on every slot those of a run that writes nothing in
+    # place and releases nothing bit for bit
     def conv(name, src, out_ch, k=3, stride=1, groups=1):
         return LayerSpec(name, "conv", [src], dict(out_ch=out_ch, kernel=(k, k),
                                                    stride=(stride, stride),
@@ -281,9 +310,6 @@ def test_grad_check_through_released_conv_bn_relu6():
         conv("c1", "pool", 4), LayerSpec("b1", "bn", ["c1"]), LayerSpec("r1", "relu6", ["b1"]),
     ] + readers, input_shape=(2, 2, 8, 8))
     want = [l.name for l in readers]
-    marked = write_in_place(graph, want)
-    assert [l.name for l in marked.layers if l.params.get("inplace")] == [
-        "b0", "r0", "b1", "r1"]
     # the 8x8 maps take the tap loop, the 4x4 ones the spatial operator
     for (p, q), operator in (((64, 64), False), ((64, 16), False), ((16, 16), True),
                              ((16, 4), True)):
@@ -297,27 +323,27 @@ def test_grad_check_through_released_conv_bn_relu6():
         return sum(((res[k] ** 2).mean() for k in want), start=0.0)
 
     x = Tensor(np.random.default_rng(3).normal(size=graph.input_shape))
-    rep = grad_check(lambda t: loss(marked, t), x, step=1e-6, tolerance=1e-6)
+    flags = inplace_spy(monkeypatch)
+    loss(graph, x)
+    assert written_in_place(graph, flags) == ["b0", "r0", "b1", "r1"]
+    rep = grad_check(lambda t: loss(graph, t), x, step=1e-6, tolerance=1e-6)
     assert rep.passed, rep.max_rel_err
     slots = trainable_slots(store)
     runs = []
-    for g, asked in ((marked, want), (graph, want), (marked, [l.name for l in graph.layers])):
+    for asked in (want, _every_layer(graph)):
         for k in slots:
             store.get(k).requires_grad = True
         with Tape() as tape:
-            value = loss(g, x, asked)
+            value = loss(graph, x, asked)
         runs.append(tape.gradients(value, [store.get(k) for k in slots]))
-    for got in runs[1:]:
-        for a, b in zip(runs[0], got):
-            np.testing.assert_array_equal(a, b)
+    for a, b in zip(*runs):
+        np.testing.assert_array_equal(a, b)
 
 
-def _reader_case(kind, inplace):
+def _reader_case(kind):
     """conv c -> bn b, read by one layer r of kind, then a 3x3 conv out, on
     a 1x2x4x4 input; a second conv d of the input gives add and concat
-    their other input, and a one-input add passes b on as its output.
-    Returns (graph, its write_in_place form when inplace, else graph
-    itself)."""
+    their other input, and a one-input add passes b on as its output."""
     def conv(name, src, out_ch, k=1):
         return LayerSpec(name, "conv", [src], dict(out_ch=out_ch, kernel=(k, k), stride=(1, 1),
                                                    padding=(k // 2, k // 2), groups=1,
@@ -332,7 +358,7 @@ def _reader_case(kind, inplace):
                           conv("d", "input", ch),
                           LayerSpec("r", kind.split()[-1], inputs, params),
                           conv("out", "r", 2, 3)], input_shape=(1, 2, 4, 4))
-    return graph, (write_in_place(graph) if inplace else graph)
+    return graph
 
 
 @pytest.mark.parametrize("kind,inplace", [
@@ -342,21 +368,26 @@ def _reader_case(kind, inplace):
 ])
 def test_grad_check_through_released_bn_read_by_each_kind(kind, inplace, monkeypatch):
     # float64: a bn output that run() releases once its one reader, of each
-    # layer kind, has run (a relu6 either clipping it in place or not).
-    # The reader's backward takes the input's shape at forward time and
-    # reads its values only through the Tensor (Tensor.values): taped
-    # gradients match finite differences, and on every slot those of a run
-    # that releases nothing bit for bit
-    graph, g = _reader_case(kind, inplace)
-    assert {l.name for l in g.layers if l.params.get("inplace")} == (
-        set() if not inplace else {"b", "r"} if kind in ("relu6", "bn") else {"b"})
+    # layer kind, has run (a relu6 either clipping it in place or, with no
+    # kind's output writable in place, not). The reader's backward takes
+    # the input's shape at forward time and reads its values only through
+    # the Tensor (Tensor.values): taped gradients match finite
+    # differences, and on every slot those of a run that releases nothing
+    # bit for bit
+    graph = _reader_case(kind)
+    if not inplace:
+        monkeypatch.setattr(network, "_FRESH_PRODUCERS", ())
+    flags = inplace_spy(monkeypatch)
     store = randomize_weights(init_weights(graph, seed=1, dtype=np.float64), seed=2)
     store.get("b.gamma").data[:] *= 3.0
     x = Tensor(np.random.default_rng(3).normal(size=graph.input_shape))
 
     def loss(t, want=()):
-        return (g.run(store, t, training=True, want=want)["out"] ** 2).mean()
+        return (graph.run(store, t, training=True, want=want)["out"] ** 2).mean()
 
+    loss(x)
+    assert written_in_place(graph, flags) == (
+        [] if not inplace else ["b", "r"] if kind in ("relu6", "bn") else ["b"])
     rep = grad_check(loss, x, step=1e-6, tolerance=1e-6)
     assert rep.passed, rep.max_rel_err
     outputs = []
@@ -369,7 +400,7 @@ def test_grad_check_through_released_bn_read_by_each_kind(kind, inplace, monkeyp
     monkeypatch.setattr(kernels, "batch_norm", recording)
     slots = trainable_slots(store)
     runs = []
-    for want in ((), [l.name for l in g.layers]):
+    for want in ((), _every_layer(graph)):
         for k in slots:
             store.get(k).requires_grad = True
         with Tape() as tape:

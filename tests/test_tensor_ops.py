@@ -226,7 +226,7 @@ class TestConv2d:
             runs = []
             for pixel_major in (False, True):
                 monkeypatch.setattr(K, "_pixel_major", lambda rows, span: pixel_major)
-                out, grads = K._depthwise(x, wt, *stride, pad, pad, ho, wo, lambda: x)
+                out, grads = K._depthwise(Tensor(x), wt, *stride, pad, pad, ho, wo)
                 runs.append((np.ascontiguousarray(out),) + grads(g))
             (out0, dx0, dw0), (out1, dx1, dw1) = runs
             np.testing.assert_array_equal(out1, out0)
@@ -269,7 +269,7 @@ class TestConv2d:
             runs = []
             for operator in (False, True):
                 monkeypatch.setattr(K, "_operator_path", lambda p, q: operator)
-                out, grads = K._depthwise(x, wt, *stride, pad, pad, ho, wo, lambda: x)
+                out, grads = K._depthwise(Tensor(x), wt, *stride, pad, pad, ho, wo)
                 runs.append((np.ascontiguousarray(out),) + grads(g))
             tol = 1e-12 if dtype == np.float64 else 1e-5
             for got, ref in zip(runs[1], runs[0]):

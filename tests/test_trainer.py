@@ -4,7 +4,7 @@ import gc
 import numpy as np
 import pytest
 
-from conftest import build_synthetic_dataset, randomize_weights
+from conftest import build_synthetic_dataset, inplace_spy, randomize_weights
 from fastsal import kernels, metrics, network, tensor, trainer
 from fastsal.data_io import load_manifest
 from fastsal.errors import ConfigError, ContractError, NumericDomainError
@@ -476,33 +476,30 @@ class TestTraining:
 
     @pytest.mark.parametrize("loss", ["salgan", "hint"])
     def test_clip_in_place_keeps_step_bit_identical(self, rich_dataset, loss, monkeypatch):
-        # random BN statistics and biases; the step with its relu6 layers
-        # clipping in place has the loss, gradients and updated weights and
-        # BN statistics of the step without. The gradients are folded into
-        # the momentum buffers during the backward, so after one step from
-        # no state the buffers are the gradients, bit for bit
+        # random BN statistics and biases; the step with its relu6 and bn
+        # layers writing in place has the loss, gradients and updated
+        # weights and BN statistics of the step with no layer kind's output
+        # writable in place. The gradients are folded into the momentum
+        # buffers during the backward, so after one step from no state the
+        # buffers are the gradients, bit for bit
         graph = small_graph()
         cfg = TrainConfig(loss=loss)
         batch = trainer._load_records(rich_dataset, cfg, (48, 64))[:2]
-        real = trainer.write_in_place
+        flags = inplace_spy(monkeypatch)
         runs = []
         for on in (True, False):
+            if not on:
+                monkeypatch.setattr(network, "_FRESH_PRODUCERS", ())
             store = randomize_weights(init_weights(graph, seed=0), seed=9)
             params = trainer._trainable_params(graph, store, cfg)
             for _, t in params:
                 t.requires_grad = True
-            got = {"marked": 0}
-
-            def clip(g, keep=()):
-                out = real(g, keep) if on else g
-                got["marked"] += sum(bool(l.params.get("inplace")) for l in out.layers)
-                return out
-
-            monkeypatch.setattr(trainer, "write_in_place", clip)
-            got["momentum"] = {}
+            flags.clear()
+            got = {"momentum": {}}
             got["loss"] = trainer._train_step(graph, store, batch, cfg, params, 0.01,
                                               got["momentum"])
             got["store"] = store
+            got["marked"] = sum(flags)
             runs.append(got)
         on, off = runs
         assert on["marked"] > 0 and off["marked"] == 0
@@ -515,15 +512,15 @@ class TestTraining:
                                           err_msg=k)
 
     def test_clip_in_place_keeps_train_log(self, rich_dataset, monkeypatch):
-        # per-epoch loss, NSS and CC with the pass in the steps and in
-        # validation (through prepare_inference), and with it off in both
+        # per-epoch loss, NSS and CC with run() writing in place in the
+        # steps and in validation, and with no layer kind's output writable
+        # in place in either
         cfg = TrainConfig(loss="salgan", epochs=2, batch_size=2, validate_metrics=True)
         graph = small_graph()
         logs = []
         for on in (True, False):
             if not on:
-                monkeypatch.setattr(trainer, "write_in_place", lambda g, keep=(): g)
-                monkeypatch.setattr(network, "write_in_place", lambda g, keep=(): g)
+                monkeypatch.setattr(network, "_FRESH_PRODUCERS", ())
             store = randomize_weights(init_weights(graph, seed=0), seed=9)
             logs.append(trainer.train(rich_dataset, cfg, graph, store).rows)
         assert logs[0] == logs[1]

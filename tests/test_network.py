@@ -836,8 +836,8 @@ class TestClipInPlace:
         assert shared and all(l is old[l.name] for l in shared)
         assert not any("inplace" in l.params for l in rg.layers)
 
-    @pytest.mark.parametrize("case,marked", GUARD_CASES)
-    def test_guards(self, case, marked, monkeypatch):
+    @pytest.mark.parametrize("case,inplace", GUARD_CASES)
+    def test_guards(self, case, inplace, monkeypatch):
         # a producer's output may be clipped in place only when the relu6 is
         # its one reader, want does not name it and its backward does not
         # read it (sigmoid's and softmax's do); what run() returns is that
@@ -848,7 +848,7 @@ class TestClipInPlace:
         x.data *= 8
         flags = inplace_spy(monkeypatch)
         got = graph.run(store, x, want=want)
-        assert written_in_place(graph, flags) == (["r"] if marked else [])
+        assert written_in_place(graph, flags) == (["r"] if inplace else [])
         flags.clear()
         ref = graph.run(store, x, want=_every_layer(graph))
         assert written_in_place(graph, flags) == []
@@ -856,8 +856,8 @@ class TestClipInPlace:
             np.testing.assert_array_equal(got[k].data, ref[k].data)
 
     @pytest.mark.parametrize("training", [False, True])
-    @pytest.mark.parametrize("case,marked", GUARD_CASES)
-    def test_bn_guards(self, case, marked, training, monkeypatch):
+    @pytest.mark.parametrize("case,inplace", GUARD_CASES)
+    def test_bn_guards(self, case, inplace, training, monkeypatch):
         # the relu6 guards, with a bn in the relu6's place: it may centre its
         # producer's output in place under the same conditions, and what
         # run() returns, and in training the running statistics, are those
@@ -874,7 +874,7 @@ class TestClipInPlace:
             res = graph.run(store, Tensor(x.data.copy()), training=training, want=asked)
             runs.append((res, store, written_in_place(graph, flags)))
         (got, got_store, written), (ref, ref_store, none) = runs
-        assert written == (["r"] if marked else []) and none == []
+        assert written == (["r"] if inplace else []) and none == []
         for k in got:
             np.testing.assert_array_equal(got[k].data, ref[k].data)
         for k in ref_store.names():

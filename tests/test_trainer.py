@@ -499,10 +499,10 @@ class TestTraining:
             got["loss"] = trainer._train_step(graph, store, batch, cfg, params, 0.01,
                                               got["momentum"])
             got["store"] = store
-            got["marked"] = sum(flags)
+            got["in place"] = sum(flags)
             runs.append(got)
         on, off = runs
-        assert on["marked"] > 0 and off["marked"] == 0
+        assert on["in place"] > 0 and off["in place"] == 0
         assert on["loss"] == off["loss"]
         assert on["momentum"].keys() == off["momentum"].keys() == {s for s, _ in params}
         for k, a in on["momentum"].items():

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import inplace_spy, randomize_weights, written_in_place
+from conftest import every_layer, inplace_spy, randomize_weights, written_in_place
 from fastsal import network as net
 from fastsal import analyzer, distill, kernels, tensor
 from fastsal.errors import (ConfigError, ContractError, ParseError, ShapeError,
@@ -796,10 +796,6 @@ GUARD_CASES = [
 ]
 
 
-def _every_layer(graph):
-    return [l.name for l in graph.layers]
-
-
 class TestClipInPlace:
     @pytest.mark.parametrize("variant", ["C", "A"])
     def test_prepared_outputs_bit_identical(self, variant, monkeypatch):
@@ -810,7 +806,7 @@ class TestClipInPlace:
         x = _input((2, 3, 48, 64))
         rg, rs = prepare_inference(graph, store)
         flags = inplace_spy(monkeypatch)
-        ref = rg.run(rs, x, want=_every_layer(rg))["out"].data
+        ref = rg.run(rs, x, want=every_layer(rg))["out"].data
         assert written_in_place(rg, flags) == []
         flags.clear()
         got = rg.run(rs, x)["out"].data
@@ -850,7 +846,7 @@ class TestClipInPlace:
         got = graph.run(store, x, want=want)
         assert written_in_place(graph, flags) == (["r"] if inplace else [])
         flags.clear()
-        ref = graph.run(store, x, want=_every_layer(graph))
+        ref = graph.run(store, x, want=every_layer(graph))
         assert written_in_place(graph, flags) == []
         for k in got:
             np.testing.assert_array_equal(got[k].data, ref[k].data)
@@ -868,7 +864,7 @@ class TestClipInPlace:
         x = _input((1, 1, 4, 4))
         flags = inplace_spy(monkeypatch)
         runs = []
-        for asked in (want, _every_layer(graph)):
+        for asked in (want, every_layer(graph)):
             flags.clear()
             store = randomize_weights(init_weights(graph, seed=1), seed=2)
             res = graph.run(store, Tensor(x.data.copy()), training=training, want=asked)
@@ -895,7 +891,7 @@ class TestClipInPlace:
 
         monkeypatch.setattr(tensor, "relu6", recording)
         graph.run(store, _input((1, 1, 4, 4)))
-        graph.run(store, _input((1, 1, 4, 4)), want=_every_layer(graph))
+        graph.run(store, _input((1, 1, 4, 4)), want=every_layer(graph))
         assert seen == [True, False]
 
 
@@ -967,7 +963,7 @@ class TestReleaseMarks:
                 t.requires_grad = True
             with Tape() as tape:
                 res = graph.run(store, x, training=True,
-                                want=_every_layer(graph) if everything else want)
+                                want=every_layer(graph) if everything else want)
                 freed = bufs[-1]() is None
                 res = {k: res[k] for k in ["out"] + want}
                 loss = sum(((v * v).mean() for v in res.values()), start=0.0)

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import inplace_spy, randomize_weights, written_in_place
+from conftest import every_layer, inplace_spy, randomize_weights, written_in_place
 from fastsal import distill, kernels, network
 from fastsal.network import (RUNNING_STATS, LayerSpec, NetworkGraph, build_fastsal,
                              collapse_linear_tail, fold_batch_norm, init_weights,
@@ -98,10 +98,6 @@ def test_fold_and_collapse_keep_outputs(seed, shape):
             assert a.shape == b.shape and _rel_err(a, b) < 1e-5
 
 
-def _every_layer(graph):
-    return [l.name for l in graph.layers]
-
-
 @pytest.mark.parametrize("seed,shape", CASES)
 def test_clip_and_subgraph_keep_outputs_bit_for_bit(seed, shape):
     graph, store, x, rng = _case(seed, shape)
@@ -110,7 +106,7 @@ def test_clip_and_subgraph_keep_outputs_bit_for_bit(seed, shape):
         # run() writes in place only into what it is not asked for, so the
         # output, the taps and the wanted layers are those of a run that
         # writes nothing in place
-        ref = g.run(s, x, want=_every_layer(g))
+        ref = g.run(s, x, want=every_layer(g))
         for asked in ((), want):
             got = g.run(s, x, want=list(asked) + g.taps)
             assert {"out", *g.taps} <= set(got)
@@ -147,7 +143,7 @@ def _taped(rewrite, graph, store, x, loss_fn, want=(), release=True):
     with Tape() as tape:
         g, s = rewrite(graph, store)
         if not release:
-            want = [l.name for l in g.layers]
+            want = every_layer(g)
         loss = loss_fn(g.run(s, x, training=True, want=want))
     return loss.data, tape.gradients(loss, [store.get(k) for k in slots])
 
@@ -223,7 +219,7 @@ def test_bn_in_place_keeps_training_step_bit_for_bit(seed, variant, shape, monke
         flags.clear()
         got = g.run(s, x)["out"].data
         assert written_in_place(g, flags)
-        np.testing.assert_array_equal(got, g.run(s, x, want=_every_layer(g))["out"].data)
+        np.testing.assert_array_equal(got, g.run(s, x, want=every_layer(g))["out"].data)
 
     for rewrite, loss_fn, want in ((_paper, salgan, ()), (_fine_tune, salgan, ()),
                                    (_hint, hint, ADAPT_LAYERS)):
@@ -259,7 +255,7 @@ def test_paper_graph_at_predict_size_bit_for_bit(variant, monkeypatch):
     got = graph.run(store, x, want=graph.taps)
     assert written_in_place(graph, flags) == [l.name for l in graph.layers
                                               if l.kind in ("relu6", "bn")]
-    ref = graph.run(store, x, want=_every_layer(graph))
+    ref = graph.run(store, x, want=every_layer(graph))
     assert set(got) == {"out", *graph.taps}
     for k in got:
         np.testing.assert_array_equal(got[k].data, ref[k].data)
@@ -330,7 +326,7 @@ def test_grad_check_through_released_conv_bn_relu6(monkeypatch):
     assert rep.passed, rep.max_rel_err
     slots = trainable_slots(store)
     runs = []
-    for asked in (want, _every_layer(graph)):
+    for asked in (want, every_layer(graph)):
         for k in slots:
             store.get(k).requires_grad = True
         with Tape() as tape:
@@ -400,7 +396,7 @@ def test_grad_check_through_released_bn_read_by_each_kind(kind, inplace, monkeyp
     monkeypatch.setattr(kernels, "batch_norm", recording)
     slots = trainable_slots(store)
     runs = []
-    for want in ((), _every_layer(graph)):
+    for want in ((), every_layer(graph)):
         for k in slots:
             store.get(k).requires_grad = True
         with Tape() as tape:

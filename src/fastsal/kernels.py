@@ -8,16 +8,19 @@ algorithms picked by shape. On tiny maps, where h*w*ho*wo <= 576
 (_operator_path: the late blocks' 2x2, 3x4 and stride-2 6x8 maps at the
 4x3x48x64 training size, none at 1x3x192x256), they are per-channel GEMMs
 with a cached 0/1 spatial operator that folds in the padding and stride
-(_depthwise_operator). There, with four items, they are 1.4-6x faster,
-forward and backward, than the tap loop, whose ~25 numpy calls per layer cost more than the bytes
-they touch (crossovers in _operator_path). Elsewhere, forward and backward
-accumulate the k_h*k_w taps as multiply-adds of contiguous flat slices of
-the padded input's stride-phase planes, at a fixed offset per tap (see
-_depthwise); backward rebuilds the planes from its input, so a taped
-forward holds no copy of them. Those buffers are pixel-major (the n*c
-item-channel rows innermost) when the rows outnumber the wide span ho*w2 of
-one row, and row-major otherwise (_pixel_major, with its measured crossovers); the
-output is the same in both. The two algorithms compute the same sums in
+(_depthwise_operator). There, with four items, they are 2-12x faster,
+forward and backward, than the tap path, whose per-tap numpy calls and
+per-row matmuls cost more than the bytes they touch (crossovers in
+_operator_path). Elsewhere, both directions read the k_h*k_w taps as
+contiguous flat slices of the padded input's stride-phase planes, at a
+fixed offset per tap (see _depthwise). The forward copies a block of rows'
+tap slices into one column block and sums them with one batched matmul per
+block, in row-major memory. The backward accumulates the taps as
+multiply-adds and rebuilds the planes from its input, so a taped forward
+holds no copy of them; its buffers are pixel-major (the n*c item-channel
+rows innermost) when the rows outnumber the wide span ho*w2 of one row,
+and row-major otherwise (_pixel_major, with its measured crossovers), with
+the same dx and dw in both. The two algorithms compute the same sums in
 different orders. The operator GEMMs run over all h*w input pixels of each
 output pixel, not its k_h*k_w taps, and first build their operator; traces
 count the paper's FLOPs, so a depthwise GFLOP/s figure is paper FLOPs over
@@ -32,12 +35,12 @@ stride-1 conv, which takes the GEMM path as every groups=1 1x1 conv does.
 Weight gradients are GEMMs: one over the (N*pixels) axis when that is
 shorter than C_out*K, else one per item, summed over the batch
 (_weight_grad). The GEMM path and the depthwise operator add the bias in
-place on their fresh output, the depthwise tap loop in the copy that crops
+place on their fresh output, the depthwise tap path in the copy that crops
 its wide output. Batch norm keeps the centred input for backward; its
 per-channel sums, and those of the conv bias gradient, are einsum
 reductions (_channel_sum).
 
-Backward-only state (such as the relu6 mask, the depthwise tap loop's
+Backward-only state (such as the relu6 mask, the depthwise tap path's
 phase planes and the dense path's im2col columns) is worked out inside the
 backward function from the retained inputs, so untaped inference neither
 computes nor keeps it, and a taped forward keeps no more than those inputs.
@@ -109,39 +112,47 @@ def _col2im(gcols, n, c, hp, wp, kh, kw, sh, sw, ho, wo, dtype):
     return dxp
 
 
-# bytes of accumulator per block of rows in the depthwise tap loop: a block
-# and its product buffer then stay in cache across the k*k taps. Of 16 KiB to
-# 1 MiB, 256 KiB was fastest on the variant A and C layers; unblocked is ~15%
-# slower on A at 192x256
+# bytes of the depthwise forward's column block: the k_h*k_w tap slices of a
+# block of rows, copied contiguous for one batched matmul. Prepared C and A
+# forwards at 1x3x192x256 took 34.7 and 49.5 ms with 256 KiB, 32.3 and 47.9
+# with 512 KiB and 33.2 and 47.9 with 1 MiB (one BLAS thread)
+_COLUMN_BYTES = 1 << 19
+
+# bytes of accumulator per block of rows in the depthwise backward's tap
+# loop: a block and its product buffer then stay in cache across the k*k
+# taps. Of 16 KiB to 1 MiB, 256 KiB was fastest on the variant A and C layers
+# (timed on the forward, when it ran the same loop)
 _BLOCK_BYTES = 1 << 18
 
 
 def _pixel_major(rows, span):
-    """The depthwise layout rule: keep the n*c (item, channel) rows innermost
-    in memory when they outnumber the wide span ho*w2 that each row's
-    multiply-adds run over. Timed on the C and A layers at 4x3x48x64 and
-    1x3x192x256 with one BLAS thread: from rows/span 10 up pixel-major was
-    up to 2.7x faster, below 0.3 it was up to 3x slower (but for one layer
-    at 0.16, within 15%), and from 0.9 to 2.7 the two were within about 15%
-    of each other."""
+    """The depthwise backward's layout rule: keep the n*c (item, channel)
+    rows innermost in memory when they outnumber the wide span ho*w2 that
+    each row's multiply-adds run over. Timed on the C and A layers at
+    4x3x48x64 and 1x3x192x256 with one BLAS thread, on the tap loop that the
+    forward ran then: from rows/span 10 up pixel-major was up to 2.7x
+    faster, below 0.3 it was up to 3x slower (but for one layer at 0.16,
+    within 15%), and from 0.9 to 2.7 the two were within about 15% of each
+    other."""
     return rows > span
 
 
 def _operator_path(p, q):
     """The depthwise algorithm rule: a map of p = h*w input and q = ho*wo
     output pixels takes the spatial-operator GEMMs (_depthwise_operator)
-    when p*q <= 576, the tap loop otherwise. Timed per call, float32, 3x3,
+    when p*q <= 576, the tap path otherwise. Timed per call, float32, 3x3,
     one BLAS thread, forward / backward: on the late blocks at the 4x3x48x64
-    training size the operator took 85/182 us against 501/892 at 960x2x2,
-    46/88 against 251/449 at 576x3x4 stride 2 and 88/181 against 150/254
-    at 192x6x8 stride 2. Its cost grows with c*p*q, the tap loop's with
-    n*c*q, so the crossover falls with n. With one item the forward took
-    57 against 118-162 us at 576x3x4, tied at p*q = 576 (384x4x6), was 1.2x
-    slower at 900 (384x5x6), 2.5x at 1296 (576x6x6) and 4-5x at 2304 (576
-    and 960 channels on 6x8, the smallest map at 1x3x192x256, which so
-    stays on the tap loop), while with four items on 96 channels it was
-    still 1.4-1.6x faster at 2304. With one item the backward loses from
-    p*q = 144 (266 against 211 us at 576x3x4) to 576 (2.2-3.3x), as dM =
+    training size the operator took 43/99 us against 530/400 on the tap path
+    at 960x2x2, 42/81 against 350/320 at 576x3x4 stride 2 and 50/108
+    against 185/245 at 192x6x8 stride 2. Its cost grows with c*p*q, the tap
+    path's with n*c*q, and the tap forward's batched matmul pays per row,
+    so the crossover falls with n. With one item the forward took 46
+    against 114 us at 576x3x4, was 1.1-1.4x slower at p*q = 576 (384x4x6),
+    1.0-1.3x at 900 (384x5x6), 2.0-2.2x at 1296 (576x6x6) and 3.8-4.4x at
+    2304 (576 and 960 channels on 6x8, the smallest map at 1x3x192x256,
+    which so stays on the tap path), while with four items on 96 channels
+    it was still 1.3x faster at 2304. With one item the backward loses from
+    p*q = 144 (220 against 190 us at 576x3x4) to 576 (2.7-3.9x), as dM =
     x^T @ g is then c*p*q outer products; no benchmark workload trains
     with one item."""
     return p * q <= 576
@@ -210,9 +221,9 @@ def _phase(size, pad, stride, a):
 def _depthwise(x, wd, sh, sw, ph, pw, ho, wo):
     """Depthwise convolution of the Tensor x: on tiny maps, where
     _operator_path says so from h*w and ho*wo, as per-channel GEMMs
-    (_depthwise_operator); otherwise as k_h*k_w multiply-adds of flat
-    slices, as follows. The forward reads x.data; either backward reads the
-    input again through x.values(), so a released input is rebuilt.
+    (_depthwise_operator); otherwise over the k_h*k_w tap slices of the
+    padded input, as follows. The forward reads x.data; either backward
+    reads the input again through x.values(), so a released input is rebuilt.
 
     The zero-padded input is split into its s_h*s_w phase planes of w2
     columns each (one plane when the stride is 1), with one spare row; the
@@ -224,83 +235,88 @@ def _depthwise(x, wd, sh, sw, ph, pw, ho, wo):
     of its plane. The columns past wo read into the next row (the spare row
     keeps the last one in bounds) and are cropped once at the end.
 
-    Every buffer is indexed (n*c rows, ...). It is row-major or, when
+    Every buffer is indexed (n*c rows, ...). The forward copies the tap
+    slices of a block of rows into a (rows, k_h*k_w, span) column block of
+    about _COLUMN_BYTES and sums the taps with one batched matmul of the
+    rows' (1, k_h*k_w) weights over it. Each row is its own product, so the
+    output does not depend on the block size. The backward accumulates the
+    taps as multiply-adds of the slices. Its buffers are row-major or, when
     _pixel_major says so from the shape (as on small maps), pixel-major:
     rows innermost in memory, so that each multiply-add runs over long
     contiguous rows, not over many short ones. The tap loop and its order,
-    and so the output, are the same in both layouts. Row-major rows run in
+    and so dx and dw, are the same in both layouts. Row-major rows run in
     blocks of about _BLOCK_BYTES. Returns the output, as a cropped view of
     the wide buffer, and the backward function, which keeps no phase
     planes: it rebuilds them from x.values() (one zeroed copy of about the
     input's size, per backward call) and works on the same slices. So
-    between the forward and the backward a tap-loop layer holds no buffer
+    between the forward and the backward a tap-path layer holds no buffer
     but its output, as the input is held by the tape in any case and is not
     written in place before backward (see the module docstring)."""
     n, c, h, w = x.shape
     if _operator_path(h * w, ho * wo):
         return _depthwise_operator(x, wd, sh, sw, ph, pw, ho, wo)
     kh, kw = wd.shape[2:]
-    rows = n * c
+    rows, k = n * c, kh * kw
     h2 = -(-(h + 2 * ph) // sh) + 1     # rows per phase plane, plus the spare
     w2 = -(-(w + 2 * pw) // sw)
     span = ho * w2
-    pixel_major = _pixel_major(rows, span)
     dtype = np.result_type(x.dtype, wd)
-
-    def buffer(shape, dt, zero=False):
-        # a (rows, ...) array; pixel-major keeps the rows axis innermost
-        alloc = np.zeros if zero else np.empty
-        if not pixel_major:
-            return alloc(shape, dtype=dt)
-        return np.moveaxis(alloc(shape[1:] + shape[:1], dtype=dt), -1, 0)
-
     phases = [(a, b) + _phase(h, ph, sh, a) + _phase(w, pw, sw, b)
               for a in range(sh) for b in range(sw)]
+    # tap t = u*kw + v reads plane (a, b) from flat offset off
+    taps = [(u % sh, v % sw, (u // sh) * w2 + v // sw) for u in range(kh) for v in range(kw)]
 
-    def phase_planes(values):
-        planes = buffer((rows, sh, sw, h2 * w2), values.dtype, zero=True)
+    def phase_planes(values, zeros=np.zeros):
+        planes = zeros((rows, sh, sw, h2 * w2), values.dtype)
         x3, p5 = values.reshape(rows, h, w), planes.reshape(rows, sh, sw, h2, w2)
         for a, b, pi, yi, pj, xj in phases:
             p5[:, a, b, pi, pj] = x3[:, yi, xj]
         return planes
 
     planes = phase_planes(x.data)
-    wr = buffer((rows, kh, kw), wd.dtype)
-    wr.reshape(n, c, kh, kw)[...] = wd[:, 0]
-    taps = [(u, v, u % sh, v % sw, (u // sh) * w2 + v // sw)
-            for u in range(kh) for v in range(kw)]
-    # pixel-major rows are the inner loop, so they run in one block
-    step = rows if pixel_major else max(1, _BLOCK_BYTES // (span * dtype.itemsize))
-    blocks = [slice(r, r + step) for r in range(0, rows, step)]
-
-    wide = buffer((rows, span), dtype)
-    prod = buffer((min(step, rows), span), dtype)
-    for r in blocks:
-        acc = wide[r]
-        tmp = prod[:len(acc)]
-        for t, (u, v, a, b, off) in enumerate(taps):
-            np.multiply(planes[r, a, b, off:off + span], wr[r, u, v, None],
-                        out=tmp if t else acc)
-            if t:
-                acc += tmp
+    wm = np.broadcast_to(wd.reshape(1, c, 1, k), (n, c, 1, k)).reshape(rows, 1, k)
+    step = max(1, _COLUMN_BYTES // (k * span * dtype.itemsize))
+    cols = np.empty((min(step, rows), k, span), dtype=dtype)
+    wide = np.empty((rows, 1, span), dtype=dtype)
+    for r in range(0, rows, step):
+        cb = cols[:min(step, rows - r)]
+        for t, (a, b, off) in enumerate(taps):
+            cb[:, t] = planes[r:r + step, a, b, off:off + span]
+        np.matmul(wm[r:r + step], cb, out=wide[r:r + step])
     out = wide.reshape(n, c, ho, w2)[:, :, :, :wo]
 
     def grads(g):
-        planes = phase_planes(x.values())
-        gw = buffer((rows, ho, w2), g.dtype, zero=True)
+        pixel_major = _pixel_major(rows, span)
+
+        def buffer(shape, dt, alloc=np.empty):
+            # a (rows, ...) array; pixel-major keeps the rows axis innermost
+            if not pixel_major:
+                return alloc(shape, dtype=dt)
+            return np.moveaxis(alloc(shape[1:] + shape[:1], dtype=dt), -1, 0)
+
+        def zeros(shape, dt):
+            return buffer(shape, dt, np.zeros)
+
+        wr = buffer((rows, k), wd.dtype)
+        wr.reshape(n, c, k)[...] = wd.reshape(c, k)
+        # pixel-major rows are the inner loop, so they run in one block
+        step = rows if pixel_major else max(1, _BLOCK_BYTES // (span * dtype.itemsize))
+        blocks = [slice(r, r + step) for r in range(0, rows, step)]
+        planes = phase_planes(x.values(), zeros)
+        gw = zeros((rows, ho, w2), g.dtype)
         gw[:, :, :wo] = g.reshape(rows, ho, wo)
         gw = gw.reshape(rows, span)
-        dwr = buffer((rows, kh, kw), dtype)
+        dwr = buffer((rows, k), dtype)
         tmp = buffer((min(step, rows), span), np.result_type(g, wd, planes))
         for r in blocks:
             gb = gw[r]
             tb = tmp[:len(gb)]
-            for u, v, a, b, off in taps:
+            for t, (a, b, off) in enumerate(taps):
                 if pixel_major:
                     np.multiply(planes[r, a, b, off:off + span], gb, out=tb)
-                    np.sum(tb, axis=1, out=dwr[r, u, v])
+                    np.sum(tb, axis=1, out=dwr[r, t])
                 else:
-                    dwr[r, u, v] = np.einsum("rl,rl->r", planes[r, a, b, off:off + span], gb)
+                    dwr[r, t] = np.einsum("rl,rl->r", planes[r, a, b, off:off + span], gb)
         # dw is done with the planes, so their buffer, zeroed, takes their
         # gradient: the two never live at once
         dplanes = planes
@@ -308,8 +324,8 @@ def _depthwise(x, wd, sh, sw, ph, pw, ho, wo):
         for r in blocks:
             gb = gw[r]
             tb = tmp[:len(gb)]
-            for u, v, a, b, off in taps:
-                np.multiply(gb, wr[r, u, v, None], out=tb)
+            for t, (a, b, off) in enumerate(taps):
+                np.multiply(gb, wr[r, t, None], out=tb)
                 dplanes[r, a, b, off:off + span] += tb
         # the phases cover each input pixel once, and the padding not at all
         dx = np.empty((n, c, h, w), dtype=planes.dtype)
@@ -399,7 +415,7 @@ def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
         return (dx, dw, _channel_sum(g)) if bias is not None else (dx, dw)
 
     # the GEMM and depthwise-operator outputs are fresh contiguous buffers,
-    # so the bias goes on in place; the tap loop's output is a cropped view
+    # so the bias goes on in place; the tap path's output is a cropped view
     # of one, and the copy that makes it contiguous adds the bias
     if bias is None:
         return apply_op("conv2d", (x, weight), np.ascontiguousarray(out), bwd)

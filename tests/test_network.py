@@ -1083,6 +1083,31 @@ def test_predict_size_keeps_depthwise_on_the_tap_loop(variant, monkeypatch):
     assert {shape[2:] for shape in taken} == {(2, 2), (3, 4), (6, 8)}
 
 
+def test_layout_rule_runs_only_in_the_backward(monkeypatch):
+    # the tap path's forward is row-major and needs no layout choice: an
+    # untaped prepared forward at the predict size makes none, and a taped
+    # tap-path conv makes one, in its backward
+    calls = []
+    pixel_major = kernels._pixel_major
+
+    def recording(rows, span):
+        calls.append((rows, span))
+        return pixel_major(rows, span)
+
+    monkeypatch.setattr(kernels, "_pixel_major", recording)
+    graph = build_fastsal("C", (1, 3, 192, 256))
+    g, s = prepare_inference(graph, randomize_weights(init_weights(graph), seed=5))
+    g.run(s, _input((1, 3, 192, 256)))
+    assert calls == []
+    x = Tensor(_input((2, 8, 12, 16)).data, requires_grad=True)
+    w = Tensor(_input((8, 1, 3, 3)).data, requires_grad=True)
+    with Tape() as tape:
+        loss = kernels.conv2d(x, w, padding=(1, 1), groups=8).sum()
+    assert calls == []
+    tape.gradients(loss, [x, w])
+    assert calls == [(16, 12 * 18)]
+
+
 @pytest.mark.parametrize("names,match", [
     (["decoder.adapt9"], r"no layer \['decoder.adapt9'\]"),
     (["decoder.adapt1", "decoder.adapt9", "b1"], r"no layer \['b1', 'decoder.adapt9'\]"),

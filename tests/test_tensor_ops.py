@@ -32,7 +32,8 @@ def naive_depthwise(x, w, b, stride, padding):
 
 def assert_depthwise_matches_naive(x, wt, b, stride, padding):
     """conv2d's depthwise output, with bias b or none, against the naive
-    loop, to 1e-12 (float64) or 1e-5 (float32) of its largest magnitude."""
+    loop, to 1e-12 (float64) or 1e-5 (float32) of its largest magnitude.
+    Returns the output array."""
     out = K.conv2d(Tensor(x), Tensor(wt), None if b is None else Tensor(b),
                    stride=stride, padding=padding, groups=x.shape[1])
     ref = naive_depthwise(x, wt, b, stride, padding)
@@ -40,6 +41,7 @@ def assert_depthwise_matches_naive(x, wt, b, stride, padding):
     assert out.dtype == x.dtype and out.data.flags.c_contiguous
     tol = 1e-12 if x.dtype == np.float64 else 1e-5
     np.testing.assert_allclose(out.data, ref, rtol=0, atol=tol * np.abs(ref).max())
+    return out.data
 
 
 def naive_conv_dw(x, g, w_shape, stride, padding, groups):
@@ -179,22 +181,34 @@ class TestConv2d:
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)], ids=lambda s: "%dx%d" % s)
     def test_depthwise_matches_naive_loop(self, stride, k, padding, monkeypatch):
-        # the tap loop; with stride 2, one of 7 and 10 leaves h + 2p - k
-        # indivisible by it
+        # the tap path; with stride 2, one of 7 and 10 leaves h + 2p - k
+        # indivisible by it. Its forward runs over column blocks of one row,
+        # of two rows (n*c is odd, so the last block is ragged) and of the
+        # default size (all rows here); each row is its own product, so the
+        # three outputs are bit-identical
         monkeypatch.setattr(K, "_operator_path", lambda p, q: False)
+        default = K._COLUMN_BYTES
         rng = np.random.default_rng(10 * k + padding)
         for (h, w), n, dtype, with_bias in itertools.product(
-                [(7, 10), (10, 9)], [1, 2], [np.float32, np.float64], [False, True]):
+                [(7, 10), (10, 9)], [1, 3], [np.float32, np.float64], [False, True]):
             x = rng.normal(size=(n, 3, h, w)).astype(dtype)
             wt = rng.normal(size=(3, 1, k, k)).astype(dtype)
             b = rng.normal(size=3).astype(dtype) if with_bias else None
-            assert_depthwise_matches_naive(x, wt, b, stride, (padding, padding))
+            # a row's columns: k*k slices of the wide span ho*w2
+            span = ((h + 2 * padding - k) // stride[0] + 1) * -(-(w + 2 * padding) // stride[1])
+            outs = []
+            for block in (1, 2 * k * k * span * np.dtype(dtype).itemsize, default):
+                monkeypatch.setattr(K, "_COLUMN_BYTES", block)
+                outs.append(assert_depthwise_matches_naive(x, wt, b, stride, (padding, padding)))
+            for out in outs[1:]:
+                np.testing.assert_array_equal(out, outs[0])
 
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)], ids=lambda s: "%dx%d" % s)
     def test_depthwise_pixel_major_matches_naive_loop(self, stride, k, monkeypatch):
-        # 48-96 channels on small maps, the shapes of the late blocks, in
-        # the tap loop's pixel-major layout (rows innermost in memory)
+        # 48-96 channels on small maps, the shapes of the late blocks, with
+        # the backward's pixel-major layout (rows innermost in memory) forced;
+        # the forward, checked here, is row-major whatever the rule says
         monkeypatch.setattr(K, "_operator_path", lambda p, q: False)
         monkeypatch.setattr(K, "_pixel_major", lambda rows, span: True)
         rng = np.random.default_rng(100 * k + 10 * stride[0] + stride[1])
@@ -211,9 +225,9 @@ class TestConv2d:
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)], ids=lambda s: "%dx%d" % s)
     def test_depthwise_layouts_agree(self, stride, k, dtype, monkeypatch):
-        # both memory layouts of the tap loop run the same taps in the same
-        # order, so the forward is bit-identical; the dw reductions differ in
-        # order only
+        # the forward is row-major in both, so it is bit-identical; the
+        # backward's two memory layouts run the same taps in the same order,
+        # and its dw reductions differ in order only
         monkeypatch.setattr(K, "_operator_path", lambda p, q: False)
         rng = np.random.default_rng(7 * k + stride[1])
         pad = k // 2
@@ -279,9 +293,10 @@ class TestConv2d:
     @pytest.mark.parametrize("pixel_major", [True, False], ids=["pixel-major", "row-major"])
     @pytest.mark.parametrize("stride", [(1, 1), (2, 2)], ids=["s1", "s2"])
     def test_tap_loop_tape_keeps_no_phase_planes(self, stride, pixel_major, monkeypatch):
-        # the backward rebuilds the phase planes from x: a taped forward
-        # leaves nothing alive but its output (keeping the planes would be
-        # about one more x)
+        # the backward rebuilds the phase planes from x, and the forward's
+        # column block and wide buffer die with it: a taped forward leaves
+        # nothing alive but its output (keeping the planes would be about one
+        # more x)
         import tracemalloc
 
         monkeypatch.setattr(K, "_operator_path", lambda p, q: False)

@@ -235,23 +235,24 @@ def _depthwise(x, wd, sh, sw, ph, pw, ho, wo):
     of its plane. The columns past wo read into the next row (the spare row
     keeps the last one in bounds) and are cropped once at the end.
 
-    Every buffer is indexed (n*c rows, ...). The forward copies the tap
-    slices of a block of rows into a (rows, k_h*k_w, span) column block of
-    about _COLUMN_BYTES and sums the taps with one batched matmul of the
-    rows' (1, k_h*k_w) weights over it. Each row is its own product, so the
-    output does not depend on the block size. The backward accumulates the
-    taps as multiply-adds of the slices. Its buffers are row-major or, when
-    _pixel_major says so from the shape (as on small maps), pixel-major:
-    rows innermost in memory, so that each multiply-add runs over long
-    contiguous rows, not over many short ones. The tap loop and its order,
-    and so dx and dw, are the same in both layouts. Row-major rows run in
-    blocks of about _BLOCK_BYTES. Returns the output, as a cropped view of
-    the wide buffer, and the backward function, which keeps no phase
-    planes: it rebuilds them from x.values() (one zeroed copy of about the
-    input's size, per backward call) and works on the same slices. So
-    between the forward and the backward a tap-path layer holds no buffer
-    but its output, as the input is held by the tape in any case and is not
-    written in place before backward (see the module docstring)."""
+    Every buffer is indexed (n*c rows, ...). The forward's are row-major:
+    it copies the tap slices of a block of rows into a (rows, k_h*k_w, span)
+    column block of about _COLUMN_BYTES and sums the taps with one batched
+    matmul of the rows' (1, k_h*k_w) weights over it. Each row is its own
+    product, so the output does not depend on the block size. The backward
+    accumulates the taps as multiply-adds of the slices. Its buffers are
+    row-major or, when _pixel_major says so from the shape (as on small
+    maps), pixel-major: rows innermost in memory, so that each multiply-add
+    runs over long contiguous rows, not over many short ones. The tap loop
+    and its order, and so dx and dw, are the same in both layouts.
+    Row-major rows run in blocks of about _BLOCK_BYTES. Returns the output,
+    as a cropped view of the wide buffer, and the backward function, which
+    keeps no phase planes: it rebuilds them from x.values() (one zeroed copy
+    of about the input's size, per backward call) and works on the same
+    slices. So between the forward and the backward a tap-path layer holds
+    no buffer but its output, as the input is held by the tape in any case
+    and is not written in place before backward (see the module
+    docstring)."""
     n, c, h, w = x.shape
     if _operator_path(h * w, ho * wo):
         return _depthwise_operator(x, wd, sh, sw, ph, pw, ho, wo)
